@@ -9,9 +9,10 @@ Three scans dominate runtime on nontrivial truncations:
 Each kernel has a numba @njit build and a pure-numpy build with identical
 scan order and tie-breaking, so results are byte-for-byte the same on either
 path.  Selection: QTLAB_KERNELS=numpy forces the fallback; anything else uses
-numba when it imports.  apsp/delta_scan/bottleneck_center are the selected
-entry points; the _numpy variants stay importable for parity tests and the
-benchmark.
+numba when it imports (numba is the optional "fast" extra).
+apsp/delta_scan/bottleneck_center are the selected entry points; the _numpy
+variants and the plain-Python _py sources that numba compiles stay
+importable for the parity tests.
 """
 
 from __future__ import annotations

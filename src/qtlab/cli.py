@@ -381,7 +381,7 @@ def cmd_product(args):
         actions = [load_action(p, allow_disconnected=True) for p in args.factors]
         built = product_action(actions)
         x0 = point_id(_point_arg(args.basepoint)) if args.basepoint else (
-            point_id(tuple(sorted(a.space.vertex_ids)[0] for a in actions)))
+            point_id(tuple(a.space.vertex_ids[0] for a in actions)))
         prof = distortion_profile(built.action, x0, args.horizon)
         results = {
             "basepoint": prof.basepoint,

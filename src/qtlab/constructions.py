@@ -419,7 +419,7 @@ def cayley_graph(family: str, radius: int, gens=None,
         for g, name in zip(steps, names):
             gen_maps.append((name, {vid(v): vid(v + g) for v in reach if v + g in reach}))
         boundary = [vid(v) for v, d in reach.items() if d == radius]
-        graph = MetricGraph(sorted(vid(v) for v in reach), sorted(edges), boundary=boundary)
+        graph = MetricGraph([vid(v) for v in reach], edges, boundary=boundary)
         action = GroupAction(graph, gen_maps, mode="automorphism")
         return Construction(graph, action, "0", extras={"family": family, "radius": radius})
 
@@ -458,7 +458,7 @@ def cayley_graph(family: str, radius: int, gens=None,
                     fwd[vid(v)] = vid(u)
             gen_maps.append((name, fwd))
         boundary = [vid(v) for v, d in reach.items() if d == radius]
-        graph = MetricGraph(sorted(vid(v) for v in reach), sorted(edges), boundary=boundary)
+        graph = MetricGraph([vid(v) for v in reach], edges, boundary=boundary)
         action = GroupAction(graph, gen_maps, mode="automorphism")
         return Construction(graph, action, "0,0", extras={"family": family, "radius": radius})
 
@@ -487,7 +487,7 @@ def cayley_graph(family: str, radius: int, gens=None,
                     fwd[vid(w)] = vid(u)
             gen_maps.append((l, fwd))
         boundary = [vid(w) for w in words if len(w) == radius]
-        graph = MetricGraph(sorted(vid(w) for w in words), sorted(edges), boundary=boundary)
+        graph = MetricGraph([vid(w) for w in words], edges, boundary=boundary)
         action = GroupAction(graph, gen_maps, mode="automorphism")
         return Construction(graph, action, "e", extras={"family": family, "radius": radius})
 
@@ -524,7 +524,7 @@ def cayley_graph(family: str, radius: int, gens=None,
             fwd = {v: table.mul(g, v) for v in reach if table.mul(g, v) in reach}
             gen_maps.append((g, fwd))
         boundary = [v for v, d in reach.items() if d == radius]
-        graph = MetricGraph(sorted(reach), sorted(edges), boundary=boundary)
+        graph = MetricGraph(reach, edges, boundary=boundary)
         action = GroupAction(graph, gen_maps, mode="automorphism")
         return Construction(graph, action, table.identity,
                             extras={"family": family, "radius": radius})
@@ -650,7 +650,7 @@ def bass_serre_tree_bs12(radius: int) -> Construction:
             t_map[ids[v]] = ids[img]
 
     boundary = [ids[v] for v, d in dist.items() if d == radius]
-    graph = MetricGraph(sorted(ids.values()), sorted(edges), boundary=boundary)
+    graph = MetricGraph(ids.values(), edges, boundary=boundary)
     action = GroupAction(graph, [("a", a_map), ("t", t_map)], mode="automorphism")
     ray = [_bs_vid(-j, Fraction(0)) for j in range(radius + 1)]
     return Construction(graph, action, _bs_vid(0, Fraction(0)),
@@ -679,9 +679,10 @@ def cone_graph(base: MetricGraph, base_action: Optional[GroupAction] = None,
     if base_action is not None:
         if base_action.mode != "automorphism":
             raise FormatError("cone extension needs an automorphism-mode base action")
+        ids_act = base_action.space.vertex_ids
         gens = []
         for gm in base_action.generators:
-            fwd = {base.vertex_ids[s]: base.vertex_ids[d] for s, d in gm.forward.items()}
+            fwd = {ids_act[s]: ids_act[d] for s, d in zip(*gm.pairs())}
             fwd["apex"] = "apex"
             gens.append((gm.name, fwd))
         action = GroupAction(graph, gens, mode="automorphism")
@@ -735,7 +736,9 @@ def horoball(base: MetricGraph, base_action: Optional[GroupAction] = None,
     levels 0..depth, vertical edges between consecutive copies of a vertex,
     and a level-n edge between v and w whenever 0 < d_base(v, w) <= 2^n.
     Distances between far-apart base vertices shrink to O(log) by routing
-    through deep levels.  The depth cut and any base boundary are marked."""
+    through deep levels.  The depth cut and any base boundary are marked.
+    The default basepoint is min(base ids)|0, the least base vertex at level
+    0."""
     if depth < 1:
         raise FormatError("depth must be >= 1")
     ids_base = base.vertex_ids
@@ -757,15 +760,14 @@ def horoball(base: MetricGraph, base_action: Optional[GroupAction] = None,
     if base_action is not None:
         if base_action.mode != "automorphism":
             raise FormatError("horoball extension needs an automorphism-mode base action")
+        ids_act = base_action.space.vertex_ids
         gens = []
         for gm in base_action.generators:
-            fwd = {}
-            for s, d in gm.forward.items():
-                sv, dv = base.vertex_ids[s], base.vertex_ids[d]
-                for j in range(depth + 1):
-                    fwd[vid(sv, j)] = vid(dv, j)
+            src, dst = gm.pairs()
+            fwd = {vid(ids_act[s], j): vid(ids_act[d], j)
+                   for s, d in zip(src, dst) for j in range(depth + 1)}
             gens.append((gm.name, fwd))
         action = GroupAction(graph, gens, mode="automorphism")
     if basepoint is None:
-        basepoint = vid(ids_base[0], 0)
+        basepoint = vid(min(ids_base), 0)
     return Construction(graph, action, basepoint, extras={"depth": depth})

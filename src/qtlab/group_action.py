@@ -1,6 +1,7 @@
 """Partial group actions on finite graph truncations.
 
-Generators are injective partial maps of the vertex set (inverses derived).
+Generators are injective partial maps of the vertex set (inverses derived),
+stored as index arrays with -1 where a map is undefined.
 Everything downstream treats the truncation as a window onto an infinite
 action: orbit computations stay honest about frontier escapes, translation
 lengths come as upper bounds with certificates, and classification verdicts
@@ -15,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,11 +116,17 @@ class Word:
         return f"Word({self.display()!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMap:
     name: str
-    forward: dict  # vertex index -> vertex index
-    backward: dict
+    forward: np.ndarray   # forward[i] = image of vertex index i, -1 undefined
+    backward: np.ndarray  # the inverse map, same convention
+
+    def pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(sources, images) index arrays where the map is defined, sources
+        ascending."""
+        src = np.nonzero(self.forward >= 0)[0]
+        return src, self.forward[src]
 
 
 class GroupAction:
@@ -142,22 +149,24 @@ class GroupAction:
             if not name or name in names:
                 raise FormatError(f"generator names must be unique and nonempty, got {name!r}")
             names.add(name)
-            fwd: Dict[int, int] = {}
-            for src, dst in mapping.items():
-                fwd[space.index(src)] = space.index(dst)
-            if len(set(fwd.values())) != len(fwd):
+            pairs = [(space.index(s), space.index(t)) for s, t in mapping.items()]
+            src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            if len(np.unique(dst)) != len(dst):
                 raise FormatError(f"generator {name!r} is not injective")
-            self._check_mode(name, fwd)
-            bwd = {t: s for s, t in fwd.items()}
+            self._check_mode(name, src, dst)
+            fwd = np.full(space.n, -1, dtype=np.int64)
+            bwd = np.full(space.n, -1, dtype=np.int64)
+            fwd[src] = dst
+            bwd[dst] = src
+            fwd.setflags(write=False)
+            bwd.setflags(write=False)
             gens.append(GeneratorMap(name, fwd, bwd))
         self.generators = tuple(gens)
         self._by_name = {g.name: g for g in gens}
 
-    def _check_mode(self, name: str, fwd: Dict[int, int]):
-        if not fwd:
+    def _check_mode(self, name: str, src: np.ndarray, dst: np.ndarray):
+        if not len(src):
             return
-        src = np.fromiter(fwd.keys(), dtype=np.int64)
-        dst = np.fromiter((fwd[s] for s in src), dtype=np.int64)
         A = self.space.dist[np.ix_(src, src)]
         B = self.space.dist[np.ix_(dst, dst)]
         if self.mode == "isometry":
@@ -181,12 +190,13 @@ class GroupAction:
     def gen_names(self) -> Tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
-    def letter_map(self, name: str, sign: int) -> dict:
+    def letter_map(self, name: str, sign: int) -> np.ndarray:
         g = self.gen(name)
         return g.forward if sign > 0 else g.backward
 
     def apply_letter(self, name: str, sign: int, i: int) -> Optional[int]:
-        return self.letter_map(name, sign).get(i)
+        j = int(self.letter_map(name, sign)[i])
+        return j if j >= 0 else None
 
     def __repr__(self):
         return f"GroupAction({len(self.generators)} generators on {self.space!r}, mode={self.mode})"
@@ -212,20 +222,15 @@ def evaluate_word(a: GroupAction, w: Word, v: str) -> str:
 
 def word_map(a: GroupAction, w: Word) -> np.ndarray:
     """Composite partial map of w on all vertices; -1 marks undefined."""
-    n = a.space.n
-    img = np.arange(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
+    img = np.arange(a.space.n, dtype=np.int64)
     for name, sign in w.letters:
-        m = a.letter_map(name, sign)
-        for i in range(n):
-            if alive[i]:
-                nxt = m.get(int(img[i]))
-                if nxt is None:
-                    alive[i] = False
-                else:
-                    img[i] = nxt
-    img[~alive] = -1
+        img = _compose(img, a.letter_map(name, sign))
     return img
+
+
+def _compose(img: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """m after img, both partial maps with -1 for undefined."""
+    return np.where(img < 0, -1, m[img])
 
 
 @dataclass(frozen=True)
@@ -334,21 +339,20 @@ def rips_orbit_graph(a: GroupAction, x0: str, r: int, horizon: int) -> RipsOrbit
     if r < 0:
         raise FormatError("r must be >= 0")
     res = orbit(a, x0, horizon)
-    ids = sorted(res.vertices)
-    idx = [a.space.index(v) for v in ids]
+    vids = a.space.vertex_ids
+    idx = np.sort([a.space.index(v) for v in res.vertices])
+    ids = [vids[i] for i in idx]
     sub = a.space.dist[np.ix_(idx, idx)]
     close = np.triu((sub > 0) & (sub <= r), 1)
     edges = [(ids[i], ids[j]) for i, j in np.argwhere(close)]
     graph = MetricGraph(ids, edges, allow_disconnected=True)
-    present = set(ids)
+    present = np.zeros(a.space.n, dtype=bool)
+    present[idx] = True
     gens = []
     for gm in a.generators:
-        restricted = {}
-        for s, t in gm.forward.items():
-            su, tu = a.space.vertex_ids[s], a.space.vertex_ids[t]
-            if su in present and tu in present:
-                restricted[su] = tu
-        gens.append((gm.name, restricted))
+        src, dst = gm.pairs()
+        keep = present[src] & present[dst]
+        gens.append((gm.name, {vids[s]: vids[t] for s, t in zip(src[keep], dst[keep])}))
     action = GroupAction(graph, gens, mode="automorphism")
     return RipsOrbitGraph(r, x0, horizon, graph, action, res)
 
@@ -358,9 +362,9 @@ def connectivity_radius(a: GroupAction, x0: str) -> int:
     Rips orbit graph is connected on BFS-reachable orbit points."""
     xi = a.space.index(x0)
     best = 0
-    for gi, gm in enumerate(a.generators):
-        j = gm.forward.get(xi)
-        if j is None:
+    for gm in a.generators:
+        j = int(gm.forward[xi])
+        if j < 0:
             raise OutOfTruncation(0, x0, gm.name)
         best = max(best, int(a.space.dist[xi, j]))
     return best
@@ -390,14 +394,14 @@ def stable_translation_length(a: GroupAction, w: Word, x0: str, horizon: int) ->
     """Sequence d(g^n x0, x0)/n with its running minimum.  The limit is the
     infimum, so the final running minimum is an upper bound for tau."""
     xi = a.space.index(x0)
+    img = word_map(a, w)
     seq: List[Fraction] = []
     cur = xi
     n = 0
     truncated = False
     while n < horizon:
-        try:
-            cur = a.space.index(evaluate_word(a, w, a.space.vertex_ids[cur]))
-        except OutOfTruncation:
+        cur = int(img[cur])
+        if cur < 0:
             truncated = True
             break
         n += 1
@@ -427,16 +431,14 @@ def _tree_classify(a: GroupAction, w: Word):
         raise OutOfTruncation(0, a.space.vertex_ids[0], w.display())
     disp = a.space.dist[defined, img[defined]]
     m = int(disp.min())
-    at = defined[disp == m]
-    best = min(int(v) for v in at)
-    vid = a.space.vertex_ids[best]
+    at = defined[disp == m]    # ascending index, so ascending id
+    vid = a.space.vertex_ids[int(at[0])]
     if m == 0:
         return 0, "fixed-vertex", vid
     if m == 1:
         for v in at:
             v = int(v)
-            fv = int(img[v])
-            ffv = img[fv] if img[fv] >= 0 else -1
+            ffv = int(img[img[v]])
             if ffv >= 0:
                 if ffv == v:
                     return 0, "inverted-edge", a.space.vertex_ids[v]
@@ -507,15 +509,15 @@ def classify_isometry(
     notes: List[str] = []
     xi = a.space.index(x0)
     ids = a.space.vertex_ids
+    img = word_map(a, w)
     points = [xi]
     truncated = False
     seen = {xi: 0}
     cycle = None
     cur = xi
     for k in range(1, horizon + 1):
-        try:
-            cur = a.space.index(evaluate_word(a, w, ids[cur]))
-        except OutOfTruncation:
+        cur = int(img[cur])
+        if cur < 0:
             truncated = True
             break
         if cur in seen:
@@ -640,7 +642,7 @@ def serre_elliptic_test(a: GroupAction, words: Optional[Sequence[Word]] = None) 
     if not common:
         notes.append("all words elliptic but no common fixed vertex inside the truncation")
         return SerreResult(True, None, None, tuple(v.display() for v in to_check), tuple(notes))
-    best = min(a.space.vertex_ids[i] for i in common)
+    best = a.space.vertex_ids[min(common)]
     return SerreResult(True, best, None, tuple(v.display() for v in to_check), ())
 
 
@@ -712,48 +714,44 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
     and merged maps keep the union of domains.  Identification by agreement
     undercounts distinct group elements, which keeps counts built on it
     honest lower bounds.  Only fresh elements are expanded, so the walk is
-    bounded by (elements) x (letters)."""
+    bounded by (elements) x (letters).
+
+    The images sit as rows of one (elements, n) stack.  A candidate merges
+    into the first row it does not contradict, and that row gains the
+    candidate's extra domain."""
     n = a.space.n
-    letters = []
-    for gm in a.generators:
-        letters.append((gm.name, 1))
-        letters.append((gm.name, -1))
-    identity = RealizedElement(Word(), 0, np.arange(n, dtype=np.int64))
-    elements = [identity]
-    frontier = [identity]
+    letters = [(gm.name, s) for gm in a.generators for s in (1, -1)]
+    maps = [a.letter_map(name, sign) for name, sign in letters]
+    stack = np.empty((64, n), dtype=np.int64)
+    stack[0] = np.arange(n)
+    words, depths = [Word()], [0]
+    frontier = [0]
     depth = 0
     while frontier and depth < horizon:
         nxt = []
-        for el in frontier:
-            for name, sign in letters:
-                m = a.letter_map(name, sign)
-                img = el.image.copy()
-                for i in range(n):
-                    if img[i] >= 0:
-                        img[i] = m.get(int(img[i]), -1)
-                if not (img >= 0).any():
+        for e in frontier:
+            for letter, m in zip(letters, maps):
+                img = _compose(stack[e], m)
+                cols = np.nonzero(img >= 0)[0]
+                if not len(cols):
                     continue
-                merged = False
-                for other in elements:
-                    both = (img >= 0) & (other.image >= 0)
-                    if both.any() and (img[both] == other.image[both]).all():
-                        gains = (img >= 0) & (other.image < 0)
-                        if gains.any():
-                            other.image[gains] = img[gains]
-                        merged = True
-                        break
-                    if not both.any():
-                        # no overlap: indistinguishable from this rep; merge too
-                        other.image[img >= 0] = img[img >= 0]
-                        merged = True
-                        break
-                if not merged:
-                    el2 = RealizedElement(el.word * Word([(name, sign)]), depth + 1, img)
-                    elements.append(el2)
-                    nxt.append(el2)
+                count = len(words)
+                seen = stack[:count, cols]
+                agree = ((seen == img[cols]) | (seen < 0)).all(axis=1)
+                k = int(np.argmax(agree))
+                if agree[k]:
+                    row = stack[k]
+                    stack[k] = np.where(row < 0, img, row)
+                    continue
+                if count == len(stack):
+                    stack = np.concatenate((stack, np.empty_like(stack)))
+                stack[count] = img
+                words.append(words[e] * Word([letter]))
+                depths.append(depth + 1)
+                nxt.append(count)
         frontier = nxt
         depth += 1
-    return elements
+    return [RealizedElement(w, d, stack[k]) for k, (w, d) in enumerate(zip(words, depths))]
 
 
 # ---------------------------------------------------------------------------
@@ -787,17 +785,16 @@ def properness_profiles(
     D = a.space.dist
     n = a.space.n
     BIG = 10 ** 6
-    disp = np.full((len(els), n), BIG, dtype=np.int64)
-    for t, el in enumerate(els):
-        defined = el.image >= 0
-        idx = np.nonzero(defined)[0]
-        disp[t, idx] = D[idx, el.image[idx]]
+    S = np.stack([el.image for el in els])
+    disp = np.where(S >= 0, D[np.arange(n), S], BIG)
 
     acyl = []
     no_pair = []
     for eps in epsilons:
-        ok = (disp <= eps).astype(np.int64)
-        P = ok.T @ ok
+        # float64 lets BLAS form the product; entries are counts <= len(els),
+        # far below 2^53, so they stay exact
+        ok = (disp <= eps).astype(np.float64)
+        P = (ok.T @ ok).astype(np.int64)
         for R in radii:
             mask = D >= R
             if not mask.any():
@@ -811,12 +808,8 @@ def properness_profiles(
         uniform.append((int(r), int(counts.max())))
 
     def max_stab(hor):
-        e2 = els if hor == horizon else realized_elements(a, hor)
-        best = 0
-        for v in range(n):
-            cnt = sum(1 for el in e2 if el.image[v] == v)
-            best = max(best, cnt)
-        return best
+        S2 = S if hor == horizon else np.stack([el.image for el in realized_elements(a, hor)])
+        return int((S2 == np.arange(n)).sum(axis=0).max())
 
     full_stab = max_stab(horizon)
     half_stab = max_stab(max(1, horizon // 2))
@@ -926,13 +919,12 @@ def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, horizon: int) -> O
     """Farthest vertex reached along the power orbit of w from x0; the
     lex-first id among the points attaining the maximum.  None when the
     orbit never leaves x0."""
-    ids = a.space.vertex_ids
+    img = word_map(a, w)
     cur = x0i
     pts = []
     for _ in range(horizon):
-        try:
-            cur = a.space.index(evaluate_word(a, w, ids[cur]))
-        except OutOfTruncation:
+        cur = int(img[cur])
+        if cur < 0:
             break
         pts.append(cur)
     if not pts:
@@ -941,8 +933,7 @@ def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, horizon: int) -> O
     dmax = max(int(D[x0i, p]) for p in pts)
     if dmax == 0:
         return None
-    att = [p for p in pts if int(D[x0i, p]) == dmax]
-    return min(att, key=lambda p: ids[p])
+    return min(p for p in pts if int(D[x0i, p]) == dmax)
 
 
 def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
@@ -1060,8 +1051,7 @@ def classify_action_type(
                                 {"reason": "loxodromics without usable fingerprints"},
                                 tuple(w.display() for w, _ in lox))
 
-    reps = sorted({p for _, p, m in dirs} | {m for _, p, m in dirs},
-                  key=lambda i: ids[i])
+    reps = sorted({p for _, p, m in dirs} | {m for _, p, m in dirs})
     radius = max(int(D[x0i, r]) for r in reps)
     if sep_threshold is None:
         sep_threshold = max(1, radius // 2)

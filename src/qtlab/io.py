@@ -85,11 +85,11 @@ def load_graph(path: str, allow_disconnected: bool = False) -> MetricGraph:
 def action_to_dict(action, graph_ref: Optional[str] = None) -> dict:
     """Serialize a GroupAction; graph_ref, when given, replaces the inline
     graph object with a file path reference."""
+    ids = action.space.vertex_ids
     gens = []
     for gm in action.generators:
-        pairs = sorted((action.space.vertex_ids[s], action.space.vertex_ids[t])
-                       for s, t in gm.forward.items())
-        gens.append({"name": gm.name, "map": [[a, b] for a, b in pairs]})
+        src, dst = gm.pairs()
+        gens.append({"name": gm.name, "map": [[ids[s], ids[t]] for s, t in zip(src, dst)]})
     return {
         "format": ACTION_FORMAT,
         "graph": graph_ref if graph_ref is not None else graph_to_dict(action.space),

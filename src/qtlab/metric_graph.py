@@ -7,8 +7,11 @@ and the ends profile of a truncation with an explicit boundary set.
 
 Conventions used by every scan in this module:
 
-* scan order, witnesses and tie-breaks follow lexicographic order on vertex
-  ids, never insertion order;
+* index order is id order: a MetricGraph sorts its vertex ids once when it
+  is built, so vertex i is the i-th id in lexicographic order, whatever
+  order the ids came in;
+* scan order, witnesses and tie-breaks therefore follow lexicographic order
+  on vertex ids, never insertion order;
 * hyperbolicity delta is stored exactly as the numerator of 2*delta;
 * balls B(z, c) are closed.
 """
@@ -39,25 +42,34 @@ GEODESIC_DEFAULT_CAP = 10000
 
 
 def resolve_cap(cap: Optional[int], default: int) -> int:
-    """Explicit argument beats QTLAB_MAX_VERTICES beats the built-in default."""
+    """Explicit argument beats QTLAB_MAX_VERTICES beats the built-in default.
+    A QTLAB_MAX_VERTICES that is not a non-negative integer is a FormatError."""
     if cap is not None:
         return int(cap)
     env = os.environ.get("QTLAB_MAX_VERTICES")
     if env:
-        return int(env)
+        try:
+            value = int(env)
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise FormatError(
+                f"QTLAB_MAX_VERTICES must be a non-negative integer, got {env!r}")
+        return value
     return default
 
 
 class MetricGraph:
     """Finite simple graph with precomputed BFS distances.
 
-    Vertex ids are strings.  Edges are unordered pairs; loops and duplicate
+    Vertex ids are strings, stored sorted: vertex_ids[i] is the id of index i
+    and the i-th smallest id.  Edges are unordered pairs; loops and duplicate
     edges are rejected.  Unless allow_disconnected is set, the graph must be
     connected (unreachable entries would otherwise sit at -1 in dist).
     """
 
     def __init__(self, vertex_ids, edges, boundary=(), allow_disconnected=False):
-        ids = [str(v) for v in vertex_ids]
+        ids = sorted(str(v) for v in vertex_ids)
         if not ids:
             raise EmptyGraph("graph has no vertices")
         if len(set(ids)) != len(ids):
@@ -89,31 +101,22 @@ class MetricGraph:
                 raise VertexNotFound(f"boundary vertex {v!r} is not a vertex")
         self.boundary = tuple(str(v) for v in boundary)
 
-        deg = np.zeros(n, dtype=np.int64)
-        for i, j in pairs:
-            deg[i] += 1
-            deg[j] += 1
+        # CSR adjacency with each neighbor list sorted by index (= by id), so
+        # BFS layers come out deterministic
+        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        src = np.concatenate((ends[:, 0], ends[:, 1]))
+        dst = np.concatenate((ends[:, 1], ends[:, 0]))
+        order = np.lexsort((dst, src))
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=indptr[1:])
-        indices = np.empty(len(pairs) * 2, dtype=np.int32)
-        fill = indptr[:-1].copy()
-        for i, j in pairs:
-            indices[fill[i]] = j
-            fill[i] += 1
-            indices[fill[j]] = i
-            fill[j] += 1
-        # neighbor lists sorted by index so BFS layers come out deterministic
-        for i in range(n):
-            indices[indptr[i]:indptr[i + 1]].sort()
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
-        self._indices = indices
+        self._indices = dst[order].astype(np.int32)
 
-        dist = _kernels.apsp(indptr, indices, n)
+        dist = _kernels.apsp(indptr, self._indices, n)
         self.connected = bool((dist >= 0).all())
         if not self.connected and not allow_disconnected:
-            src = 0
             missing = int(np.nonzero(dist[0] < 0)[0][0])
-            raise DisconnectedGraph(ids[src], ids[missing])
+            raise DisconnectedGraph(ids[0], ids[missing])
         dist.setflags(write=False)
         self.dist = dist
 
@@ -170,10 +173,6 @@ class MetricGraph:
     def is_tree(self) -> bool:
         return self.connected and self.n_edges == self.n - 1
 
-    def id_order(self) -> np.ndarray:
-        """Permutation of indices sorting vertices by id."""
-        return np.array(sorted(range(self.n), key=lambda i: self.vertex_ids[i]), dtype=np.int64)
-
     def __repr__(self):
         return f"MetricGraph({self.n} vertices, {self.n_edges} edges)"
 
@@ -181,30 +180,6 @@ class MetricGraph:
 def all_pairs_distances(vertex_ids, edges, boundary=()) -> MetricGraph:
     """Build a MetricGraph, computing the full distance matrix by BFS."""
     return MetricGraph(vertex_ids, edges, boundary=boundary)
-
-
-def _permuted_csr(g: MetricGraph, order: np.ndarray):
-    """CSR adjacency of g relabeled so index k means the k-th vertex in id order."""
-    n = g.n
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    deg = np.zeros(n, dtype=np.int64)
-    for i, j in g.edge_pairs:
-        deg[pos[i]] += 1
-        deg[pos[j]] += 1
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.empty(g.n_edges * 2, dtype=np.int32)
-    fill = indptr[:-1].copy()
-    for i, j in g.edge_pairs:
-        a, b = pos[i], pos[j]
-        indices[fill[a]] = b
-        fill[a] += 1
-        indices[fill[b]] = a
-        fill[b] += 1
-    for i in range(n):
-        indices[indptr[i]:indptr[i + 1]].sort()
-    return indptr, indices
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +213,9 @@ def hyperbolicity_delta(g: MetricGraph, max_vertices: Optional[int] = None) -> H
         raise SizeLimitExceeded(g.n, cap, "hyperbolicity_delta")
     if not g.connected:
         raise DisconnectedGraph(*_disconnected_pair(g))
-    order = g.id_order()
-    Dp = np.ascontiguousarray(g.dist[np.ix_(order, order)])
-    two_delta, x, y, z, w = _kernels.delta_scan(Dp)
+    two_delta, x, y, z, w = _kernels.delta_scan(g.dist)
     ids = g.vertex_ids
-    witness = (ids[order[x]], ids[order[y]], ids[order[z]], ids[order[w]])
+    witness = (ids[x], ids[y], ids[z], ids[w])
     return HyperbolicityReport(int(two_delta), witness, g.n)
 
 
@@ -293,36 +266,31 @@ def bottleneck_constant(g: MetricGraph, max_vertices: Optional[int] = None) -> B
         raise SizeLimitExceeded(g.n, cap, "bottleneck_constant")
     if not g.connected:
         raise DisconnectedGraph(*_disconnected_pair(g))
-    order = g.id_order()
-    Dp = np.ascontiguousarray(g.dist[np.ix_(order, order)])
-    indptr, indices = _permuted_csr(g, order)
+    D, indptr, indices = g.dist, g._indptr, g._indices
     n = g.n
-    diam = int(Dp.max())
+    ecc = D.max(axis=1)
+    diam = int(ecc.max())
     best = 0
     wit = None
     for z in range(n):
-        ecc = int(Dp[z].max())
-        c_hi = min(ecc - 1, diam // 2)
-        t, x, y = _kernels.bottleneck_center(Dp, indptr, indices, z, best, c_hi)
+        c_hi = min(int(ecc[z]) - 1, diam // 2)
+        t, x, y = _kernels.bottleneck_center(D, indptr, indices, z, best, c_hi)
         if t > best:
             best = int(t)
             wit = (int(x), int(y), z)
     if best == 0:
         return BottleneckReport(0, None, n)
     x, y, z = wit
-    path = _avoiding_path(Dp, indptr, indices, x, y, z, best - 1)
+    path = _avoiding_path(D, indptr, indices, x, y, z, best - 1)
     ids = g.vertex_ids
-    witness = BottleneckWitness(
-        ids[order[x]], ids[order[y]], ids[order[z]],
-        tuple(ids[order[v]] for v in path),
-    )
+    witness = BottleneckWitness(ids[x], ids[y], ids[z], tuple(ids[v] for v in path))
     return BottleneckReport(best, witness, n)
 
 
-def _avoiding_path(Dp, indptr, indices, x, y, z, radius):
+def _avoiding_path(D, indptr, indices, x, y, z, radius):
     """BFS path x..y through vertices with d(z, .) > radius (must exist)."""
-    n = Dp.shape[0]
-    r = Dp[z]
+    n = D.shape[0]
+    r = D[z]
     prev = np.full(n, -1, dtype=np.int64)
     prev[x] = x
     queue = [x]
@@ -398,10 +366,10 @@ def enumerate_geodesics(g: MetricGraph, u: str, v: str, cap: int = GEODESIC_DEFA
                 break
             out.append(tuple(g.vertex_ids[i] for i in path))
             continue
-        nxt = [int(w) for w in g.neighbor_indices(node) if target[w] == target[node] - 1]
-        nxt.sort(key=lambda i: g.vertex_ids[i], reverse=True)  # stack pops smallest id first
-        for w in nxt:
-            stack.append((w, path + [w]))
+        # neighbors come in id order; push in reverse so the smallest pops first
+        for w in reversed(g.neighbor_indices(node)):
+            if target[w] == target[node] - 1:
+                stack.append((int(w), path + [int(w)]))
     return GeodesicsResult(tuple(out), overflow)
 
 

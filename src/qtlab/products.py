@@ -71,8 +71,7 @@ class ProductSpace:
         return tuple(f.d(a, b) for f, a, b in zip(self.factors, x, y))
 
     def points(self) -> List[Tuple[str, ...]]:
-        axes = [sorted(f.vertex_ids) for f in self.factors]
-        return list(itertools.product(*axes))
+        return list(itertools.product(*(f.vertex_ids for f in self.factors)))
 
 
 @dataclass(frozen=True)
@@ -305,9 +304,9 @@ def product_action(actions: Sequence[GroupAction],
     pts = space.points()
     gens = []
     for i, a in enumerate(actions):
+        ids = a.space.vertex_ids
         for gm in a.generators:
-            comp = {a.space.vertex_ids[s]: a.space.vertex_ids[d]
-                    for s, d in gm.forward.items()}
+            comp = {ids[s]: ids[d] for s, d in zip(*gm.pairs())}
             fwd = {}
             for x in pts:
                 img = comp.get(x[i])

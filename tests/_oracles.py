@@ -127,3 +127,35 @@ def random_connected_graph(rng, n, extra):
         edges.add(e)
         extra -= 1
     return [str(i) for i in range(n)], sorted(edges)
+
+
+def brute_realized_elements(ids, gens, horizon):
+    """Word BFS deduplicated by agreement, on id dicts.  gens is a list of
+    (name, {source id: image id}); returns [letters, depth, image dict] per
+    element, in discovery order.  A candidate merges into the first element
+    that agrees with it wherever both are defined, which gains the
+    candidate's extra domain."""
+    letters = []
+    for name, fwd in gens:
+        letters.append(((name, 1), fwd))
+        letters.append(((name, -1), {t: s for s, t in fwd.items()}))
+    elements = [[(), 0, {v: v for v in ids}]]
+    frontier = elements[:]
+    for depth in range(horizon):
+        nxt = []
+        for el in frontier:
+            for letter, m in letters:
+                img = {v: m[t] for v, t in el[2].items() if t in m}
+                if not img:
+                    continue
+                for other in elements:
+                    if all(other[2].get(v, t) == t for v, t in img.items()):
+                        for v, t in img.items():
+                            other[2].setdefault(v, t)
+                        break
+                else:
+                    new = [el[0] + (letter,), depth + 1, img]
+                    elements.append(new)
+                    nxt.append(new)
+        frontier = nxt
+    return elements

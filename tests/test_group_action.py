@@ -16,6 +16,9 @@ from qtlab.constructions import (bass_serre_tree_bs12, c6_chain, cayley_graph,
                                  farey_graph, horoball, path_graph)
 from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
+from qtlab.io import action_to_dict
+
+from _oracles import brute_realized_elements
 
 
 def rotation_action(n):
@@ -367,3 +370,101 @@ def test_action_type_quasiparabolic_bs12():
     con = bass_serre_tree_bs12(8)
     rep = classify_action_type(con.action, "m0:0/1", horizon=6)
     assert rep.verdict == "QuasiParabolic"
+
+
+# --- one vertex order --------------------------------------------------------
+
+
+def test_tree_classify_names_least_id_at_minimal_displacement():
+    """Insertion order differs from id order: the swap of leaves p and q
+    fixes m, r and s, and the certificate names the least of those ids."""
+    from qtlab import MetricGraph
+    g = MetricGraph(["s", "r", "p", "q", "m"],
+                    [("m", "s"), ("m", "r"), ("m", "p"), ("m", "q")])
+    swap = {"p": "q", "q": "p", "m": "m", "r": "r", "s": "s"}
+    a = GroupAction(g, [("f", swap)])
+    # horizon 1 stops the power orbit before it closes, so the tree method runs
+    rep = classify_isometry(a, Word.parse("f"), "p", horizon=1)
+    assert rep.method == "tree-min-displacement"
+    assert rep.certificate == {"kind": "fixed-vertex", "vertex": "m"}
+
+
+def test_generator_maps_are_index_arrays():
+    a = rotation_action(5)
+    gm = a.gen("r")
+    assert gm.forward.tolist() == [1, 2, 3, 4, 0]
+    assert gm.backward.tolist() == [4, 0, 1, 2, 3]
+    src, dst = gm.pairs()
+    assert src.tolist() == [0, 1, 2, 3, 4] and dst.tolist() == [1, 2, 3, 4, 0]
+    partial = GroupAction(path_graph(3), [("s", {"v0": "v1", "v1": "v2"})])
+    assert partial.gen("s").forward.tolist() == [1, 2, -1]
+    assert partial.apply_letter("s", 1, 2) is None
+    assert partial.apply_letter("s", -1, 2) == 1
+
+
+BS12_H4_WORDS = (
+    "1,a,a^-1,t,t^-1,a^2,a t,a t^-1,a^-2,a^-1 t,a^-1 t^-1,t a,t a^-1,t^2,t^-1 a,"
+    "t^-1 a^-1,t^-2,a^3,a^2 t,a t a,a t^2,a t^-1 a,a t^-2,a^-3,a^-2 t,a^-1 t a^-1,"
+    "a^-1 t^2,a^-1 t^-1 a^-1,a^-1 t^-2,t a t,t a t^-1,t a^-1 t,t a^-1 t^-1,t^2 a,"
+    "t^2 a^-1,t^3,t^-1 a^2,t^-1 a t^-1,t^-1 a^-2,t^-1 a^-1 t^-1,t^-2 a,t^-2 a^-1,"
+    "t^-3,a^4,a^3 t,a^2 t a,a^2 t^2,a t a t,a t a t^-1,a t^2 a,a t^2 a^-1,a t^3,"
+    "a t^-1 a^2,a t^-1 a t^-1,a t^-2 a,a t^-2 a^-1,a t^-3,a^-4,a^-3 t,a^-2 t a^-1,"
+    "a^-2 t^2,a^-1 t a^-1 t,a^-1 t a^-1 t^-1,a^-1 t^2 a,a^-1 t^2 a^-1,a^-1 t^3,"
+    "a^-1 t^-1 a^-2,a^-1 t^-2 a^-1,a^-1 t^-3,t a t^2,t a t^-2,t a^-1 t^2,"
+    "t a^-1 t^-2,t^2 a t,t^2 a t^-1,t^2 a^-1 t,t^2 a^-1 t^-1,t^3 a,t^3 a^-1,t^4,"
+    "t^-1 a^3,t^-1 a t^-1 a,t^-1 a t^-2,t^-1 a^-3,t^-1 a^-1 t^-1 a^-1,"
+    "t^-1 a^-1 t^-2,t^-2 a^2,t^-2 a t^-1,t^-2 a^-2,t^-2 a^-1 t^-1,t^-3 a,"
+    "t^-3 a^-1,t^-4"
+).split(",")
+
+F2_H3_WORDS = (
+    "1,x,x^-1,y,y^-1,x^2,x y,x y^-1,x^-2,x^-1 y,x^-1 y^-1,y x,y x^-1,y^2,y^-1 x,"
+    "y^-1 x^-1,y^-2,x^3,x^2 y,x^2 y^-1,x y x,x y x^-1,x y^2,x y^-1 x,x y^-1 x^-1,"
+    "x y^-2,x^-3,x^-2 y,x^-2 y^-1,x^-1 y x,x^-1 y x^-1,x^-1 y^2,x^-1 y^-1 x,"
+    "x^-1 y^-1 x^-1,x^-1 y^-2,y x^2,y x y,y x y^-1,y x^-2,y x^-1 y,y x^-1 y^-1,"
+    "y^2 x,y^2 x^-1,y^3,y^-1 x^2,y^-1 x y,y^-1 x y^-1,y^-1 x^-2,y^-1 x^-1 y,"
+    "y^-1 x^-1 y^-1,y^-2 x,y^-2 x^-1,y^-3"
+).split(",")
+
+
+@pytest.mark.parametrize("build, horizon, count, words", [
+    (lambda: bass_serre_tree_bs12(8), 4, 93, BS12_H4_WORDS),
+    (lambda: cayley_graph("F2", 5), 3, 53, F2_H3_WORDS),
+], ids=["bs12-r8", "f2-r5"])
+def test_realized_elements_pinned_merge_order(build, horizon, count, words):
+    els = realized_elements(build().action, horizon)
+    assert len(els) == count
+    assert [el.word.display() for el in els] == words
+
+
+def _partial_cycle_action(rng, n):
+    """Rotation and reflection of an n-cycle, each restricted to a random
+    domain, so words have partial images that overlap in varied ways."""
+    g = cycle_graph(n)
+    ids = g.vertex_ids
+    gens = []
+    for name, f in (("r", lambda i: (i + 1) % n), ("f", lambda i: (-i) % n)):
+        dom = [i for i in range(n) if rng.random() < 0.7]
+        gens.append((name, {ids[i]: ids[f(i)] for i in dom}))
+    return GroupAction(g, gens)
+
+
+def test_realized_elements_match_the_dict_reference():
+    rng = random.Random(17)
+    z = cayley_graph("Z", 4)
+    cases = [
+        (double_line_graph(4).action, 3),
+        (coset_tree(*c6_chain()).action, 3),
+        (cayley_graph("Z2", 2).action, 3),
+        (farey_graph(3).action, 3),
+        (horoball(z.graph, z.action, depth=2).action, 3),
+    ] + [(_partial_cycle_action(rng, rng.randrange(5, 10)), 4) for _ in range(6)]
+    for a, horizon in cases:
+        ids = a.space.vertex_ids
+        gens = [(g["name"], dict(map(tuple, g["map"])))
+                for g in action_to_dict(a)["generators"]]
+        want = brute_realized_elements(ids, gens, horizon)
+        got = realized_elements(a, horizon)
+        assert [(el.word.letters, el.depth) for el in got] == [(w, d) for w, d, _ in want]
+        for el, (_, _, img) in zip(got, want):
+            assert {ids[i]: ids[t] for i, t in enumerate(el.image) if t >= 0} == img

@@ -325,3 +325,24 @@ def test_console_entry_reports_errors_on_stderr(tmp_path, child_env):
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"]["type"] == "FileError"
+
+
+def test_bad_env_cap_is_a_format_error(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "c.json"
+    save_graph(grid_graph(3, 3), str(g))
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "abc")
+    rc, _, stderr = run_cli(capsys, ["analyze", "--graph", str(g)])
+    assert rc == 2
+    err = json.loads(stderr)["error"]
+    assert err["type"] == "FormatError" and "QTLAB_MAX_VERTICES" in err["message"]
+
+
+def test_bad_env_cap_through_the_console_entry(tmp_path, child_env):
+    save_graph(grid_graph(3, 3), str(tmp_path / "c.json"))
+    env = dict(child_env, QTLAB_MAX_VERTICES="-3")
+    r = subprocess.run([sys.executable, "-m", "qtlab.cli", "analyze", "--graph", "c.json"],
+                       capture_output=True, cwd=str(tmp_path), text=True, env=env)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    err = json.loads(r.stderr)["error"]
+    assert err["type"] == "FormatError" and "QTLAB_MAX_VERTICES" in err["message"]

@@ -3,12 +3,11 @@ import random
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from qtlab import MetricGraph, cycle_graph, grid_graph, hyperbolicity_delta, bottleneck_constant
-from qtlab._kernels import (HAS_NUMBA, apsp, apsp_numpy, backend,
-                            bottleneck_center, bottleneck_center_numpy,
+from qtlab._kernels import (HAS_NUMBA, _apsp_py, _delta_scan_py, apsp, apsp_numpy,
+                            backend, bottleneck_center, bottleneck_center_numpy,
                             delta_scan, delta_scan_numpy)
 
 from _oracles import random_connected_graph
@@ -46,8 +45,7 @@ def test_delta_scan_paths_agree_with_witness():
         ids, edges = random_connected_graph(rng, rng.randrange(4, 12), rng.randrange(0, 4))
         graphs.append(MetricGraph(ids, edges))
     for g in graphs:
-        order = g.id_order()
-        Dp = np.ascontiguousarray(g.dist[np.ix_(order, order)])
+        Dp = g.dist
         assert delta_scan(Dp) == delta_scan_numpy(Dp)
 
 
@@ -58,11 +56,7 @@ def test_bottleneck_center_paths_agree():
         ids, edges = random_connected_graph(rng, rng.randrange(4, 14), rng.randrange(0, 4))
         graphs.append(MetricGraph(ids, edges))
     for g in graphs:
-        order = g.id_order()
-        Dp = np.ascontiguousarray(g.dist[np.ix_(order, order)])
-        # rebuild the permuted adjacency the same way the caller does
-        from qtlab.metric_graph import _permuted_csr
-        indptr, indices = _permuted_csr(g, order)
+        Dp, indptr, indices = g.dist, g._indptr, g._indices
         diam = int(Dp.max())
         for z in range(g.n):
             ecc = int(Dp[z].max())
@@ -70,6 +64,25 @@ def test_bottleneck_center_paths_agree():
             a = bottleneck_center(Dp, indptr, indices, z, 0, c_hi)
             b = bottleneck_center_numpy(Dp, indptr, indices, z, 0, c_hi)
             assert tuple(int(v) for v in a) == tuple(int(v) for v in b)
+
+
+def test_jit_source_kernels_interpreted_match_numpy():
+    """The plain-Python sources that numba compiles, run by the interpreter,
+    agree with the numpy builds; this keeps them tested without numba."""
+    rng = random.Random(41)
+    graphs = [grid_graph(3, 3), cycle_graph(7)]
+    for _ in range(6):
+        ids, edges = random_connected_graph(rng, rng.randrange(4, 11), rng.randrange(0, 4))
+        graphs.append(MetricGraph(ids, edges))
+    disconnected = MetricGraph(["a", "b", "c", "d", "e"], [("a", "b"), ("c", "d")],
+                               allow_disconnected=True)
+    for g in graphs + [disconnected]:
+        indptr, indices, n = _csr(g)
+        assert (_apsp_py(indptr, indices, n) == apsp_numpy(indptr, indices, n)).all()
+    for g in graphs:
+        assert g.n <= 10
+        got = tuple(int(v) for v in _delta_scan_py(g.dist))
+        assert got == delta_scan_numpy(g.dist)
 
 
 SCRIPT = """

@@ -12,6 +12,8 @@ from qtlab.errors import (CenterNotFound, DisconnectedGraph, EmptyGraph,
                           FormatError, RadiusTooLarge, SizeLimitExceeded,
                           VertexNotFound)
 
+from qtlab.io import graph_from_dict, graph_to_dict
+
 from _oracles import (all_distances, brute_bottleneck, brute_two_delta,
                       lattice_geodesic_count, random_connected_graph,
                       random_tree_edges)
@@ -244,6 +246,48 @@ def test_size_cap_param_and_env(monkeypatch):
         bottleneck_constant(g)
     monkeypatch.delenv("QTLAB_MAX_VERTICES")
     assert bottleneck_constant(g).constant == 3
+
+
+def test_env_cap_must_be_a_non_negative_integer(monkeypatch):
+    g = grid_graph(3, 3)
+    for bad in ("abc", "-4", "2.5"):
+        monkeypatch.setenv("QTLAB_MAX_VERTICES", bad)
+        with pytest.raises(FormatError, match="QTLAB_MAX_VERTICES"):
+            hyperbolicity_delta(g)
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "0")
+    with pytest.raises(SizeLimitExceeded):
+        bottleneck_constant(g)
+
+
+def test_index_order_is_id_order():
+    g = MetricGraph(["b", "a", "c"], [("c", "a"), ("b", "a")])
+    assert g.vertex_ids == ("a", "b", "c")
+    assert [g.index(v) for v in ("a", "b", "c")] == [0, 1, 2]
+    assert g.edge_pairs == ((0, 1), (0, 2))
+    assert g.neighbors("a") == ("b", "c")
+    assert g.dist.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
+    d = graph_to_dict(g)
+    assert d["vertices"] == ["a", "b", "c"]
+    assert d["edges"] == [["a", "b"], ["a", "c"]]
+    h = graph_from_dict(d)
+    assert h.vertex_ids == g.vertex_ids and h.edge_pairs == g.edge_pairs
+    assert (h.dist == g.dist).all()
+
+
+def test_shuffled_ids_give_sorted_indices_and_oracle_distances():
+    rng = random.Random(5)
+    for _ in range(10):
+        ids, edges = random_connected_graph(rng, rng.randrange(2, 25), rng.randrange(0, 6))
+        rng.shuffle(ids)
+        g = MetricGraph(ids, edges)
+        assert list(g.vertex_ids) == sorted(ids)
+        for i in range(g.n):
+            nb = g.neighbor_indices(i).tolist()
+            assert nb == sorted(nb)
+        oracle = all_distances(ids, edges)
+        for u in ids:
+            for v in ids:
+                assert g.d(u, v) == oracle[u][v]
 
 
 def test_all_pairs_distances_helper():
