@@ -6,64 +6,27 @@ Three scans dominate runtime on nontrivial truncations:
 * the four-point hyperbolicity scan, O(n^4) over ordered quadruples,
 * the bottleneck scan, per-center union-find over shrinking ball complements.
 
-Each kernel has a numba @njit build and a pure-numpy build with identical
-scan order and tie-breaking, so results are byte-for-byte the same on either
-path.  Selection: QTLAB_KERNELS=numpy forces the fallback; anything else uses
-numba when it imports (numba is the optional "fast" extra).
-apsp/delta_scan/bottleneck_center are the selected entry points; the _numpy
-variants and the plain-Python _py sources that numba compiles stay
-importable for the parity tests.
+Each kernel has one numpy/scipy implementation; backend() names it.  Scan
+order and tie-breaks are fixed and documented per kernel, and the tests
+check values and witnesses against the brute-force oracles.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_env = os.environ.get("QTLAB_KERNELS", "").strip().lower()
-HAS_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
 
 
 def backend() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
 # all-pairs shortest paths (unweighted BFS from every source)
 # ---------------------------------------------------------------------------
 
-def _apsp_py(indptr, indices, n):
-    dist = np.full((n, n), -1, dtype=np.int32)
-    queue = np.empty(n, dtype=np.int32)
-    for s in range(n):
-        row = dist[s]
-        row[s] = 0
-        queue[0] = s
-        head, tail = 0, 1
-        while head < tail:
-            u = queue[head]
-            head += 1
-            du = row[u]
-            for k in range(indptr[u], indptr[u + 1]):
-                v = indices[k]
-                if row[v] < 0:
-                    row[v] = du + 1
-                    queue[tail] = v
-                    tail += 1
-    return dist
-
-
-def apsp_numpy(indptr, indices, n):
-    # scipy's csgraph BFS is much faster than the python loop when numba is
-    # unavailable; unreachable pairs come back as inf and are mapped to -1.
+def apsp(indptr, indices, n):
+    # scipy's csgraph BFS; unreachable pairs come back as inf and are mapped
+    # to -1.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
@@ -86,28 +49,7 @@ def apsp_numpy(indptr, indices, n):
 # quadruple in lexicographic index order.
 # ---------------------------------------------------------------------------
 
-def _delta_scan_py(D):
-    n = D.shape[0]
-    best = 0
-    bx = by = bz = bw = 0
-    for x in range(n):
-        for y in range(n):
-            dxy = D[x, y]
-            for z in range(n):
-                dxz = D[x, z]
-                dyz = D[y, z]
-                for w in range(n):
-                    s2 = dxz + D[y, w]
-                    s3 = D[x, w] + dyz
-                    m = s2 if s2 >= s3 else s3
-                    d2 = dxy + D[z, w] - m
-                    if d2 > best:
-                        best = d2
-                        bx, by, bz, bw = x, y, z, w
-    return best, bx, by, bz, bw
-
-
-def delta_scan_numpy(D):
+def delta_scan(D):
     n = D.shape[0]
     Dl = D.astype(np.int64)
     best = 0
@@ -136,7 +78,7 @@ def delta_scan_numpy(D):
 # [c_lo, c_hi] holds such a pair.  Pair choice is lex-first (x < y).
 # ---------------------------------------------------------------------------
 
-def _uf_find_py(parent, a):
+def _uf_find(parent, a):
     root = a
     while parent[root] != root:
         root = parent[root]
@@ -145,7 +87,7 @@ def _uf_find_py(parent, a):
     return root
 
 
-def _bottleneck_center_py(D, indptr, indices, z, c_lo, c_hi):
+def bottleneck_center(D, indptr, indices, z, c_lo, c_hi):
     n = D.shape[0]
     if c_hi < c_lo:
         return -1, -1, -1
@@ -158,8 +100,8 @@ def _bottleneck_center_py(D, indptr, indices, z, c_lo, c_hi):
         for k in range(indptr[v], indptr[v + 1]):
             u = indices[k]
             if added[u]:
-                ra = _uf_find_py(parent, u)
-                rb = _uf_find_py(parent, v)
+                ra = _uf_find(parent, u)
+                rb = _uf_find(parent, v)
                 if ra != rb:
                     parent[ra] = rb
 
@@ -169,7 +111,7 @@ def _bottleneck_center_py(D, indptr, indices, z, c_lo, c_hi):
     for c in range(c_hi, c_lo - 1, -1):
         idx = np.nonzero(r > c)[0]
         if len(idx) >= 2:
-            labels = np.array([_uf_find_py(parent, int(v)) for v in idx])
+            labels = np.array([_uf_find(parent, int(v)) for v in idx])
             sub = D[np.ix_(idx, idx)]
             geo = (r[idx][:, None] + r[idx][None, :]) == sub
             same = labels[:, None] == labels[None, :]
@@ -182,70 +124,3 @@ def _bottleneck_center_py(D, indptr, indices, z, c_lo, c_hi):
             for v in np.nonzero(r == c)[0]:
                 add(int(v))
     return -1, -1, -1
-
-
-def bottleneck_center_numpy(D, indptr, indices, z, c_lo, c_hi):
-    return _bottleneck_center_py(D, indptr, indices, z, c_lo, c_hi)
-
-
-if HAS_NUMBA:
-    apsp = njit(cache=True)(_apsp_py)
-    delta_scan = njit(cache=True)(_delta_scan_py)
-
-    @njit(cache=True)
-    def _uf_find(parent, a):
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            nxt = parent[a]
-            parent[a] = root
-            a = nxt
-        return root
-
-    @njit(cache=True)
-    def bottleneck_center(D, indptr, indices, z, c_lo, c_hi):
-        n = D.shape[0]
-        if c_hi < c_lo:
-            return -1, -1, -1
-        r = D[z]
-        parent = np.arange(n, dtype=np.int64)
-        added = np.zeros(n, dtype=np.bool_)
-        for v in range(n):
-            if r[v] > c_hi:
-                added[v] = True
-                for k in range(indptr[v], indptr[v + 1]):
-                    u = indices[k]
-                    if added[u]:
-                        ra = _uf_find(parent, u)
-                        rb = _uf_find(parent, v)
-                        if ra != rb:
-                            parent[ra] = rb
-        for c in range(c_hi, c_lo - 1, -1):
-            for x in range(n):
-                if r[x] <= c:
-                    continue
-                rx = r[x]
-                for y in range(x + 1, n):
-                    if r[y] <= c:
-                        continue
-                    if rx + r[y] != D[x, y]:
-                        continue
-                    if _uf_find(parent, x) == _uf_find(parent, y):
-                        return c + 1, x, y
-            if c > c_lo:
-                for v in range(n):
-                    if r[v] == c:
-                        added[v] = True
-                        for k in range(indptr[v], indptr[v + 1]):
-                            u = indices[k]
-                            if added[u]:
-                                ra = _uf_find(parent, u)
-                                rb = _uf_find(parent, v)
-                                if ra != rb:
-                                    parent[ra] = rb
-        return -1, -1, -1
-else:
-    apsp = apsp_numpy
-    delta_scan = delta_scan_numpy
-    bottleneck_center = _bottleneck_center_py

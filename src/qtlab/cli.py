@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture
 from .io import (ACTION_FORMAT, GRAPH_FORMAT, load_action, load_graph,
-                 save_action, save_graph)
+                 load_json, save_action, save_graph)
 from .metric_graph import (bottleneck_constant, ends_profile,
                            enumerate_geodesics, hyperbolicity_delta)
 from .group_action import (Word, check_locally_finite_orbit, classify_action_type,
@@ -154,6 +154,20 @@ def cmd_construct(args):
     if not isinstance(params, dict):
         raise FormatError("--params must be a JSON object")
     name = args.family
+
+    def num(key, default=None):
+        """Integer parameter; missing (without a default) or non-integer
+        values raise FormatError naming the family and the key."""
+        if key not in params:
+            if default is None:
+                raise FormatError(f"construct {name}: missing parameter {key!r}")
+            return default
+        try:
+            return int(params[key])
+        except (TypeError, ValueError, OverflowError):
+            raise FormatError(f"construct {name}: parameter {key!r} must be an integer, "
+                              f"got {params[key]!r}") from None
+
     base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
     base_action = load_action(args.action) if args.action else None
 
@@ -161,29 +175,31 @@ def cmd_construct(args):
     basepoint = None
     extras = {}
     if name == "path":
-        graph = C.path_graph(int(params["n"]))
+        graph = C.path_graph(num("n"))
     elif name == "cycle":
-        graph = C.cycle_graph(int(params["n"]))
+        graph = C.cycle_graph(num("n"))
     elif name == "grid":
-        graph = C.grid_graph(int(params["m"]), int(params["n"]))
+        graph = C.grid_graph(num("m"), num("n"))
     elif name == "star":
-        graph = C.star_graph(int(params["leaves"]))
+        graph = C.star_graph(num("leaves"))
     elif name == "tree":
-        graph = C.regular_tree(int(params["degree"]), int(params["depth"]))
+        graph = C.regular_tree(num("degree"), num("depth"))
     elif name == "rips":
         if base is None:
             raise FormatError("construct rips needs --graph for the base")
-        graph = C.rips_graph(base, int(params["r"]))
+        graph = C.rips_graph(base, num("r"))
     elif name == "cayley":
-        con = C.cayley_graph(str(params["family"]), int(params["radius"]),
-                             gens=_as_gen_steps(str(params["family"]), params.get("gens")))
+        if "family" not in params:
+            raise FormatError("construct cayley: missing parameter 'family'")
+        family = str(params["family"])
+        con = C.cayley_graph(family, num("radius"),
+                             gens=_as_gen_steps(family, params.get("gens")))
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "farey":
-        con = C.farey_graph(int(params["Q"]),
-                            int(params["P"]) if "P" in params else None)
+        con = C.farey_graph(num("Q"), num("P") if "P" in params else None)
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "bs12":
-        con = C.bass_serre_tree_bs12(int(params["radius"]))
+        con = C.bass_serre_tree_bs12(num("radius"))
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "coset":
         chain = str(params.get("chain", "c30"))
@@ -196,7 +212,7 @@ def cmd_construct(args):
         con = C.coset_tree(table, ch)
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "doubleline":
-        con = C.double_line_graph(int(params["n"]),
+        con = C.double_line_graph(num("n"),
                                   tuple(params.get("swaps", (0, 3))))
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "cone":
@@ -207,7 +223,7 @@ def cmd_construct(args):
     elif name == "horoball":
         if base is None:
             raise FormatError("construct horoball needs --graph for the base")
-        con = C.horoball(base, base_action, depth=int(params.get("depth", 1)),
+        con = C.horoball(base, base_action, depth=num("depth", 1),
                          basepoint=params.get("basepoint"))
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     else:
@@ -364,7 +380,7 @@ def cmd_product(args):
         }
     elif sub == "factor-check":
         space = ProductSpace(_load_factors(args.factors), args.norm)
-        payload = _load_json_arg(open(args.map).read(), args.map)
+        payload = load_json(args.map)
         pairs = payload.get("mapping") if isinstance(payload, dict) else payload
         if pairs is None:
             raise FormatError(f"{args.map}: no 'mapping' array")
@@ -443,9 +459,7 @@ def cmd_lm(args):
         }
         inputs = {"sub": sub, "k_max": kmax, "matrix": args.matrix}
     elif sub == "fit":
-        with open(args.samples) as fh:
-            payload = json.load(fh)
-        samples = parse_samples(payload)
+        samples = parse_samples(load_json(args.samples))
         fit = fit_translation_homomorphism(samples)
         audit = seminorm_audit(samples)
         results = {
@@ -545,11 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="global size cap (sets QTLAB_MAX_VERTICES)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, *, out=True, fmt=True):
-        if out:
-            sp.add_argument("--out", default=None, help="write output here instead of stdout")
-        if fmt:
-            sp.add_argument("--format", choices=("json", "csv"), default="json")
+    def common(sp):
+        sp.add_argument("--out", default=None, help="write output here instead of stdout")
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("analyze", help="hyperbolicity and bottleneck constants of a graph")
     s.add_argument("--graph", required=True)
@@ -658,28 +670,24 @@ def main(argv=None) -> int:
                 os.environ["QTLAB_MAX_VERTICES"] = saved_cap
 
 
+def _fail(args, kind: str, exc: Exception, code: int) -> int:
+    """Write the JSON diagnostic for a failed command to stderr."""
+    sys.stderr.write(json.dumps(
+        {"command": args.command, "error": {"type": kind, "message": str(exc)}},
+        sort_keys=True, separators=(",", ":")) + "\n")
+    return code
+
+
 def _dispatch(args) -> int:
     try:
         rep, csv_rows = args.func(args)
         _emit_report(rep, args, csv_rows)
     except SizeLimitExceeded as exc:
-        sys.stderr.write(json.dumps(
-            {"command": args.command, "error": {"type": "SizeLimitExceeded",
-                                                "message": str(exc)}},
-            sort_keys=True, separators=(",", ":")) + "\n")
-        return 3
+        return _fail(args, "SizeLimitExceeded", exc, 3)
     except QtlabError as exc:
-        sys.stderr.write(json.dumps(
-            {"command": args.command, "error": {"type": type(exc).__name__,
-                                                "message": str(exc)}},
-            sort_keys=True, separators=(",", ":")) + "\n")
-        return 2
+        return _fail(args, type(exc).__name__, exc, 2)
     except OSError as exc:
-        sys.stderr.write(json.dumps(
-            {"command": args.command, "error": {"type": "FileError",
-                                                "message": str(exc)}},
-            sort_keys=True, separators=(",", ":")) + "\n")
-        return 2
+        return _fail(args, "FileError", exc, 2)
     return 0
 
 

@@ -565,10 +565,16 @@ def farey_graph(Q: int, P: Optional[int] = None) -> Construction:
 
     nums = np.array([p for p, q in fracs], dtype=np.int64)
     dens = np.array([q for p, q in fracs], dtype=np.int64)
-    det = np.abs(nums[:, None] * dens[None, :] - dens[:, None] * nums[None, :])
-    hit = np.triu(det == 1, 1)
     ids = [vid(f) for f in fracs]
-    edges = [(ids[i], ids[j]) for i, j in np.argwhere(hit)]
+    edges = []
+    # |ps - qr| = 1 tested a block of rows at a time, so no N x N matrix is
+    # ever held; pairs come out in row-major (i < j) order
+    for lo in range(0, len(fracs), 256):
+        hi = min(lo + 256, len(fracs))
+        det = nums[lo:hi, None] * dens[None, :] - dens[lo:hi, None] * nums[None, :]
+        ii, jj = np.nonzero(np.abs(det) == 1)
+        keep = jj > ii + lo
+        edges.extend((ids[i + lo], ids[j]) for i, j in zip(ii[keep], jj[keep]))
 
     boundary = [vid((p, q)) for p, q in fracs if q > 0 and (q >= Q - 1 or abs(p) >= P - 1)]
 

@@ -21,7 +21,7 @@ import json
 import os
 from typing import Optional, Union
 
-from .errors import FormatError
+from .errors import FormatError, QtlabError
 from .metric_graph import MetricGraph
 
 GRAPH_FORMAT = "qtlab-graph-v1"
@@ -56,14 +56,9 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
             boundary=d.get("boundary", ()),
             allow_disconnected=allow_disconnected,
         )
-    except FormatError:
+    except QtlabError:
         raise
     except Exception as exc:
-        if isinstance(exc, (KeyboardInterrupt, SystemExit)):
-            raise
-        from .errors import QtlabError
-        if isinstance(exc, QtlabError):
-            raise
         raise FormatError(f"bad graph object: {exc}") from exc
 
 
@@ -73,13 +68,17 @@ def save_graph(g: MetricGraph, path: str) -> None:
         fh.write("\n")
 
 
-def load_graph(path: str, allow_disconnected: bool = False) -> MetricGraph:
+def load_json(path: str):
+    """Parse a JSON file; malformed JSON raises FormatError naming the path."""
     with open(path) as fh:
         try:
-            d = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return graph_from_dict(d, allow_disconnected=allow_disconnected)
+
+
+def load_graph(path: str, allow_disconnected: bool = False) -> MetricGraph:
+    return graph_from_dict(load_json(path), allow_disconnected=allow_disconnected)
 
 
 def action_to_dict(action, graph_ref: Optional[str] = None) -> dict:
@@ -113,10 +112,16 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
         g = graph_from_dict(graph, allow_disconnected=allow_disconnected)
     if d["mode"] not in ("automorphism", "isometry"):
         raise FormatError(f"unknown mode {d['mode']!r}")
+    if not isinstance(d["generators"], list):
+        raise FormatError("'generators' must be a list")
     gens = []
     for entry in d["generators"]:
+        if not isinstance(entry, dict):
+            raise FormatError(f"generator entries must be objects, got {entry!r}")
         if "name" not in entry or "map" not in entry:
             raise FormatError("generator entries need 'name' and 'map'")
+        if not isinstance(entry["map"], list):
+            raise FormatError(f"generator {entry['name']!r}: 'map' must be a list")
         pairs = {}
         for p in entry["map"]:
             if not isinstance(p, (list, tuple)) or len(p) != 2:
@@ -135,9 +140,5 @@ def save_action(action, path: str, graph_ref: Optional[str] = None) -> None:
 
 
 def load_action(path: str, allow_disconnected: bool = False):
-    with open(path) as fh:
-        try:
-            d = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
-    return action_from_dict(d, base_dir=os.path.dirname(path) or ".", allow_disconnected=allow_disconnected)
+    return action_from_dict(load_json(path), base_dir=os.path.dirname(path) or ".",
+                            allow_disconnected=allow_disconnected)

@@ -6,7 +6,7 @@ BFS, so none of it shares code with the package under test.
 
 import math
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 
 def adjacency(ids, edges):
@@ -47,6 +47,19 @@ def brute_two_delta(ids, dist):
     return best
 
 
+def brute_delta_witness(ids, dist):
+    """(2*delta, (x, y, z, w)): the largest defect
+    d(x,y) + d(z,w) - max(d(x,z) + d(y,w), d(x,w) + d(y,z)) over ordered
+    quadruples, and the first ordered quadruple in id order attaining it."""
+    best = wit = None
+    for x, y, z, w in product(sorted(ids), repeat=4):
+        d2 = dist[x][y] + dist[z][w] - max(dist[x][z] + dist[y][w],
+                                           dist[x][w] + dist[y][z])
+        if best is None or d2 > best:
+            best, wit = d2, (x, y, z, w)
+    return best, wit
+
+
 def _connected_avoiding(adj, dist_z, x, y, c):
     """Is there an x..y path through vertices at distance > c from z?"""
     if dist_z[x] <= c or dist_z[y] <= c:
@@ -64,23 +77,52 @@ def _connected_avoiding(adj, dist_z, x, y, c):
     return False
 
 
+def _center_bottleneck(adj, dist, order, z):
+    dz = dist[z]
+    best, pair = 0, None
+    for x, y in combinations(order, 2):
+        if dz[x] + dz[y] != dist[x][y]:
+            continue
+        c = 0
+        while _connected_avoiding(adj, dz, x, y, c):
+            c += 1
+        if c > best:
+            best, pair = c, (x, y)
+    return best, pair
+
+
+def brute_center_bottleneck(ids, edges, z):
+    """(value, pair) for one center z.  The blocking value of a pair (x, y)
+    with z on one of its geodesics is the least c such that deleting the
+    closed ball B(z, c) separates x from y or swallows one of them; value is
+    the largest blocking value through z and pair the lex-first (x, y),
+    x < y in id order, attaining it (None when value is 0)."""
+    return _center_bottleneck(adjacency(ids, edges), all_distances(ids, edges),
+                              sorted(ids), z)
+
+
+def _all_centers(ids, edges):
+    adj, dist, order = adjacency(ids, edges), all_distances(ids, edges), sorted(ids)
+    return [(z, _center_bottleneck(adj, dist, order, z)) for z in order]
+
+
 def brute_bottleneck(ids, edges):
     """Least C such that for every pair (x, y) and every z on a geodesic
     between them, deleting the closed ball B(z, C) separates them or
     swallows an endpoint."""
-    adj = adjacency(ids, edges)
-    dist = all_distances(ids, edges)
-    best = 0
-    for z in ids:
-        dz = dist[z]
-        for x, y in combinations(ids, 2):
-            if dz[x] + dz[y] != dist[x][y]:
-                continue
-            c = 0
-            while _connected_avoiding(adj, dz, x, y, c):
-                c += 1
-            best = max(best, c)
-    return best
+    return max(value for _, (value, _) in _all_centers(ids, edges))
+
+
+def brute_bottleneck_witness(ids, edges):
+    """(x, y, z) for C = brute_bottleneck: the first center z in id order,
+    then the lex-first pair x < y, whose blocking value through z is C.
+    None when C = 0."""
+    centers = _all_centers(ids, edges)
+    C = max(value for _, (value, _) in centers)
+    if C == 0:
+        return None
+    z, (_, (x, y)) = next(c for c in centers if c[1][0] == C)
+    return x, y, z
 
 
 def lattice_geodesic_count(di, dj):

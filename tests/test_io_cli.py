@@ -82,6 +82,14 @@ def test_action_from_dict_rejects_bad_generator():
         action_from_dict(d)
 
 
+@pytest.mark.parametrize("generators", [{"name": "s"}, [{"name": "s", "map": 7}]])
+def test_action_from_dict_checks_generator_types(generators):
+    d = action_to_dict(cayley_graph("Z", 3).action)
+    d["generators"] = generators
+    with pytest.raises(FormatError):
+        action_from_dict(d)
+
+
 def test_disconnected_graph_needs_opt_in(tmp_path):
     d = {"format": "qtlab-graph-v1", "vertices": ["a", "b", "c"], "edges": [["a", "b"]]}
     with pytest.raises(DisconnectedGraph):
@@ -180,6 +188,48 @@ def test_invalid_json_is_a_clean_error(tmp_path, capsys):
     rc, _, stderr = run_cli(capsys, ["analyze", "--graph", str(bad)])
     assert rc == 2
     assert json.loads(stderr)["error"]["type"] == "FormatError"
+
+
+def _format_error(capsys, argv):
+    rc, stdout, stderr = run_cli(capsys, argv)
+    assert rc == 2 and stdout == ""
+    err = json.loads(stderr)["error"]
+    assert err["type"] == "FormatError"
+    return err["message"]
+
+
+def test_construct_missing_param_is_a_format_error(capsys):
+    msg = _format_error(capsys, ["construct", "cycle", "--params", "{}"])
+    assert "cycle" in msg and "'n'" in msg
+
+
+def test_construct_non_integer_param_is_a_format_error(capsys):
+    msg = _format_error(capsys, ["construct", "cycle", "--params", '{"n": "x"}'])
+    assert "cycle" in msg and "'n'" in msg
+
+
+def test_lm_fit_invalid_json_is_a_format_error(tmp_path, capsys):
+    bad = tmp_path / "samples.json"
+    bad.write_text("not json{{")
+    assert str(bad) in _format_error(capsys, ["lm", "fit", "--samples", str(bad)])
+
+
+def test_factor_check_invalid_json_is_a_format_error(tmp_path, capsys):
+    g = tmp_path / "p3.json"
+    save_graph(path_graph(3), str(g))
+    bad = tmp_path / "map.json"
+    bad.write_text("[[")
+    assert str(bad) in _format_error(capsys, [
+        "product", "factor-check", "--factors", str(g), str(g), "--map", str(bad)])
+
+
+def test_non_object_generator_is_a_format_error(tmp_path, capsys):
+    d = action_to_dict(cayley_graph("Z", 3).action)
+    d["generators"] = [5]
+    act = tmp_path / "a.json"
+    act.write_text(json.dumps(d))
+    msg = _format_error(capsys, ["orbit", "--action", str(act), "--basepoint", "0"])
+    assert "generator" in msg
 
 
 def test_size_cap_exit_code(tmp_path, capsys):

@@ -14,9 +14,9 @@ from qtlab.errors import (CenterNotFound, DisconnectedGraph, EmptyGraph,
 
 from qtlab.io import graph_from_dict, graph_to_dict
 
-from _oracles import (all_distances, brute_bottleneck, brute_two_delta,
-                      lattice_geodesic_count, random_connected_graph,
-                      random_tree_edges)
+from _oracles import (all_distances, brute_bottleneck, brute_bottleneck_witness,
+                      brute_delta_witness, brute_two_delta, lattice_geodesic_count,
+                      random_connected_graph, random_tree_edges)
 
 
 def test_empty_graph_rejected():
@@ -127,8 +127,10 @@ def test_delta_matches_oracle(seed, n, extra):
     ids, edges = random_connected_graph(rng, n, extra)
     g = MetricGraph(ids, edges)
     rep = hyperbolicity_delta(g)
-    assert rep.two_delta == brute_two_delta(ids, all_distances(ids, edges))
+    dist = all_distances(ids, edges)
+    assert rep.two_delta == brute_two_delta(ids, dist)
     assert four_point_defect2(g, *rep.witness) == rep.two_delta
+    assert (rep.two_delta, rep.witness) == brute_delta_witness(ids, dist)
 
 
 @settings(max_examples=40, deadline=None)
@@ -137,7 +139,10 @@ def test_bottleneck_matches_oracle(seed, n, extra):
     rng = random.Random(seed)
     ids, edges = random_connected_graph(rng, n, extra)
     g = MetricGraph(ids, edges)
-    assert bottleneck_constant(g).constant == brute_bottleneck(ids, edges)
+    rep = bottleneck_constant(g)
+    assert rep.constant == brute_bottleneck(ids, edges)
+    w = rep.witness
+    assert (None if w is None else (w.x, w.y, w.z)) == brute_bottleneck_witness(ids, edges)
 
 
 @settings(max_examples=30, deadline=None)
