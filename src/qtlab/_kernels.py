@@ -4,7 +4,8 @@ Three scans dominate runtime on nontrivial truncations:
 
 * all-pairs BFS (builds the distance matrix),
 * the four-point hyperbolicity scan, O(n^4) over ordered quadruples,
-* the bottleneck scan, per-center union-find over shrinking ball complements.
+* the bottleneck scan, per center a test-then-bisect over the levels
+  d(z, .) > c, each test comparing pairs on one sphere.
 
 Each kernel has one numpy/scipy implementation; backend() names it.  Scan
 order and tie-breaks are fixed and documented per kernel, and the tests
@@ -69,58 +70,71 @@ def delta_scan(D):
 
 
 # ---------------------------------------------------------------------------
-# bottleneck scan for one center z
-#
-# Level c keeps the vertices with d(z, v) > c.  Scanning c downward from c_hi,
-# the first level holding a pair (x, y) that lies in one component with
-# d(x,z)+d(z,y) = d(x,y) yields the least blocking radius c+1 for that pair,
-# and that is the per-center maximum.  Returns (-1, -1, -1) when no level in
-# [c_lo, c_hi] holds such a pair.  Pair choice is lex-first (x < y).
+# level-set components
 # ---------------------------------------------------------------------------
 
-def _uf_find(parent, a):
-    root = a
-    while parent[root] != root:
-        root = parent[root]
-    while parent[a] != root:
-        a, parent[a] = parent[a], root
-    return root
+def level_components(indptr, indices, keep):
+    """Connected-component labels of the subgraph induced on the vertices
+    where the boolean mask keep holds.  Labels of vertices outside keep are
+    meaningless (each is its own component)."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = len(keep)
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    live = keep[rows] & keep[indices]
+    sub_indptr = np.zeros(n + 1, dtype=indices.dtype)
+    np.cumsum(np.bincount(rows[live], minlength=n), out=sub_indptr[1:])
+    sub_indices = indices[live]
+    # float64 data is the dtype csgraph works in, so it is not copied again
+    mat = csr_matrix((np.ones(len(sub_indices)), sub_indices, sub_indptr),
+                     shape=(n, n))
+    return connected_components(mat, directed=False)[1]
+
+
+# ---------------------------------------------------------------------------
+# bottleneck scan for one center z
+#
+# Level c keeps the vertices with d(z, v) > c.  A level is joined when it
+# holds a pair (x, y) in one component with d(x,z)+d(z,y) = d(x,y); the top
+# joined level c yields the least blocking radius c+1 for that pair, and that
+# is the per-center maximum.  Components only split as c grows, so the joined
+# levels form an initial segment of [c_lo, c_hi]: test c_lo, return
+# (-1, -1, -1) when it is not joined, else bisect for the top joined level
+# and take the lex-first pair (x < y) over its whole level set.
+#
+# Sphere lemma: level c is joined iff it holds such a pair on the sphere
+# S(z, c+1).  Slide x and y along their geodesics to z until they reach
+# distance c+1; they stay in their component, and the new pair is at
+# distance exactly 2(c+1).  So each test compares |S|^2 pairs, not k^2, and
+# takes the components only when some pair on S is at distance 2(c+1).
+# ---------------------------------------------------------------------------
+
+def _joined(D, indptr, indices, r, c):
+    sphere = np.nonzero(r == c + 1)[0]
+    geo = D[np.ix_(sphere, sphere)] == 2 * (c + 1)
+    if not geo.any():
+        return False
+    labels = level_components(indptr, indices, r > c)[sphere]
+    return bool((geo & (labels[:, None] == labels[None, :])).any())
 
 
 def bottleneck_center(D, indptr, indices, z, c_lo, c_hi):
-    n = D.shape[0]
-    if c_hi < c_lo:
-        return -1, -1, -1
     r = D[z]
-    parent = np.arange(n, dtype=np.int64)
-    added = np.zeros(n, dtype=np.bool_)
-
-    def add(v):
-        added[v] = True
-        for k in range(indptr[v], indptr[v + 1]):
-            u = indices[k]
-            if added[u]:
-                ra = _uf_find(parent, u)
-                rb = _uf_find(parent, v)
-                if ra != rb:
-                    parent[ra] = rb
-
-    for v in range(n):
-        if r[v] > c_hi:
-            add(v)
-    for c in range(c_hi, c_lo - 1, -1):
-        idx = np.nonzero(r > c)[0]
-        if len(idx) >= 2:
-            labels = np.array([_uf_find(parent, int(v)) for v in idx])
-            sub = D[np.ix_(idx, idx)]
-            geo = (r[idx][:, None] + r[idx][None, :]) == sub
-            same = labels[:, None] == labels[None, :]
-            hit = np.triu(geo & same, 1)
-            ij = np.argwhere(hit)
-            if len(ij):
-                i, j = ij[0]
-                return c + 1, int(idx[i]), int(idx[j])
-        if c > c_lo:
-            for v in np.nonzero(r == c)[0]:
-                add(int(v))
-    return -1, -1, -1
+    if c_hi < c_lo or not _joined(D, indptr, indices, r, c_lo):
+        return -1, -1, -1
+    lo, hi = c_lo, c_hi
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if _joined(D, indptr, indices, r, mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    keep = r > lo
+    idx = np.nonzero(keep)[0]
+    labels = level_components(indptr, indices, keep)[idx]
+    rk = r[idx]
+    geo = (rk[:, None] + rk[None, :]) == D[np.ix_(idx, idx)]
+    hit = np.triu(geo & (labels[:, None] == labels[None, :]), 1)
+    i, j = np.argwhere(hit)[0]
+    return lo + 1, int(idx[i]), int(idx[j])

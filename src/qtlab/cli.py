@@ -139,13 +139,20 @@ def cmd_analyze(args):
     return _report("analyze", {"graph": args.graph}, results, args.seed), None
 
 
+def _int_tuple(value):
+    """Tuple of ints from a JSON list; TypeError or ValueError otherwise."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return tuple(int(v) for v in value)
+
+
 def _as_gen_steps(family: str, gens):
-    if gens is None:
-        return None
+    if not isinstance(gens, list):
+        raise TypeError(f"expected a list, got {gens!r}")
     if family == "Z":
         return tuple(int(v) for v in gens)
     if family == "Z2":
-        return tuple((int(a), int(b)) for a, b in gens)
+        return tuple(_int_tuple(g) for g in gens)
     return tuple(str(v) for v in gens)
 
 
@@ -155,18 +162,23 @@ def cmd_construct(args):
         raise FormatError("--params must be a JSON object")
     name = args.family
 
-    def num(key, default=None):
-        """Integer parameter; missing (without a default) or non-integer
-        values raise FormatError naming the family and the key."""
+    def param(key, convert, what):
+        """Parameter key read through convert; missing or unconvertible
+        values raise FormatError naming the family, the key and what was
+        expected."""
         if key not in params:
-            if default is None:
-                raise FormatError(f"construct {name}: missing parameter {key!r}")
-            return default
+            raise FormatError(f"construct {name}: missing parameter {key!r}")
         try:
-            return int(params[key])
+            return convert(params[key])
         except (TypeError, ValueError, OverflowError):
-            raise FormatError(f"construct {name}: parameter {key!r} must be an integer, "
+            raise FormatError(f"construct {name}: parameter {key!r} must be {what}, "
                               f"got {params[key]!r}") from None
+
+    def num(key, default=None):
+        """Integer parameter, or default when key is missing and default is set."""
+        if key not in params and default is not None:
+            return default
+        return param(key, int, "an integer")
 
     base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
     base_action = load_action(args.action) if args.action else None
@@ -192,8 +204,10 @@ def cmd_construct(args):
         if "family" not in params:
             raise FormatError("construct cayley: missing parameter 'family'")
         family = str(params["family"])
-        con = C.cayley_graph(family, num("radius"),
-                             gens=_as_gen_steps(family, params.get("gens")))
+        gens = params.get("gens")
+        if gens is not None:
+            gens = param("gens", lambda v: _as_gen_steps(family, v), "a list of generator steps")
+        con = C.cayley_graph(family, num("radius"), gens=gens)
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "farey":
         con = C.farey_graph(num("Q"), num("P") if "P" in params else None)
@@ -213,7 +227,8 @@ def cmd_construct(args):
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "doubleline":
         con = C.double_line_graph(num("n"),
-                                  tuple(params.get("swaps", (0, 3))))
+                                  param("swaps", _int_tuple, "a list of integers")
+                                  if "swaps" in params else (0, 3))
         graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "cone":
         if base is None:

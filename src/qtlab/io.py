@@ -124,8 +124,9 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
             raise FormatError(f"generator {entry['name']!r}: 'map' must be a list")
         pairs = {}
         for p in entry["map"]:
-            if not isinstance(p, (list, tuple)) or len(p) != 2:
-                raise FormatError(f"map entries must be pairs, got {p!r}")
+            if not isinstance(p, (list, tuple)) or len(p) != 2 \
+                    or not all(isinstance(v, str) for v in p):
+                raise FormatError(f"map entries must be pairs of vertex ids, got {p!r}")
             if p[0] in pairs:
                 raise FormatError(f"generator {entry['name']!r}: duplicate source {p[0]!r}")
             pairs[p[0]] = p[1]

@@ -266,14 +266,18 @@ def bottleneck_constant(g: MetricGraph, max_vertices: Optional[int] = None) -> B
         raise SizeLimitExceeded(g.n, cap, "bottleneck_constant")
     if not g.connected:
         raise DisconnectedGraph(*_disconnected_pair(g))
-    D, indptr, indices = g.dist, g._indptr, g._indices
     n = g.n
+    if g.is_tree():
+        return BottleneckReport(0, None, n)
+    D, indptr, indices = g.dist, g._indptr, g._indices
     ecc = D.max(axis=1)
     diam = int(ecc.max())
     best = 0
     wit = None
     for z in range(n):
         c_hi = min(int(ecc[z]) - 1, diam // 2)
+        if c_hi < best:
+            continue
         t, x, y = _kernels.bottleneck_center(D, indptr, indices, z, best, c_hi)
         if t > best:
             best = int(t)
@@ -414,25 +418,5 @@ def ends_profile(g: MetricGraph, center: str, radius: int, boundary: Optional[Se
 
 def _boundary_components(g: MetricGraph, ball, rad, bset) -> int:
     alive = ball > rad
-    seen = np.zeros(g.n, dtype=bool)
-    count = 0
-    for s in range(g.n):
-        if not alive[s] or seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        touches = s in bset
-        head = 0
-        while head < len(comp):
-            u = comp[head]
-            head += 1
-            for v in g.neighbor_indices(u):
-                v = int(v)
-                if alive[v] and not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    if v in bset:
-                        touches = True
-        if touches:
-            count += 1
-    return count
+    labels = _kernels.level_components(g._indptr, g._indices, alive)
+    return len({int(labels[b]) for b in bset if alive[b]})

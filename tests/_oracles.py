@@ -60,7 +60,7 @@ def brute_delta_witness(ids, dist):
     return best, wit
 
 
-def _connected_avoiding(adj, dist_z, x, y, c):
+def connected_avoiding(adj, dist_z, x, y, c):
     """Is there an x..y path through vertices at distance > c from z?"""
     if dist_z[x] <= c or dist_z[y] <= c:
         return False
@@ -84,11 +84,31 @@ def _center_bottleneck(adj, dist, order, z):
         if dz[x] + dz[y] != dist[x][y]:
             continue
         c = 0
-        while _connected_avoiding(adj, dz, x, y, c):
+        while connected_avoiding(adj, dz, x, y, c):
             c += 1
         if c > best:
             best, pair = c, (x, y)
     return best, pair
+
+
+def brute_level_joined(ids, edges, z, c):
+    """Does the level set {d(z, .) > c} hold a pair x, y joined inside it
+    with d(x, z) + d(z, y) = d(x, y)?  Tries every pair of the level set."""
+    adj, dist = adjacency(ids, edges), all_distances(ids, edges)
+    dz = dist[z]
+    return any(dz[x] + dz[y] == dist[x][y] and connected_avoiding(adj, dz, x, y, c)
+               for x, y in combinations(ids, 2))
+
+
+def brute_boundary_components(ids, edges, center, radius, boundary):
+    """Number of components of the graph minus the closed ball B(center,
+    radius) that contain a boundary vertex."""
+    adj, dc = adjacency(ids, edges), all_distances(ids, edges)[center]
+    alive = [b for b in boundary if dc[b] > radius]
+    reps = set()
+    for b in alive:
+        reps.add(min(v for v in alive if v == b or connected_avoiding(adj, dc, b, v, radius)))
+    return len(reps)
 
 
 def brute_center_bottleneck(ids, edges, z):

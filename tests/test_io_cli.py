@@ -208,6 +208,26 @@ def test_construct_non_integer_param_is_a_format_error(capsys):
     assert "cycle" in msg and "'n'" in msg
 
 
+def test_construct_cayley_non_integer_gens_is_a_format_error(capsys):
+    msg = _format_error(capsys, ["construct", "cayley", "--params",
+                                 '{"family": "Z", "radius": 3, "gens": ["a"]}'])
+    assert "cayley" in msg and "'gens'" in msg
+
+
+def test_construct_doubleline_non_list_swaps_is_a_format_error(capsys):
+    msg = _format_error(capsys, ["construct", "doubleline", "--params", '{"n": 8, "swaps": 5}'])
+    assert "doubleline" in msg and "'swaps'" in msg
+
+
+def test_map_entry_with_list_source_is_a_format_error(tmp_path, capsys):
+    d = action_to_dict(cayley_graph("Z", 3).action)
+    d["generators"][0]["map"] = [[["0"], "1"]]
+    act = tmp_path / "a.json"
+    act.write_text(json.dumps(d))
+    msg = _format_error(capsys, ["orbit", "--action", str(act), "--basepoint", "0"])
+    assert "map entries" in msg
+
+
 def test_lm_fit_invalid_json_is_a_format_error(tmp_path, capsys):
     bad = tmp_path / "samples.json"
     bad.write_text("not json{{")

@@ -1,10 +1,11 @@
 import random
 
 from qtlab import MetricGraph, cycle_graph, grid_graph
-from qtlab._kernels import apsp, backend, bottleneck_center, delta_scan
+from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
+                            level_components)
 
-from _oracles import (all_distances, brute_center_bottleneck, brute_delta_witness,
-                      random_connected_graph)
+from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
+                      brute_level_joined, connected_avoiding, random_connected_graph)
 
 
 def _csr(g):
@@ -62,6 +63,8 @@ def test_delta_scan_matches_oracle_witness():
 
 
 def test_bottleneck_center_matches_oracle():
+    # every lower bound c_lo from 0 to c_hi + 1: the kernel reports the
+    # center's value only when it exceeds c_lo
     rng = random.Random(37)
     graphs = [grid_graph(5, 5), cycle_graph(12)]
     for _ in range(8):
@@ -73,9 +76,40 @@ def test_bottleneck_center_matches_oracle():
         diam = int(D.max())
         for z in range(g.n):
             c_hi = min(int(D[z].max()) - 1, diam // 2)
-            t, x, y = bottleneck_center(D, indptr, indices, z, 0, c_hi)
             value, pair = brute_center_bottleneck(ids, edges, ids[z])
-            if value == 0:
-                assert (t, x, y) == (-1, -1, -1)
-            else:
-                assert (t, (ids[x], ids[y])) == (value, pair)
+            for c_lo in range(c_hi + 2):
+                t, x, y = bottleneck_center(D, indptr, indices, z, c_lo, c_hi)
+                if value - 1 < c_lo:
+                    assert (t, x, y) == (-1, -1, -1), (ids[z], c_lo)
+                else:
+                    assert (t, (ids[x], ids[y])) == (value, pair), (ids[z], c_lo)
+
+
+def test_sphere_test_matches_full_level_set():
+    rng = random.Random(41)
+    for _ in range(30):
+        ids, edges = random_connected_graph(rng, rng.randrange(3, 16), rng.randrange(0, 6))
+        g = MetricGraph(ids, edges)
+        for z in range(g.n):
+            r = g.dist[z]
+            for c in range(int(r.max()) + 1):
+                assert _joined(g.dist, g._indptr, g._indices, r, c) == \
+                    brute_level_joined(ids, edges, g.vertex_ids[z], c), (g.vertex_ids[z], c)
+
+
+def test_level_components_match_oracle():
+    rng = random.Random(43)
+    for _ in range(20):
+        ids, edges = random_connected_graph(rng, rng.randrange(3, 16), rng.randrange(0, 6))
+        g = MetricGraph(ids, edges)
+        adj, dist = adjacency(ids, edges), all_distances(ids, edges)
+        for z in range(g.n):
+            r = g.dist[z]
+            dz = dist[g.vertex_ids[z]]
+            for c in range(int(r.max())):
+                labels = level_components(g._indptr, g._indices, r > c)
+                kept = [v for v in range(g.n) if r[v] > c]
+                for a in kept:
+                    for b in kept:
+                        assert (labels[a] == labels[b]) == connected_avoiding(
+                            adj, dz, g.vertex_ids[a], g.vertex_ids[b], c)

@@ -12,11 +12,12 @@ from qtlab.errors import (CenterNotFound, DisconnectedGraph, EmptyGraph,
                           FormatError, RadiusTooLarge, SizeLimitExceeded,
                           VertexNotFound)
 
+from qtlab.cli import _build_fixture
 from qtlab.io import graph_from_dict, graph_to_dict
 
 from _oracles import (all_distances, brute_bottleneck, brute_bottleneck_witness,
-                      brute_delta_witness, brute_two_delta, lattice_geodesic_count,
-                      random_connected_graph, random_tree_edges)
+                      brute_boundary_components, brute_delta_witness, brute_two_delta,
+                      lattice_geodesic_count, random_connected_graph, random_tree_edges)
 
 
 def test_empty_graph_rejected():
@@ -99,6 +100,27 @@ def test_frozen_delta_and_bottleneck(make, two_delta, constant):
         assert four_point_defect2(g, *rep.witness) == two_delta
     if constant is not None:
         assert bottleneck_constant(g).constant == constant
+
+
+# constant and (x, y, z) as the level-by-level scan found them before the
+# scan bisected; on each graph the bisection spans several levels
+PINNED_WITNESSES = [
+    ("horoball-line-d7", 6, ("-43|0", "54|0", "-10|6")),
+    ("farey-Q20", 1, ("-1/10", "-10/11", "-1")),
+    ("grid15x15", 14, ("00,14", "14,00", "00,00")),
+]
+
+
+@pytest.mark.parametrize("name,constant,witness", PINNED_WITNESSES)
+def test_pinned_bottleneck_witnesses(name, constant, witness):
+    g = grid_graph(15, 15) if name == "grid15x15" else _build_fixture(name).graph
+    rep = bottleneck_constant(g, max_vertices=2000)
+    w = rep.witness
+    assert (rep.constant, (w.x, w.y, w.z)) == (constant, witness)
+    path = w.avoiding_path
+    assert (path[0], path[-1]) == (w.x, w.y)
+    assert all(g.d(u, v) == 1 for u, v in zip(path, path[1:]))
+    assert all(g.d(w.z, v) > constant - 1 for v in path)
 
 
 def test_c6_witness_is_lex_first():
@@ -216,6 +238,22 @@ def test_quasitree_threshold():
     assert not is_quasitree(g, 2).passed
     assert is_quasitree(g, 3).passed
     assert is_quasitree(g, 3).report.constant == 3
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10 ** 6), st.integers(2, 14), st.integers(0, 6))
+def test_ends_profile_matches_oracle(seed, n, extra):
+    rng = random.Random(seed)
+    ids, edges = random_connected_graph(rng, n, extra)
+    g = MetricGraph(ids, edges)
+    boundary = rng.sample(ids, rng.randrange(1, n + 1))
+    center = rng.choice(ids)
+    radius = max(all_distances(ids, edges)[center][b] for b in boundary) - 1
+    if radius < 0:
+        return
+    prof = ends_profile(g, center, radius, boundary=boundary)
+    assert prof.counts_by_radius == tuple(
+        brute_boundary_components(ids, edges, center, rad, boundary) for rad in range(radius + 1))
 
 
 def test_ends_profile_star():
