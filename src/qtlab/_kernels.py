@@ -3,7 +3,10 @@
 Three scans dominate runtime on nontrivial truncations:
 
 * all-pairs BFS (builds the distance matrix),
-* the four-point hyperbolicity scan, O(n^4) over ordered quadruples,
+* the four-point hyperbolicity scan, pruned by the Cohen-Coudert-Lancin
+  bound defect2 <= min(d(x,y), d(z,w)): pairs by decreasing distance until
+  the level drops to the best value, then a search for the lex-first
+  witness in its canonical form x < y, x < z < w,
 * the bottleneck scan, per center a test-then-bisect over the levels
   d(z, .) > c, each test comparing pairs on one sphere.
 
@@ -41,32 +44,108 @@ def apsp(indptr, indices, n):
 
 
 # ---------------------------------------------------------------------------
-# four-point hyperbolicity scan
+# four-point hyperbolicity scan (Cohen, Coudert & Lancin pruning)
 #
 # defect2(x,y,z,w) = d(x,y)+d(z,w) - max(d(x,z)+d(y,w), d(x,w)+d(y,z))
 #                  = 2 * (min((x.z)_w, (z.y)_w) - (x.y)_w)
 #
 # Returns (max defect2, x, y, z, w) for the first maximizing ordered
 # quadruple in lexicographic index order.
+#
+# Bound: defect2 <= min(d(x,y), d(z,w)), since by the triangle inequality
+# d(x,z)+d(x,w) >= d(z,w) and d(y,w)+d(y,z) >= d(z,w), so the larger of the
+# two other pairing sums is at least d(z,w) (and likewise d(x,y)).
+#
+# Phase 1 finds the value.  It visits the pairs i < j by decreasing
+# distance, one distance level at a time, and scores each pair of a level
+# against every pair at that distance or more.  Every quadruple whose
+# smaller pair lies at level L is scored there, and it cannot beat L; so the
+# scan stops at the first level <= best.
+#
+# Phase 2 finds the witness.  When the value v is 0, (0,0,0,0) is the
+# lex-first quadruple attaining it.  When v > 0 the four points are distinct
+# (a repeated point makes the defect <= 0), and the defect is unchanged
+# under x<->y, z<->w and (x,y)<->(z,w).  The lex-first ordered quadruple at
+# v is therefore in the canonical form x < y, x < z < w, with d(x,y) >= v
+# and d(z,w) >= v.  Phase 2 scans x upward; for each x it scores the
+# candidates y, ascending, against the pairs (z, w), z > x, in lex order,
+# and returns the first hit.
+#
+# Both phases score in tiles of about BLOCK entries, so the extra memory of
+# a scan does not grow with n^4.
 # ---------------------------------------------------------------------------
 
+BLOCK = 1 << 14
+
+
+def _tiles(rows, cols):
+    """(row slice, column slice) tiles of a rows x cols table, each of about
+    BLOCK entries; read one after another, each in row-major order, they
+    cover the table in row-major order.  Slices may run past the table."""
+    if cols >= BLOCK:
+        for r in range(rows):
+            for c in range(0, cols, BLOCK):
+                yield slice(r, r + 1), slice(c, c + BLOCK)
+    else:
+        step = BLOCK // cols
+        for r in range(0, rows, step):
+            yield slice(r, r + step), slice(0, cols)
+
+
+def _defects(D, xa, ya, da, xb, yb, db):
+    """defect2 of (xa[i], ya[i], xb[j], yb[j]) for every i, j; da and db are
+    the pair distances."""
+    s2 = D[xa[:, None], xb] + D[ya[:, None], yb]
+    s3 = D[xa[:, None], yb] + D[ya[:, None], xb]
+    return da[:, None] + db - np.maximum(s2, s3)
+
+
 def delta_scan(D):
-    n = D.shape[0]
-    Dl = D.astype(np.int64)
+    v = _delta_value(D)
+    if v == 0:
+        return 0, 0, 0, 0, 0
+    return (v,) + _lex_first_witness(D, v)
+
+
+def _delta_value(D):
+    """Phase 1: the largest defect2, by levels of decreasing pair distance."""
+    iu, ju = np.triu_indices(D.shape[0], 1)
+    d = D[iu, ju]
+    order = np.argsort(-d, kind="stable")
+    px, py, pd = iu[order], ju[order], d[order]
     best = 0
-    wit = (0, 0, 0, 0)
+    start = 0
+    while start < len(pd) and pd[start] > best:
+        end = int(np.searchsorted(-pd, -pd[start], side="right"))
+        for rs, cs in _tiles(end - start, end):
+            a = slice(start + rs.start, min(start + rs.stop, end))
+            best = max(best, int(_defects(D, px[a], py[a], pd[a],
+                                          px[cs], py[cs], pd[cs]).max()))
+        start = end
+    return best
+
+
+def _lex_first_witness(D, v):
+    """Phase 2: the lex-first (x, y, z, w) with defect2 v > 0, which has the
+    canonical form x < y, x < z < w."""
+    n = D.shape[0]
+    iu, ju = np.triu_indices(n, 1)
+    d = D[iu, ju]
+    far = d >= v
+    zs, ws, dzw = iu[far], ju[far], d[far]
     for x in range(n):
-        dx = Dl[x]
-        for y in range(n):
-            dy = Dl[y]
-            m = np.maximum(np.add.outer(dx, dy), np.add.outer(dy, dx))
-            d2 = Dl[x, y] + Dl - m
-            k = int(np.argmax(d2))
-            v = int(d2.reshape(-1)[k])
-            if v > best:
-                best = v
-                wit = (x, y, k // n, k % n)
-    return best, wit[0], wit[1], wit[2], wit[3]
+        ys = np.nonzero(D[x, x + 1:] >= v)[0] + (x + 1)
+        k = int(np.searchsorted(zs, x, side="right"))
+        z, w, dc = zs[k:], ws[k:], dzw[k:]
+        if not len(ys) or not len(z):
+            continue
+        xs = np.full(len(ys), x)
+        for rs, cs in _tiles(len(ys), len(z)):
+            hit = _defects(D, xs[rs], ys[rs], D[x, ys[rs]], z[cs], w[cs], dc[cs]) >= v
+            if hit.any():
+                i, j = divmod(int(np.argmax(hit)), hit.shape[1])
+                return x, int(ys[rs][i]), int(z[cs][j]), int(w[cs][j])
+    raise AssertionError(f"no quadruple attains defect2 {v}")
 
 
 # ---------------------------------------------------------------------------

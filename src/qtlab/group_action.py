@@ -719,6 +719,17 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
     The images sit as rows of one (elements, n) stack.  A candidate merges
     into the first row it does not contradict, and that row gains the
     candidate's extra domain."""
+    for _, words, depths, rows in _realized_walk(a, horizon):
+        pass
+    return [RealizedElement(w, d, rows[k]) for k, (w, d) in enumerate(zip(words, depths))]
+
+
+def _realized_walk(a: GroupAction, horizon: int):
+    """The walk of realized_elements, one depth at a time: yields (depth,
+    words, depths, rows) at depth 0 and after each further depth, up to
+    horizon or until no fresh element turns up.  rows is a view of the
+    stack, and deeper candidates still merge into it, so a caller that keeps
+    a shallower state must copy it before resuming the walk."""
     n = a.space.n
     letters = [(gm.name, s) for gm in a.generators for s in (1, -1)]
     maps = [a.letter_map(name, sign) for name, sign in letters]
@@ -727,6 +738,7 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
     words, depths = [Word()], [0]
     frontier = [0]
     depth = 0
+    yield depth, words, depths, stack[:1]
     while frontier and depth < horizon:
         nxt = []
         for e in frontier:
@@ -751,7 +763,7 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
                 nxt.append(count)
         frontier = nxt
         depth += 1
-    return [RealizedElement(w, d, stack[k]) for k, (w, d) in enumerate(zip(words, depths))]
+        yield depth, words, depths, stack[:len(words)]
 
 
 # ---------------------------------------------------------------------------
@@ -781,17 +793,25 @@ def properness_profiles(
     ends of a distant pair by at most epsilon), uniform-properness counts
     N_r, and a stabilizer summary with a growth warning when the maximal
     realized stabilizer count still grows from horizon/2 to horizon."""
-    els = realized_elements(a, horizon)
+    # one walk serves both horizons: the rows at the end of the half depth
+    # are realized_elements(a, half), copied before deeper merges change them
+    full, half = max(horizon, 0), max(1, horizon // 2)
+    last = max(full, half)
+    kept = {}
+    for depth, _, _, rows in _realized_walk(a, last):
+        if depth in (full, half):
+            kept[depth] = rows if depth == last else rows.copy()
+    S = kept.get(full, rows)
+    S_half = kept.get(half, rows)
     D = a.space.dist
     n = a.space.n
     BIG = 10 ** 6
-    S = np.stack([el.image for el in els])
     disp = np.where(S >= 0, D[np.arange(n), S], BIG)
 
     acyl = []
     no_pair = []
     for eps in epsilons:
-        # float64 lets BLAS form the product; entries are counts <= len(els),
+        # float64 lets BLAS form the product; entries are counts <= len(S),
         # far below 2^53, so they stay exact
         ok = (disp <= eps).astype(np.float64)
         P = (ok.T @ ok).astype(np.int64)
@@ -807,14 +827,13 @@ def properness_profiles(
         counts = (disp <= r).sum(axis=0)
         uniform.append((int(r), int(counts.max())))
 
-    def max_stab(hor):
-        S2 = S if hor == horizon else np.stack([el.image for el in realized_elements(a, hor)])
-        return int((S2 == np.arange(n)).sum(axis=0).max())
+    def max_stab(rows):
+        return int((rows == np.arange(n)).sum(axis=0).max())
 
-    full_stab = max_stab(horizon)
-    half_stab = max_stab(max(1, horizon // 2))
+    full_stab = max_stab(S)
+    half_stab = max_stab(S_half)
     return PropernessReport(
-        horizon, len(els), tuple(acyl), tuple(uniform),
+        horizon, len(S), tuple(acyl), tuple(uniform),
         full_stab, full_stab > half_stab, tuple(sorted(set(no_pair))),
     )
 

@@ -208,13 +208,17 @@ class HyperbolicityReport:
 
 
 def hyperbolicity_delta(g: MetricGraph, max_vertices: Optional[int] = None) -> HyperbolicityReport:
+    """Trees (2*delta = 0, witness (ids[0],) * 4) are answered without a
+    scan, so the size cap applies to other graphs only."""
     cap = resolve_cap(max_vertices, DELTA_DEFAULT_CAP)
+    ids = g.vertex_ids
+    if g.is_tree():
+        return HyperbolicityReport(0, (ids[0],) * 4, g.n)
     if g.n > cap:
         raise SizeLimitExceeded(g.n, cap, "hyperbolicity_delta")
     if not g.connected:
         raise DisconnectedGraph(*_disconnected_pair(g))
     two_delta, x, y, z, w = _kernels.delta_scan(g.dist)
-    ids = g.vertex_ids
     witness = (ids[x], ids[y], ids[z], ids[w])
     return HyperbolicityReport(int(two_delta), witness, g.n)
 
@@ -261,14 +265,16 @@ class BottleneckReport:
 
 
 def bottleneck_constant(g: MetricGraph, max_vertices: Optional[int] = None) -> BottleneckReport:
+    """Trees (C = 0) are answered without a scan, so the size cap applies
+    to other graphs only."""
     cap = resolve_cap(max_vertices, BOTTLENECK_DEFAULT_CAP)
-    if g.n > cap:
-        raise SizeLimitExceeded(g.n, cap, "bottleneck_constant")
-    if not g.connected:
-        raise DisconnectedGraph(*_disconnected_pair(g))
     n = g.n
     if g.is_tree():
         return BottleneckReport(0, None, n)
+    if n > cap:
+        raise SizeLimitExceeded(n, cap, "bottleneck_constant")
+    if not g.connected:
+        raise DisconnectedGraph(*_disconnected_pair(g))
     D, indptr, indices = g.dist, g._indptr, g._indices
     ecc = D.max(axis=1)
     diam = int(ecc.max())

@@ -1,12 +1,15 @@
 """Brute-force reference implementations used to check the fast paths.
 
 Everything here works on plain vertex-id lists and edge lists with its own
-BFS, so none of it shares code with the package under test.
+BFS, or on a distance matrix, so none of it shares code with the package
+under test.
 """
 
 import math
 from collections import deque
 from itertools import combinations, product
+
+import numpy as np
 
 
 def adjacency(ids, edges):
@@ -58,6 +61,29 @@ def brute_delta_witness(ids, dist):
         if best is None or d2 > best:
             best, wit = d2, (x, y, z, w)
     return best, wit
+
+
+def exhaustive_delta_witness(D):
+    """(2*delta, x, y, z, w) over the index distance matrix D: every ordered
+    quadruple is scored, one (x, y) row of n^2 pairs (z, w) at a time, and
+    the first maximizer in lexicographic index order is kept.  Fast enough
+    for n up to about 100."""
+    n = D.shape[0]
+    Dl = D.astype(np.int64)
+    best = 0
+    wit = (0, 0, 0, 0)
+    for x in range(n):
+        dx = Dl[x]
+        for y in range(n):
+            dy = Dl[y]
+            m = np.maximum(np.add.outer(dx, dy), np.add.outer(dy, dx))
+            d2 = Dl[x, y] + Dl - m
+            k = int(np.argmax(d2))
+            v = int(d2.reshape(-1)[k])
+            if v > best:
+                best = v
+                wit = (x, y, k // n, k % n)
+    return (best,) + wit
 
 
 def connected_avoiding(adj, dist_z, x, y, c):

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -314,6 +315,31 @@ def test_properness_trivial_stabilizers_on_free_group():
     assert not rep.stabilizer_growth_warning
     acyl = dict(((e, R), N) for e, R, N in rep.acylindricity)
     assert acyl[(0, 4)] == 1
+
+
+def _fresh_max_stabilizer(a, horizon):
+    S = np.stack([el.image for el in realized_elements(a, horizon)])
+    return int((S == np.arange(a.space.n)).sum(axis=0).max())
+
+
+@pytest.mark.parametrize("build, horizons", [
+    (lambda: bass_serre_tree_bs12(8).action, (0, 1, 3, 5)),
+    (lambda: cayley_graph("F2", 5).action, (0, 2, 4)),
+    # partial maps whose deeper merges fill in fixed points of half-horizon
+    # rows, which flips the warning unless those rows are copied first
+    (lambda: _partial_cycle_action(random.Random(20), 10), (6,)),
+    (lambda: _partial_cycle_action(random.Random(32), 5), (3,)),
+], ids=["bs12-r8", "f2-r5", "partial-c10", "partial-c5"])
+def test_properness_half_horizon_matches_a_fresh_walk(build, horizons):
+    # one walk serves both horizons; its half-horizon rows must be those of
+    # a fresh realized_elements call, untouched by the deeper merges
+    a = build()
+    for h in horizons:
+        rep = properness_profiles(a, epsilons=(0,), radii=(2,), rs=(0,), horizon=h)
+        full = _fresh_max_stabilizer(a, h)
+        half = _fresh_max_stabilizer(a, max(1, h // 2))
+        assert rep.n_elements == len(realized_elements(a, h))
+        assert (rep.max_stabilizer, rep.stabilizer_growth_warning) == (full, full > half), h
 
 
 # --- quasiconvexity --------------------------------------------------------

@@ -270,6 +270,20 @@ def test_size_cap_does_not_leak_between_runs(tmp_path, capsys):
     assert rc == 0
 
 
+def test_analyze_tree_fixture_over_the_delta_cap(tmp_path, capsys):
+    # f2-r5 is a tree of 485 vertices, over the default cap of 200 on the
+    # four-point scan; trees are answered without a scan, so it exits 0
+    rc, _, _ = run_cli(capsys, ["fixtures", "f2-r5", "--out", str(tmp_path)])
+    assert rc == 0
+    rc, stdout, stderr = run_cli(capsys, [
+        "analyze", "--graph", str(tmp_path / "f2-r5.graph.json")])
+    assert (rc, stderr) == (0, "")
+    res = json.loads(stdout)["results"]
+    assert (res["n_vertices"], res["is_tree"]) == (485, True)
+    assert (res["two_delta"], res["delta_witness"]) == (0, ["X"] * 4)
+    assert (res["bottleneck_constant"], res["bottleneck_witness"]) == (0, None)
+
+
 def test_unknown_fixture_name(capsys):
     rc, _, stderr = run_cli(capsys, ["fixtures", "no-such-fixture"])
     assert rc == 2

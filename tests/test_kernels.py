@@ -1,11 +1,17 @@
 import random
 
-from qtlab import MetricGraph, cycle_graph, grid_graph
+import numpy as np
+import pytest
+
+import qtlab._kernels as kernels
+from qtlab import MetricGraph, cycle_graph, farey_graph, grid_graph
 from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
                             level_components)
+from qtlab.cli import _build_fixture
 
 from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
-                      brute_level_joined, connected_avoiding, random_connected_graph)
+                      brute_level_joined, connected_avoiding, exhaustive_delta_witness,
+                      random_connected_graph)
 
 
 def _csr(g):
@@ -60,6 +66,68 @@ def test_delta_scan_matches_oracle_witness():
         two_delta, *wit = delta_scan(g.dist)
         assert (two_delta, tuple(ids[i] for i in wit)) == \
             brute_delta_witness(ids, all_distances(ids, edges))
+
+
+def _assert_delta_scan_matches_exhaustive(graphs):
+    for g in graphs:
+        assert delta_scan(g.dist) == exhaustive_delta_witness(g.dist), g
+
+
+def test_delta_scan_matches_exhaustive_scan_on_random_graphs():
+    # trees, sparse and dense graphs: 2*delta from 0 up, with many ties
+    rng = random.Random(47)
+    graphs = []
+    for _ in range(200):
+        n = rng.randrange(2, 61)
+        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
+    _assert_delta_scan_matches_exhaustive(graphs)
+
+
+@pytest.mark.parametrize("family", ["grid", "cycle"])
+def test_delta_scan_matches_exhaustive_scan_on_grids_and_cycles(family):
+    if family == "grid":
+        graphs = [grid_graph(m, k) for m in range(1, 11) for k in range(m, 11)]
+    else:
+        graphs = [cycle_graph(k) for k in range(3, 91)]
+    _assert_delta_scan_matches_exhaustive(graphs)
+
+
+def test_delta_scan_matches_exhaustive_scan_on_farey_and_fixtures():
+    graphs = [farey_graph(Q, P).graph for Q in range(1, 6) for P in (None, 2 * Q)]
+    graphs += [_build_fixture(name).graph for name in ("doubleline-n16", "cone-z-r10")]
+    _assert_delta_scan_matches_exhaustive(graphs)
+
+
+def test_delta_value_scores_only_the_levels_the_stop_rule_allows(monkeypatch):
+    # every level above the value v is scored; level v only when no
+    # quadruple whose two pairs are both farther apart than v attains v;
+    # no level below v
+    scored = set()
+    defects = kernels._defects
+
+    def recording(D, xa, ya, da, *rest):
+        scored.update(da.tolist())
+        return defects(D, xa, ya, da, *rest)
+
+    monkeypatch.setattr(kernels, "_defects", recording)
+    rng = random.Random(53)
+    graphs = [cycle_graph(9), cycle_graph(10), grid_graph(3, 5)]
+    for _ in range(40):
+        n = rng.randrange(4, 19)
+        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, n))))
+    for g in graphs:
+        D = g.dist.astype(np.int64)
+        pair1 = D[:, :, None, None] + D[None, None, :, :]
+        pair2 = D[:, None, :, None] + D[None, :, None, :]
+        pair3 = D[:, None, None, :] + D[None, :, :, None]
+        defect = pair1 - np.maximum(pair2, pair3)
+        nearer = np.minimum(D[:, :, None, None], D[None, None, :, :])
+        v = int(defect.max())
+        above = int(defect[nearer > v].max(initial=0))
+        want = {L for L in np.unique(D).tolist() if L > v or (L == v > above)}
+        scored.clear()
+        assert kernels._delta_value(g.dist) == v, g
+        assert scored == want, g
 
 
 def test_bottleneck_center_matches_oracle():

@@ -14,6 +14,7 @@ from qtlab.errors import (CenterNotFound, DisconnectedGraph, EmptyGraph,
 
 from qtlab.cli import _build_fixture
 from qtlab.io import graph_from_dict, graph_to_dict
+from qtlab.metric_graph import DELTA_DEFAULT_CAP
 
 from _oracles import (all_distances, brute_bottleneck, brute_bottleneck_witness,
                       brute_boundary_components, brute_delta_witness, brute_two_delta,
@@ -121,6 +122,39 @@ def test_pinned_bottleneck_witnesses(name, constant, witness):
     assert (path[0], path[-1]) == (w.x, w.y)
     assert all(g.d(u, v) == 1 for u, v in zip(path, path[1:]))
     assert all(g.d(w.z, v) > constant - 1 for v in path)
+
+
+# 2*delta and witness as the exhaustive scan over all ordered quadruples
+# found them, before the scan was pruned
+PINNED_DELTA_WITNESSES = [
+    ("doubleline-n16", 2, ("(-1,1)", "(-1,2)", "(-10,1)", "(0,1)")),
+    ("cone-z-r10", 1, ("-1", "-10", "-2", "0")),
+    ("grid6x12", 10, ("0,00", "5,05", "0,05", "5,00")),
+    ("cycle61", 29, ("v00", "v30", "v15", "v45")),
+]
+
+
+@pytest.mark.parametrize("name,two_delta,witness", PINNED_DELTA_WITNESSES)
+def test_pinned_delta_witnesses(name, two_delta, witness):
+    if name == "grid6x12":
+        g = grid_graph(6, 12)
+    elif name == "cycle61":
+        g = cycle_graph(61)
+    else:
+        g = _build_fixture(name).graph
+    rep = hyperbolicity_delta(g)
+    assert (rep.two_delta, rep.witness) == (two_delta, witness)
+    assert four_point_defect2(g, *witness) == two_delta
+
+
+@pytest.mark.parametrize("name", ["f2-r5", "bs12-r8"])
+def test_trees_are_answered_before_the_size_cap(name):
+    g = _build_fixture(name).graph
+    assert g.is_tree() and g.n > DELTA_DEFAULT_CAP
+    rep = hyperbolicity_delta(g)
+    assert (rep.two_delta, rep.witness) == (0, (g.vertex_ids[0],) * 4)
+    rep = bottleneck_constant(g, max_vertices=10)
+    assert (rep.constant, rep.witness) == (0, None)
 
 
 def test_c6_witness_is_lex_first():
