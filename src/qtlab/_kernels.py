@@ -1,8 +1,10 @@
 """Hot numeric kernels over integer distance matrices.
 
-Three scans dominate runtime on nontrivial truncations:
+BFS from a few sources (rows) serves most callers; three scans dominate
+runtime on nontrivial truncations:
 
-* all-pairs BFS (builds the distance matrix),
+* all-pairs BFS (apsp: rows from every source, the full distance matrix,
+  built only for callers that need all pairs),
 * the four-point hyperbolicity scan, pruned by the Cohen-Coudert-Lancin
   bound defect2 <= min(d(x,y), d(z,w)): pairs by decreasing distance until
   the level drops to the best value, then a search for the lex-first
@@ -25,22 +27,43 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# all-pairs shortest paths (unweighted BFS from every source)
+# BFS distance rows
+#
+# rows() runs scipy's csgraph BFS from the given sources only and returns an
+# int32 (len(sources), n) array; unreachable entries come back as inf and
+# are mapped to -1.  It asks scipy for blocks of sources, so the float64
+# array scipy returns stays near ROW_BLOCK entries however many rows are
+# wanted.  apsp() is rows() from every source, the full matrix.
+#
+# The CSR holds every edge in both directions, so a directed search gives
+# the undirected distances; directed=False would make scipy add the
+# transpose on every call.  float64 data is the dtype csgraph works in, so
+# it is not copied again.
 # ---------------------------------------------------------------------------
 
-def apsp(indptr, indices, n):
-    # scipy's csgraph BFS; unreachable pairs come back as inf and are mapped
-    # to -1.
+ROW_BLOCK = 1 << 21
+
+
+def rows(indptr, indices, n, sources):
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
-    if n == 0:
-        return np.empty((0, 0), dtype=np.int32)
-    data = np.ones(len(indices), dtype=np.int8)
-    mat = csr_matrix((data, indices, indptr), shape=(n, n))
-    dist = shortest_path(mat, method="D", unweighted=True, directed=False)
-    out = np.where(np.isinf(dist), -1, dist).astype(np.int32)
+    sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+    out = np.empty((len(sources), n), dtype=np.int32)
+    if not len(sources):
+        return out
+    mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    step = max(1, ROW_BLOCK // n)
+    for start in range(0, len(sources), step):
+        block = shortest_path(mat, method="D", unweighted=True, directed=True,
+                              indices=sources[start:start + step])
+        block[np.isinf(block)] = -1
+        out[start:start + step] = block
     return out
+
+
+def apsp(indptr, indices, n):
+    return rows(indptr, indices, n, np.arange(n))
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +188,12 @@ def level_components(indptr, indices, keep):
     sub_indptr = np.zeros(n + 1, dtype=indices.dtype)
     np.cumsum(np.bincount(rows[live], minlength=n), out=sub_indptr[1:])
     sub_indices = indices[live]
-    # float64 data is the dtype csgraph works in, so it is not copied again
+    # float64 data is the dtype csgraph works in, so it is not copied again;
+    # the subgraph keeps both directions of each edge, so its strong
+    # components are its components, found without adding the transpose
     mat = csr_matrix((np.ones(len(sub_indices)), sub_indices, sub_indptr),
                      shape=(n, n))
-    return connected_components(mat, directed=False)[1]
+    return connected_components(mat, directed=True, connection="strong")[1]
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def cmd_analyze(args):
         "n_vertices": g.n,
         "n_edges": len(g.edges()),
         "is_tree": g.is_tree(),
-        "diameter": int(g.dist.max()),
+        "diameter": g.diameter(),
         "two_delta": hyp.two_delta,
         "delta": hyp.delta,
         "delta_witness": hyp.witness,
@@ -270,7 +270,16 @@ def cmd_construct(args):
                    results, args.seed), None
 
 
+def _require_nonnegative(args, *names):
+    """FormatError for the first named option that is set and negative."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise FormatError(f"--{name} must be >= 0, got {value}")
+
+
 def cmd_orbit(args):
+    _require_nonnegative(args, "horizon", "radius")
     a = load_action(args.action, allow_disconnected=True)
     horizon = args.horizon
     res = orbit(a, args.basepoint, horizon)
@@ -294,6 +303,7 @@ def cmd_orbit(args):
 
 
 def cmd_rips_orbit(args):
+    _require_nonnegative(args, "horizon")
     a = load_action(args.action, allow_disconnected=True)
     rg = rips_orbit_graph(a, args.basepoint, args.r, args.horizon)
     results = {
@@ -315,6 +325,7 @@ def cmd_rips_orbit(args):
 
 
 def cmd_classify(args):
+    _require_nonnegative(args, "horizon")
     a = load_action(args.action, allow_disconnected=True)
     if args.word:
         w = Word.parse(args.word)
@@ -346,6 +357,7 @@ def cmd_classify(args):
 
 
 def cmd_properness(args):
+    _require_nonnegative(args, "horizon")
     a = load_action(args.action, allow_disconnected=True)
     rep = properness_profiles(a, epsilons=(0, 1, 2), radii=(2, 4, 8),
                               rs=(0, 1, 2), horizon=args.horizon)
@@ -456,6 +468,8 @@ def cmd_lm(args):
         inputs = {"sub": sub, "n": n}
     elif sub == "obstruction":
         kmax = args.k_max
+        if kmax < 1:
+            raise FormatError(f"--k-max must be >= 1, got {kmax}")
         override = _load_json_arg(args.matrix, "--matrix") if args.matrix else None
         failures = []
         reports = []

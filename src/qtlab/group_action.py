@@ -133,8 +133,9 @@ class GroupAction:
     """A finite set of partial graph symmetries acting on a MetricGraph.
 
     mode 'automorphism' checks that each generator preserves the adjacency
-    relation wherever both endpoints are defined; mode 'isometry' checks full
-    distance preservation on defined pairs.
+    relation wherever both endpoints are defined, on the edges of its domain
+    and image; mode 'isometry' checks full distance preservation on defined
+    pairs, which needs the full distance matrix.
     """
 
     def __init__(self, space: MetricGraph, generators, mode: str = "automorphism"):
@@ -167,12 +168,12 @@ class GroupAction:
     def _check_mode(self, name: str, src: np.ndarray, dst: np.ndarray):
         if not len(src):
             return
-        A = self.space.dist[np.ix_(src, src)]
-        B = self.space.dist[np.ix_(dst, dst)]
         if self.mode == "isometry":
+            A = self.space.dist[np.ix_(src, src)]
+            B = self.space.dist[np.ix_(dst, dst)]
             bad = np.argwhere(A != B)
         else:
-            bad = np.argwhere((A == 1) != (B == 1))
+            bad = _adjacency_breaks(self.space, src, dst)
         if len(bad):
             i, j = bad[0]
             u = self.space.vertex_ids[int(src[i])]
@@ -200,6 +201,29 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction({len(self.generators)} generators on {self.space!r}, mode={self.mode})"
+
+
+def _adjacency_breaks(g: MetricGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Position pairs (i, j), i < j, in lexicographic order, where exactly
+    one of src[i] ~ src[j] and dst[i] ~ dst[j] holds: the domain edges whose
+    images are not edges and the image edges whose preimages are not.  These
+    are the upper half of the pairs where adjacency matrices over src and
+    dst differ, and the first of them is the first of those in row-major
+    order."""
+    pos = np.full(g.n, -1, dtype=np.int64)
+    pos[src] = np.arange(len(src))
+    ipos = np.full(g.n, -1, dtype=np.int64)
+    ipos[dst] = np.arange(len(dst))
+    ends = g.edge_array()
+    found = []
+    for at, there in ((pos, dst), (ipos, src)):
+        i, j = at[ends[:, 0]], at[ends[:, 1]]
+        keep = (i >= 0) & (j >= 0)
+        i, j = i[keep], j[keep]
+        broken = ~g.adjacent(there[i], there[j])
+        found.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1)[broken])
+    pairs = np.concatenate(found)
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +331,7 @@ def check_locally_finite_orbit(a: GroupAction, x0: str, rho_max: int, horizon: i
     full = orbit(a, x0, horizon)
     half = orbit(a, x0, max(1, horizon // 2))
     xi = a.space.index(x0)
-    drow = a.space.dist[xi]
+    drow = a.space.rows([xi])[0]
 
     def ball_counts(res):
         ds = sorted(int(drow[a.space.index(v)]) for v in res.vertices)
@@ -342,7 +366,7 @@ def rips_orbit_graph(a: GroupAction, x0: str, r: int, horizon: int) -> RipsOrbit
     vids = a.space.vertex_ids
     idx = np.sort([a.space.index(v) for v in res.vertices])
     ids = [vids[i] for i in idx]
-    sub = a.space.dist[np.ix_(idx, idx)]
+    sub = a.space.rows(idx)[:, idx]
     close = np.triu((sub > 0) & (sub <= r), 1)
     edges = [(ids[i], ids[j]) for i, j in np.argwhere(close)]
     graph = MetricGraph(ids, edges, allow_disconnected=True)
@@ -361,13 +385,14 @@ def connectivity_radius(a: GroupAction, x0: str) -> int:
     """max over generators s of d(s(x0), x0); with r at least this value the
     Rips orbit graph is connected on BFS-reachable orbit points."""
     xi = a.space.index(x0)
-    best = 0
+    images = []
     for gm in a.generators:
         j = int(gm.forward[xi])
         if j < 0:
             raise OutOfTruncation(0, x0, gm.name)
-        best = max(best, int(a.space.dist[xi, j]))
-    return best
+        images.append(j)
+    drow = a.space.rows([xi])[0]
+    return max((int(drow[j]) for j in images), default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +419,7 @@ def stable_translation_length(a: GroupAction, w: Word, x0: str, horizon: int) ->
     """Sequence d(g^n x0, x0)/n with its running minimum.  The limit is the
     infimum, so the final running minimum is an upper bound for tau."""
     xi = a.space.index(x0)
+    drow = a.space.rows([xi])[0]
     img = word_map(a, w)
     seq: List[Fraction] = []
     cur = xi
@@ -405,7 +431,7 @@ def stable_translation_length(a: GroupAction, w: Word, x0: str, horizon: int) ->
             truncated = True
             break
         n += 1
-        seq.append(Fraction(int(a.space.dist[xi, cur]), n))
+        seq.append(Fraction(int(drow[cur]), n))
     running = []
     for q in seq:
         running.append(q if not running else min(running[-1], q))
@@ -429,7 +455,7 @@ def _tree_classify(a: GroupAction, w: Word):
     defined = np.nonzero(img >= 0)[0]
     if len(defined) == 0:
         raise OutOfTruncation(0, a.space.vertex_ids[0], w.display())
-    disp = a.space.dist[defined, img[defined]]
+    disp = a.space.tree_distances(defined, img[defined])
     m = int(disp.min())
     at = defined[disp == m]    # ascending index, so ascending id
     vid = a.space.vertex_ids[int(at[0])]
@@ -442,7 +468,7 @@ def _tree_classify(a: GroupAction, w: Word):
             if ffv >= 0:
                 if ffv == v:
                     return 0, "inverted-edge", a.space.vertex_ids[v]
-                if int(a.space.dist[v, ffv]) == 2:
+                if int(a.space.tree_distances([v], [ffv])[0]) == 2:
                     return 1, "axis", a.space.vertex_ids[v]
         # cannot see g^2 anywhere at the minimum; report the displacement
         return 1, "axis", vid
@@ -557,7 +583,8 @@ def classify_isometry(
         return IsometryReport(w, "Unknown", "heuristic", "insufficient-data",
                               None, None, {}, truncated, tuple(notes))
 
-    dists = [int(a.space.dist[xi, p]) for p in points]
+    drow = a.space.rows([xi])[0]
+    dists = [int(drow[p]) for p in points]
     tau_upper = min(Fraction(dists[k], k) for k in range(1, n_reached + 1))
 
     if slack is None:
@@ -577,7 +604,7 @@ def classify_isometry(
             tau_upper, tau_lower,
             {"slack": str(slack), "n_reached": n_reached}, truncated, tuple(notes))
 
-    ecc = int(a.space.dist[xi].max())
+    ecc = int(drow.max())
     escape = max(dists) > Fraction(3, 4) * ecc
     decay_bound = Fraction(2 * (1 + math.ceil(math.log2(n_reached))), n_reached)
     decays = tau_upper <= decay_bound
@@ -663,13 +690,14 @@ def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word, min_tail:
     if len(ray) < max(2, min_tail):
         raise EndNotInvariant("ray too short to certify an end")
     r0 = a.space.index(ray[0])
+    r0row = a.space.rows([r0])[0]
     prev = r0
     ridx = []
     for k, v in enumerate(ray):
         vi = a.space.index(v)
-        if k > 0 and int(a.space.dist[prev, vi]) != 1:
+        if k > 0 and not a.space.adjacent(prev, vi):
             raise FormatError(f"ray is not a path at position {k}")
-        if int(a.space.dist[r0, vi]) != k:
+        if int(r0row[vi]) != k:
             raise FormatError(f"ray is not geodesic at position {k}")
         ridx.append(vi)
         prev = vi
@@ -679,7 +707,9 @@ def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word, min_tail:
     # fixes the end only if the image of the ray stays within bounded
     # distance of the ray, so check that first.
     gmap = word_map(a, w)
-    drift = [int(a.space.dist[gmap[vi]][ridx].min()) for vi in ridx if gmap[vi] >= 0]
+    images = gmap[ridx]
+    images = images[images >= 0]
+    drift = [int(d) for d in a.space.rows(images)[:, ridx].min(axis=1)]
     if len(drift) < min_tail:
         raise EndNotInvariant("image of the ray leaves the truncation too early")
     if len(set(drift[-min_tail:])) != 1:
@@ -687,7 +717,8 @@ def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word, min_tail:
             f"image of the ray drifts away from it: distances {drift[-6:]}"
         )
     gx = a.space.index(evaluate_word(a, w, ray[0]))
-    vals = [int(a.space.dist[gx, vi]) - k for k, vi in enumerate(ridx)]
+    gxrow = a.space.rows([gx])[0]
+    vals = [int(gxrow[vi]) - k for k, vi in enumerate(ridx)]
     tail = vals[-min_tail:]
     if len(set(tail)) != 1:
         raise EndNotInvariant(
@@ -877,12 +908,12 @@ def orbit_quasiconvexity(
     K = C + (M + 1) // 2
     res = orbit(a, x0, horizon)
     oi = np.array(sorted(a.space.index(v) for v in res.vertices), dtype=np.int64)
-    D = a.space.dist
-    min_orb = D[:, oi].min(axis=1)
-    DOO = D[np.ix_(oi, oi)]
+    R = a.space.rows(oi)       # R[k, v] = d(oi[k], v)
+    min_orb = R.min(axis=0)
+    DOO = R[:, oi]
     violations = []
     for v in np.nonzero(min_orb > K)[0]:
-        dv = D[int(v), oi]
+        dv = R[:, int(v)]
         on_geo = (dv[:, None] + dv[None, :]) == DOO
         hits = np.argwhere(on_geo)
         if len(hits):
@@ -930,14 +961,10 @@ def _reduced_words(names: Sequence[str], max_len: int) -> List[Word]:
     return out
 
 
-def _gromov_product2(D, i, j, base) -> int:
-    return int(D[i, base]) + int(D[j, base]) - int(D[i, j])
-
-
-def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, horizon: int) -> Optional[int]:
+def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, x0row, horizon: int) -> Optional[int]:
     """Farthest vertex reached along the power orbit of w from x0; the
     lex-first id among the points attaining the maximum.  None when the
-    orbit never leaves x0."""
+    orbit never leaves x0.  x0row is the distance row of x0."""
     img = word_map(a, w)
     cur = x0i
     pts = []
@@ -948,26 +975,25 @@ def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, horizon: int) -> O
         pts.append(cur)
     if not pts:
         return None
-    D = a.space.dist
-    dmax = max(int(D[x0i, p]) for p in pts)
+    dmax = max(int(x0row[p]) for p in pts)
     if dmax == 0:
         return None
-    return min(p for p in pts if int(D[x0i, p]) == dmax)
+    return min(p for p in pts if int(x0row[p]) == dmax)
 
 
 def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
-                          reps, orbit_idx, power: int, threshold: int) -> Optional[dict]:
+                          reps, orbit_idx, gromov2, power: int,
+                          threshold: int) -> Optional[dict]:
     """Checks a ping-pong schedule for w1^power, w2^power on the orbit.
 
     Quadrants are orbit points with Gromov product >= threshold against each
-    of the four direction fingerprints.  Requires pairwise disjoint quadrants,
+    of the four direction fingerprints; gromov2(v, rep) is twice the Gromov
+    product (v . rep) at x0.  Requires pairwise disjoint quadrants,
     basepoint outside all of them, and each signed power mapping every defined
     orbit point outside its repelling quadrant into its attracting one."""
-    D = a.space.dist
     quads = []
     for rep in reps:
-        quads.append({v for v in orbit_idx
-                      if _gromov_product2(D, v, rep, x0i) >= 2 * threshold})
+        quads.append({v for v in orbit_idx if gromov2(v, rep) >= 2 * threshold})
     for i in range(4):
         for j in range(i + 1, 4):
             if quads[i] & quads[j]:
@@ -1025,7 +1051,6 @@ def classify_action_type(
     quadrant threshold) certify General."""
     x0i = a.space.index(x0)
     ids = a.space.vertex_ids
-    D = a.space.dist
     orb = orbit(a, x0, max(horizon, 4))
     if orb.exhausted and orb.complete:
         return ActionTypeReport("Bounded", "certified",
@@ -1059,9 +1084,10 @@ def classify_action_type(
 
     # direction fingerprints for each loxodromic, then clustering
     dirs = []   # (word, plus_rep, minus_rep)
+    x0row = a.space.rows([x0i])[0]
     for w, _rep in lox:
-        p = _direction_fingerprint(a, w, x0i, horizon)
-        m = _direction_fingerprint(a, w.inverse(), x0i, horizon)
+        p = _direction_fingerprint(a, w, x0i, x0row, horizon)
+        m = _direction_fingerprint(a, w.inverse(), x0i, x0row, horizon)
         if p is None or m is None:
             continue
         dirs.append((w, p, m))
@@ -1071,7 +1097,13 @@ def classify_action_type(
                                 tuple(w.display() for w, _ in lox))
 
     reps = sorted({p for _, p, m in dirs} | {m for _, p, m in dirs})
-    radius = max(int(D[x0i, r]) for r in reps)
+    rep_rows = dict(zip(reps, a.space.rows(reps)))
+
+    def gromov2(v, rep):
+        """Twice the Gromov product (v . rep) at x0, rep a fingerprint."""
+        return int(x0row[v]) + int(x0row[rep]) - int(rep_rows[rep][v])
+
+    radius = max(int(x0row[r]) for r in reps)
     if sep_threshold is None:
         sep_threshold = max(1, radius // 2)
     # union-find clustering by Gromov product
@@ -1085,7 +1117,7 @@ def classify_action_type(
 
     for i, r1 in enumerate(reps):
         for r2 in reps[i + 1:]:
-            if _gromov_product2(D, r1, r2, x0i) >= 2 * sep_threshold:
+            if gromov2(r1, r2) >= 2 * sep_threshold:
                 a_, b_ = find(r1), find(r2)
                 if a_ != b_:
                     cls[a_] = b_
@@ -1119,7 +1151,7 @@ def classify_action_type(
             labels = {find(r) for r in four}
             if len(labels) != 4:
                 continue
-            cert = _pingpong_certificate(a, x0i, w1, w2, four, orbit_idx,
+            cert = _pingpong_certificate(a, x0i, w1, w2, four, orbit_idx, gromov2,
                                          pp_power, pp_threshold)
             if cert is not None:
                 evidence["pingpong"] = cert

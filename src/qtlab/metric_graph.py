@@ -1,9 +1,11 @@
 """Finite graphs as geodesic metric spaces.
 
-A MetricGraph is a finite connected simple graph carrying its shortest-path
-metric as a cached integer matrix.  On top of that sit the two workhorse
-scans (four-point hyperbolicity, bottleneck constant), geodesic enumeration,
-and the ends profile of a truncation with an explicit boundary set.
+A MetricGraph is a finite connected simple graph with its shortest-path
+metric on demand: rows(sources) runs BFS from a few vertices, and dist, the
+full integer matrix, is built on first use and cached.  On top of that sit
+the two workhorse scans (four-point hyperbolicity, bottleneck constant),
+which need all pairs, geodesic enumeration, and the ends profile of a
+truncation with an explicit boundary set.
 
 Conventions used by every scan in this module:
 
@@ -31,6 +33,7 @@ from .errors import (
     DisconnectedGraph,
     EmptyGraph,
     FormatError,
+    NotATree,
     RadiusTooLarge,
     SizeLimitExceeded,
     VertexNotFound,
@@ -60,12 +63,16 @@ def resolve_cap(cap: Optional[int], default: int) -> int:
 
 
 class MetricGraph:
-    """Finite simple graph with precomputed BFS distances.
+    """Finite simple graph with BFS distances on demand.
 
     Vertex ids are strings, stored sorted: vertex_ids[i] is the id of index i
     and the i-th smallest id.  Edges are unordered pairs; loops and duplicate
     edges are rejected.  Unless allow_disconnected is set, the graph must be
-    connected (unreachable entries would otherwise sit at -1 in dist).
+    connected; distances between components are -1.
+
+    Building a graph computes its components only.  rows(sources) gives the
+    BFS rows of a few vertices; dist, the full read-only int32 matrix, is
+    built on first use and cached, and rows() reads from it once it exists.
     """
 
     def __init__(self, vertex_ids, edges, boundary=(), allow_disconnected=False):
@@ -111,14 +118,16 @@ class MetricGraph:
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
         self._indices = dst[order].astype(np.int32)
+        self._entry_rows = src[order]     # the row of each CSR entry
 
-        dist = _kernels.apsp(indptr, self._indices, n)
-        self.connected = bool((dist >= 0).all())
+        self._component = _kernels.level_components(indptr, self._indices,
+                                                     np.ones(n, dtype=bool))
+        self.connected = bool((self._component == self._component[0]).all())
         if not self.connected and not allow_disconnected:
-            missing = int(np.nonzero(dist[0] < 0)[0][0])
-            raise DisconnectedGraph(ids[0], ids[missing])
-        dist.setflags(write=False)
-        self.dist = dist
+            raise DisconnectedGraph(*_disconnected_pair(self))
+        self._dist = None
+        self._tree = None
+        self._keys = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -139,9 +148,77 @@ class MetricGraph:
     def has_vertex(self, v: str) -> bool:
         return v in self._index
 
+    @property
+    def dist(self) -> np.ndarray:
+        """All-pairs distance matrix (int32, -1 if unreachable), built by
+        all-pairs BFS on first use."""
+        if self._dist is None:
+            dist = _kernels.apsp(self._indptr, self._indices, self.n)
+            dist.setflags(write=False)
+            self._dist = dist
+        return self._dist
+
+    def rows(self, sources) -> np.ndarray:
+        """Distance rows of the given source indices, an int32 array of shape
+        (len(sources), n) with -1 where unreachable; BFS from each source
+        unless dist is already built."""
+        sources = np.asarray(sources, dtype=np.int64).reshape(-1)
+        if self._dist is not None:
+            return self._dist[sources]
+        return _kernels.rows(self._indptr, self._indices, self.n, sources)
+
     def d(self, u: str, v: str) -> int:
         """Shortest-path distance between two vertex ids (-1 if unreachable)."""
         return int(self.dist[self.index(u), self.index(v)])
+
+    def tree_distances(self, u, v) -> np.ndarray:
+        """d(u[k], v[k]) for index arrays u and v on a tree (NotATree
+        otherwise), without dist: depths are one BFS row from index 0, and
+        each pair climbs parent links to its common ancestor."""
+        if not self.is_tree():
+            raise NotATree("tree distances need a tree")
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if self._tree is None:
+            depth = self.rows([0])[0].astype(np.int64)
+            src = self._entry_rows
+            up = depth[self._indices] == depth[src] - 1
+            parent = np.zeros(self.n, dtype=np.int64)
+            parent[src[up]] = self._indices[up]
+            self._tree = depth, parent
+        depth, parent = self._tree
+        # the deeper end of each pair that is still apart climbs, both ends
+        # when they are level, until every pair meets at its common ancestor
+        a, b = u, v
+        while True:
+            apart = a != b
+            if not apart.any():
+                break
+            da, db = depth[a], depth[b]
+            a, b = (np.where(apart & (da >= db), parent[a], a),
+                    np.where(apart & (db >= da), parent[b], b))
+        return depth[u] + depth[v] - 2 * depth[a]
+
+    def adjacent(self, u, v) -> np.ndarray:
+        """Elementwise adjacency of the index arrays u and v."""
+        q = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
+        if self._keys is None:
+            # ordered adjacent pairs as i * n + j; CSR order is (row, column)
+            # order, so the keys come sorted
+            self._keys = self._entry_rows * self.n + self._indices
+        keys = self._keys
+        if not len(keys):
+            return np.zeros(q.shape, dtype=bool)
+        k = np.minimum(np.searchsorted(keys, q), len(keys) - 1)
+        return keys[k] == q
+
+    def diameter(self) -> int:
+        """Largest distance; on a tree, exact from a double sweep (the row of
+        index 0, then the row of its farthest index), without dist."""
+        if self.is_tree():
+            far = int(np.argmax(self.rows([0])[0]))
+            return int(self.rows([far])[0].max())
+        return int(self.dist.max())
 
     def neighbors(self, v: str):
         i = self.index(v)
@@ -158,17 +235,14 @@ class MetricGraph:
         """Edges as id pairs, sorted."""
         return tuple((self.vertex_ids[i], self.vertex_ids[j]) for i, j in self.edge_pairs)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        i, j = self.index(u), self.index(v)
-        key = (i, j) if i < j else (j, i)
-        return key in self._edge_set()
+    def edge_array(self) -> np.ndarray:
+        """Edges as a (k, 2) index array with i < j in each row, in the
+        order of edge_pairs."""
+        up = self._entry_rows < self._indices
+        return np.stack((self._entry_rows[up], self._indices[up].astype(np.int64)), axis=1)
 
-    def _edge_set(self):
-        cached = getattr(self, "_edge_set_cache", None)
-        if cached is None:
-            cached = set(self.edge_pairs)
-            self._edge_set_cache = cached
-        return cached
+    def has_edge(self, u: str, v: str) -> bool:
+        return bool(self.adjacent(self.index(u), self.index(v)))
 
     def is_tree(self) -> bool:
         return self.connected and self.n_edges == self.n - 1
@@ -178,8 +252,10 @@ class MetricGraph:
 
 
 def all_pairs_distances(vertex_ids, edges, boundary=()) -> MetricGraph:
-    """Build a MetricGraph, computing the full distance matrix by BFS."""
-    return MetricGraph(vertex_ids, edges, boundary=boundary)
+    """Build a MetricGraph and its full distance matrix by BFS."""
+    g = MetricGraph(vertex_ids, edges, boundary=boundary)
+    g.dist
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +310,9 @@ def four_point_defect2(g: MetricGraph, x: str, y: str, z: str, w: str) -> int:
 
 
 def _disconnected_pair(g: MetricGraph):
-    bad = np.argwhere(g.dist < 0)
-    i, j = bad[0]
-    return g.vertex_ids[int(i)], g.vertex_ids[int(j)]
+    """Index 0 and the first index not reachable from it."""
+    j = int(np.nonzero(g._component != g._component[0])[0][0])
+    return g.vertex_ids[0], g.vertex_ids[j]
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +438,9 @@ def enumerate_geodesics(g: MetricGraph, u: str, v: str, cap: int = GEODESIC_DEFA
     sequences and flags overflow.
     """
     ui, vi = g.index(u), g.index(v)
-    if g.dist[ui, vi] < 0:
+    target = g.rows([vi])[0]
+    if target[ui] < 0:
         raise DisconnectedGraph(u, v)
-    target = g.dist[:, vi]
     out = []
     overflow = False
     stack = [(ui, [ui])]
@@ -411,7 +487,7 @@ def ends_profile(g: MetricGraph, center: str, radius: int, boundary: Optional[Se
             raise VertexNotFound(f"boundary vertex {b!r} is not a vertex")
         bset.add(g.index(b))
     ci = g.index(center)
-    ball = g.dist[ci]
+    ball = g.rows([ci])[0]
     if bset and all(ball[b] <= radius for b in bset):
         raise RadiusTooLarge(
             f"B({center!r}, {radius}) swallows every boundary vertex; profile uninformative"

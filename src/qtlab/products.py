@@ -358,6 +358,7 @@ def distortion_profile(a: GroupAction, x0: str, N: int) -> DistortionProfile:
         raise FormatError("horizon must be >= 1")
     x0 = str(x0)
     xi = a.space.index(x0)
+    drow = a.space.rows([xi])[0]
     per_depth = defaultdict(list)
     for el in realized_elements(a, N):
         per_depth[el.depth].append(el)
@@ -371,7 +372,7 @@ def distortion_profile(a: GroupAction, x0: str, N: int) -> DistortionProfile:
             img = int(el.image[xi])
             if img < 0:
                 continue
-            val = Fraction(int(a.space.dist[xi, img]), n)
+            val = Fraction(int(drow[img]), n)
             if best is None or val < best:
                 best, wit = val, el.word.display()
         if best is None:

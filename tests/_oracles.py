@@ -247,3 +247,29 @@ def brute_realized_elements(ids, gens, horizon):
                     nxt.append(new)
         frontier = nxt
     return elements
+
+
+def index_distances(ids, edges):
+    """Distance matrix over sorted(ids) by BFS, -1 where unreachable."""
+    order = sorted(ids)
+    dist = all_distances(ids, edges)
+    return np.array([[dist[u].get(v, -1) for v in order] for u in order], dtype=np.int64)
+
+
+def dense_mode_check(D, vertex_ids, name, mode, src, dst):
+    """The check GroupAction made before it checked adjacency on edges:
+    every pair of domain positions, in row-major order, compared over the
+    full index distance matrix D.  Returns the FormatError message for the
+    first offending pair, or None."""
+    A = D[np.ix_(src, src)]
+    B = D[np.ix_(dst, dst)]
+    if mode == "isometry":
+        bad = np.argwhere(A != B)
+    else:
+        bad = np.argwhere((A == 1) != (B == 1))
+    if len(bad):
+        i, j = bad[0]
+        u = vertex_ids[int(src[i])]
+        v = vertex_ids[int(src[j])]
+        return f"generator {name!r} violates {mode} mode at pair ({u!r}, {v!r})"
+    return None

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtlab import (GroupAction, Word, busemann_homomorphism,
+from qtlab import (GroupAction, MetricGraph, Word, busemann_homomorphism,
                    check_locally_finite_orbit, classify_action_type,
                    classify_isometry, connectivity_radius, evaluate_word,
                    orbit, orbit_quasiconvexity, properness_profiles,
@@ -19,7 +19,8 @@ from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
 from qtlab.io import action_to_dict
 
-from _oracles import brute_realized_elements
+from _oracles import (brute_realized_elements, dense_mode_check, index_distances,
+                      random_connected_graph)
 
 
 def rotation_action(n):
@@ -75,6 +76,63 @@ def test_adjacency_violation_rejected():
     g = path_graph(4)
     with pytest.raises(FormatError):
         GroupAction(g, [("f", {"v0": "v0", "v1": "v3"})])
+
+
+def _mode_check_cases(rng):
+    """(graph, mapping) pairs: rotations and reflections of cycles
+    restricted to random domains, the same with two images swapped, and
+    random injective partial maps on random graphs, some of them
+    disconnected."""
+    cases = []
+    for _ in range(30):
+        n = rng.randrange(3, 14)
+        g = cycle_graph(n)
+        ids = g.vertex_ids     # id order is the order around the cycle
+        k, flip = rng.randrange(n), rng.random() < 0.5
+        image = {ids[i]: ids[(k - i if flip else k + i) % n] for i in range(n)}
+        cases.append((g, image))
+    for _ in range(60):
+        n = rng.randrange(2, 16)
+        vs, es = random_connected_graph(rng, n, rng.randrange(0, 6))
+        if rng.random() < 0.3:
+            # drop a few edges, so the graph may fall apart
+            es = [e for e in es if rng.random() < 0.7]
+        g = MetricGraph(vs, es, allow_disconnected=True)
+        dom = rng.sample(vs, rng.randrange(1, n + 1))
+        cases.append((g, dict(zip(dom, rng.sample(vs, len(dom))))))
+    out = []
+    for g, image in cases:
+        items = list(image.items())
+        rng.shuffle(items)
+        keep = rng.randrange(1, len(items) + 1)
+        mapping = dict(items[:keep])
+        out.append((g, mapping))
+        if keep >= 2:
+            broken = dict(mapping)
+            a, b = rng.sample(list(broken), 2)
+            broken[a], broken[b] = broken[b], broken[a]
+            out.append((g, broken))
+    return out
+
+
+@pytest.mark.parametrize("mode", ["automorphism", "isometry"])
+def test_mode_check_matches_the_dense_check(mode):
+    rng = random.Random(5)
+    raised = passed = 0
+    for g, mapping in _mode_check_cases(rng):
+        D = index_distances(list(g.vertex_ids), g.edges())
+        src = np.array([g.index(s) for s in mapping])
+        dst = np.array([g.index(t) for t in mapping.values()])
+        expected = dense_mode_check(D, g.vertex_ids, "f", mode, src, dst)
+        if expected is None:
+            GroupAction(g, [("f", mapping)], mode=mode)
+            passed += 1
+        else:
+            with pytest.raises(FormatError) as exc:
+                GroupAction(g, [("f", mapping)], mode=mode)
+            assert str(exc.value) == expected
+            raised += 1
+    assert raised > 20 and passed > 20
 
 
 def test_non_injective_rejected():

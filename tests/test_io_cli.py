@@ -198,6 +198,47 @@ def _format_error(capsys, argv):
     return err["message"]
 
 
+@pytest.fixture
+def z_action(tmp_path, capsys):
+    act = tmp_path / "z.action.json"
+    rc, _, _ = run_cli(capsys, ["construct", "cayley", "--params",
+                                '{"family": "Z", "radius": 6}', "--action-out", str(act)])
+    assert rc == 0
+    return str(act)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["orbit", "--basepoint", "0", "--horizon", "-1"], "--horizon must be >= 0, got -1"),
+    (["orbit", "--basepoint", "0", "--radius", "-2"], "--radius must be >= 0, got -2"),
+    (["rips-orbit", "--basepoint", "0", "--r", "1", "--horizon", "-1"],
+     "--horizon must be >= 0, got -1"),
+    (["classify", "--basepoint", "0", "--horizon", "-1"], "--horizon must be >= 0, got -1"),
+    (["classify", "--basepoint", "0", "--word", "s", "--horizon", "-3"],
+     "--horizon must be >= 0, got -3"),
+    (["properness", "--horizon", "-3"], "--horizon must be >= 0, got -3"),
+])
+def test_negative_horizon_or_radius_is_a_format_error(z_action, capsys, argv, message):
+    assert _format_error(capsys, argv[:1] + ["--action", z_action] + argv[1:]) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["orbit", "--basepoint", "0", "--horizon", "0", "--radius", "0"],
+    ["rips-orbit", "--basepoint", "0", "--r", "1", "--horizon", "0"],
+    ["classify", "--basepoint", "0", "--horizon", "0"],
+    ["classify", "--basepoint", "0", "--word", "s", "--horizon", "0"],
+    ["properness", "--horizon", "0"],
+])
+def test_zero_horizon_is_still_answered(z_action, capsys, argv):
+    rc, _, stderr = run_cli(capsys, argv[:1] + ["--action", z_action] + argv[1:])
+    assert (rc, stderr) == (0, "")
+
+
+@pytest.mark.parametrize("k_max", ["0", "-1"])
+def test_empty_obstruction_range_is_a_format_error(capsys, k_max):
+    assert _format_error(capsys, ["lm", "obstruction", "--k-max", k_max]) == \
+        f"--k-max must be >= 1, got {k_max}"
+
+
 def test_construct_missing_param_is_a_format_error(capsys):
     msg = _format_error(capsys, ["construct", "cycle", "--params", "{}"])
     assert "cycle" in msg and "'n'" in msg
@@ -282,6 +323,33 @@ def test_analyze_tree_fixture_over_the_delta_cap(tmp_path, capsys):
     assert (res["n_vertices"], res["is_tree"]) == (485, True)
     assert (res["two_delta"], res["delta_witness"]) == (0, ["X"] * 4)
     assert (res["bottleneck_constant"], res["bottleneck_witness"]) == (0, None)
+
+
+def test_row_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
+    """construct, orbit, rips-orbit and classify --word need distances from
+    a few points only, and analyze on a tree needs two BFS rows: none of
+    them may build the all-pairs matrix.  Farey Q = 8 has 252 vertices, over the
+    four-point cap, so classify takes the default slack instead of a scan."""
+    import qtlab._kernels
+
+    def refuse(*args):
+        raise AssertionError("the all-pairs distance matrix was built")
+
+    monkeypatch.setattr(qtlab._kernels, "apsp", refuse)
+    plan = (("farey", '{"Q": 8}', "inf", ("T", "S T^-1", "S T S")),
+            ("bs12", '{"radius": 3}', "m0:0/1", ("a", "t", "a t^-1")))
+    for family, params, bp, words in plan:
+        g, a = str(tmp_path / f"{family}.graph.json"), str(tmp_path / f"{family}.action.json")
+        runs = [["construct", family, "--params", params, "--out", g, "--action-out", a],
+                ["orbit", "--action", a, "--basepoint", bp, "--horizon", "4"],
+                ["rips-orbit", "--action", a, "--basepoint", bp, "--r", "2", "--horizon", "3"]]
+        runs += [["classify", "--action", a, "--basepoint", bp, "--word", w, "--horizon", "8"]
+                 for w in words]
+        if family == "bs12":
+            runs.append(["analyze", "--graph", g])
+        for argv in runs:
+            rc, _, stderr = run_cli(capsys, argv)
+            assert (rc, stderr) == (0, ""), argv
 
 
 def test_unknown_fixture_name(capsys):

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 import qtlab._kernels as kernels
-from qtlab import MetricGraph, cycle_graph, farey_graph, grid_graph
+from qtlab import (DisconnectedGraph, MetricGraph, bottleneck_constant, cycle_graph,
+                   farey_graph, grid_graph, hyperbolicity_delta)
+from qtlab.errors import NotATree
 from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
-                            level_components)
+                            level_components, rows)
 from qtlab.cli import _build_fixture
 
 from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
                       brute_level_joined, connected_avoiding, exhaustive_delta_witness,
-                      random_connected_graph)
+                      index_distances, random_connected_graph, random_tree_edges)
 
 
 def _csr(g):
@@ -26,12 +28,13 @@ def test_backend_name():
     assert backend() == "numpy"
 
 
-def test_apsp_matches_oracle():
-    rng = random.Random(11)
+def _connected_and_split_graphs(rng, connected, split):
+    """(ids, edges) of random connected graphs, then of random graphs with
+    two components."""
     cases = []
-    for _ in range(10):
+    for _ in range(connected):
         cases.append(random_connected_graph(rng, rng.randrange(4, 30), rng.randrange(0, 5)))
-    for _ in range(4):
+    for _ in range(split):
         # two components: ids of the second are shifted past the first
         ids, edges = random_connected_graph(rng, rng.randrange(2, 8), rng.randrange(0, 3))
         ids2, edges2 = random_connected_graph(rng, rng.randrange(1, 8), rng.randrange(0, 3))
@@ -39,7 +42,12 @@ def test_apsp_matches_oracle():
         shift = {v: str(int(v) + k) for v in ids2}
         cases.append((ids + [shift[v] for v in ids2],
                       edges + [(shift[a], shift[b]) for a, b in edges2]))
-    for ids, edges in cases:
+    return cases
+
+
+def test_apsp_matches_oracle():
+    rng = random.Random(11)
+    for ids, edges in _connected_and_split_graphs(rng, 10, 4):
         g = MetricGraph(ids, edges, allow_disconnected=True)
         D = apsp(*_csr(g))
         oracle = all_distances(ids, edges)
@@ -53,6 +61,83 @@ def test_apsp_disconnected_minus_one():
     D = apsp(*_csr(g))
     assert D[g.index("a"), g.index("c")] == -1
     assert D[g.index("a"), g.index("b")] == 1
+
+
+@pytest.mark.parametrize("block", [kernels.ROW_BLOCK, 7])
+def test_rows_match_oracle(monkeypatch, block):
+    # a small block makes rows() run several BFS calls per request
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    rng = random.Random(13)
+    for ids, edges in _connected_and_split_graphs(rng, 20, 10):
+        g = MetricGraph(ids, edges, allow_disconnected=True)
+        oracle = all_distances(ids, edges)
+        picks = [rng.randrange(g.n) for _ in range(rng.randrange(0, 12))]
+        for sources in ([], [0], picks, list(range(g.n))):
+            R = rows(*_csr(g), sources)
+            assert R.dtype == np.int32 and R.shape == (len(sources), g.n)
+            for k, s in enumerate(sources):
+                u = g.vertex_ids[s]
+                assert R[k].tolist() == [oracle[u].get(v, -1) for v in g.vertex_ids]
+        # MetricGraph.rows answers from BFS, then from the matrix once built
+        assert g._dist is None
+        before = g.rows(picks)
+        assert (g.rows(picks) == g.dist[picks]).all() and (before == g.dist[picks]).all()
+
+
+def _tree_cases(rng):
+    graphs = [_build_fixture("bs12-r8").graph, _build_fixture("f2-r5").graph]
+    for _ in range(30):
+        n = rng.randrange(1, 60)
+        # shuffled labels, so index 0 is not always the first vertex built
+        labels = [str(v) for v in rng.sample(range(1000), n)]
+        edges = [(labels[a], labels[b]) for a, b in random_tree_edges(rng, n)]
+        graphs.append(MetricGraph(labels, edges))
+    return graphs
+
+
+def test_tree_distances_match_oracle():
+    rng = random.Random(17)
+    for g in _tree_cases(rng):
+        assert g.is_tree()
+        D = index_distances(list(g.vertex_ids), g.edges())
+        u = np.repeat(np.arange(g.n), g.n)
+        v = np.tile(np.arange(g.n), g.n)
+        got = g.tree_distances(u, v)
+        assert g._dist is None
+        assert (got == D[u, v]).all()
+
+
+def test_tree_distances_refuse_a_non_tree():
+    with pytest.raises(NotATree):
+        cycle_graph(5).tree_distances([0], [2])
+
+
+def test_tree_diameter_from_double_sweep():
+    rng = random.Random(19)
+    for g in _tree_cases(rng):
+        D = index_distances(list(g.vertex_ids), g.edges())
+        assert g.diameter() == int(D.max())
+        assert g._dist is None
+
+
+def test_disconnected_pairs_are_the_first_unreachable_from_index_0():
+    # the pair the dense rule named: the first negative entry of the
+    # distance matrix in row-major order
+    rng = random.Random(29)
+    for ids, edges in _connected_and_split_graphs(rng, 0, 20):
+        D = index_distances(ids, edges)
+        i, j = np.argwhere(D < 0)[0]
+        order = sorted(ids)
+        expected = (order[i], order[j])
+        with pytest.raises(DisconnectedGraph) as exc:
+            MetricGraph(ids, edges)
+        assert (exc.value.u, exc.value.v) == expected
+        g = MetricGraph(ids, edges, allow_disconnected=True)
+        assert not g.connected
+        for scan in (hyperbolicity_delta, bottleneck_constant):
+            with pytest.raises(DisconnectedGraph) as exc:
+                scan(g)
+            assert (exc.value.u, exc.value.v) == expected
 
 
 def test_delta_scan_matches_oracle_witness():
