@@ -1,7 +1,8 @@
 """Hot numeric kernels over integer distance matrices.
 
-BFS from a few sources (rows) serves most callers; three scans dominate
-runtime on nontrivial truncations:
+BFS from a few sources (rows, bit-parallel: 64 sources to a machine word)
+serves most callers; three scans dominate runtime on nontrivial
+truncations:
 
 * all-pairs BFS (apsp: rows from every source, the full distance matrix,
   built only for callers that need all pairs),
@@ -10,11 +11,13 @@ runtime on nontrivial truncations:
   the level drops to the best value, then a search for the lex-first
   witness in its canonical form x < y, x < z < w,
 * the bottleneck scan, per center a test-then-bisect over the levels
-  d(z, .) > c, each test comparing pairs on one sphere.
+  d(z, .) > c, each test comparing pairs on one sphere and labelling the
+  level set's components (level_components, min-label propagation).
 
-Each kernel has one numpy/scipy implementation; backend() names it.  Scan
-order and tie-breaks are fixed and documented per kernel, and the tests
-check values and witnesses against the brute-force oracles.
+Each kernel has one numpy implementation, with no other dependency;
+backend() names it.  Scan order and tie-breaks are fixed and documented per
+kernel, and the tests check values and witnesses against the brute-force
+oracles.
 """
 
 from __future__ import annotations
@@ -27,43 +30,137 @@ def backend() -> str:
 
 
 # ---------------------------------------------------------------------------
-# BFS distance rows
+# BFS distance rows, bit-parallel
 #
-# rows() runs scipy's csgraph BFS from the given sources only and returns an
-# int32 (len(sources), n) array; unreachable entries come back as inf and
-# are mapped to -1.  It asks scipy for blocks of sources, so the float64
-# array scipy returns stays near ROW_BLOCK entries however many rows are
-# wanted.  apsp() is rows() from every source, the full matrix.
+# rows() returns an int32 (len(sources), n) array, -1 where unreachable.  It
+# runs one BFS for a block of sources at once, each source one bit of a row
+# of uint64 words (Akiba, Iwata & Yoshida, SIGMOD 2013), so 64 sources cost
+# one word per vertex.  A level ORs the frontier words of each vertex's
+# neighbours and keeps the bits not seen yet; those bits are at the level's
+# distance, which is ORed into bit-planes of the distances (plane b holds
+# bit b of every distance) and read out once at the end.
 #
-# The CSR holds every edge in both directions, so a directed search gives
-# the undirected distances; directed=False would make scipy add the
-# transpose on every call.  float64 data is the dtype csgraph works in, so
-# it is not copied again.
+# Which vertices a level expands follows the frontier (Beamer, Asanovic &
+# Patterson, SC 2012).  A dense level reduces every CSR row, O(m) words
+# however small the frontier; while the frontier's CSR entries are fewer
+# than 1/SPARSE of all entries, a sparse level expands only those entries
+# and ORs them by target.  Long diameters (paths, cycles, double lines) keep
+# a frontier of a few vertices for many levels.  On graphs whose entries
+# times words are below SPARSE_MIN every level is dense, which is cheaper
+# there than the sparse level's extra numpy calls.
+#
+# A block holds about ROW_BLOCK entries of the result, and a dense level
+# gathers at most ROW_BLOCK bytes, but never fewer than one word of sources.
+# apsp() is rows() from every source, the full matrix.
 # ---------------------------------------------------------------------------
 
 ROW_BLOCK = 1 << 21
+SPARSE = 8
+SPARSE_MIN = 1 << 12
 
 
 def rows(indptr, indices, n, sources):
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import shortest_path
-
     sources = np.asarray(sources, dtype=np.int64).reshape(-1)
     out = np.empty((len(sources), n), dtype=np.int32)
     if not len(sources):
         return out
-    mat = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    step = max(1, ROW_BLOCK // n)
+    deg = np.diff(indptr)
+    step = 64 * max(1, ROW_BLOCK // (64 * n + 8 * len(indices)))
     for start in range(0, len(sources), step):
-        block = shortest_path(mat, method="D", unweighted=True, directed=True,
-                              indices=sources[start:start + step])
-        block[np.isinf(block)] = -1
-        out[start:start + step] = block
+        _bfs_block(indptr, indices, deg, sources[start:start + step],
+                   out[start:start + step])
     return out
 
 
 def apsp(indptr, indices, n):
     return rows(indptr, indices, n, np.arange(n))
+
+
+def _bfs_block(indptr, indices, deg, src, out):
+    """Fill out, a (len(src), n) int32 block, with the BFS rows of src."""
+    n, k = len(deg), len(src)
+    words = (k + 63) // 64
+    j = np.arange(k)
+    F = np.zeros((n, words), dtype=np.uint64)
+    np.bitwise_or.at(F, (src, j // 64), np.left_shift(np.uint64(1), (j % 64).astype(np.uint64)))
+    unseen = ~F
+    if k % 64:
+        unseen[:, -1] &= np.uint64((1 << (k % 64)) - 1)
+    nz = np.flatnonzero(deg)
+    starts = indptr[nz]
+    total = len(indices)
+    front = np.unique(src)
+    vals = F[front]
+    fe = int(deg[front].sum())     # CSR entries of the frontier
+    sparse_ok = total * words >= SPARSE_MIN
+    sparse = sparse_ok and fe * SPARSE < total
+    planes = []
+    d = 0
+    while fe:
+        d += 1
+        if sparse:
+            # the frontier's entries, grouped by target and ORed
+            cnt = deg[front]
+            ent = np.repeat(indptr[front] - (np.cumsum(cnt) - cnt), cnt) + np.arange(fe)
+            tgt = indices[ent]
+            order = np.argsort(tgt)
+            tgt = tgt[order]
+            first = np.flatnonzero(np.concatenate(([True], tgt[1:] != tgt[:-1])))
+            front = tgt[first]
+            new = np.bitwise_or.reduceat(np.repeat(vals, cnt, axis=0)[order], first, axis=0)
+            new &= unseen[front]
+            live = new.any(axis=1)
+            if not live.all():
+                front, new = front[live], new[live]
+            if not len(front):
+                break
+            unseen[front] ^= new
+        else:
+            # every row: reduceat over the rows with neighbours only, since
+            # an empty segment would yield its next entry instead of 0
+            if len(nz) < n:
+                new = np.zeros((n, words), dtype=np.uint64)
+                new[nz] = np.bitwise_or.reduceat(F[indices], starts, axis=0)
+            else:
+                new = np.bitwise_or.reduceat(F[indices], starts, axis=0)
+            new &= unseen
+            if not new.any():
+                break
+            unseen ^= new
+            F = new
+        for b in range(d.bit_length()):
+            if b == len(planes):
+                planes.append(np.zeros((n, words), dtype=np.uint64))
+            if (d >> b) & 1:
+                if sparse:
+                    planes[b][front] |= new
+                else:
+                    planes[b] |= new
+        if sparse:
+            vals = new
+            fe = int(deg[front].sum())
+            if fe * SPARSE >= total:
+                sparse = False
+                F = np.zeros((n, words), dtype=np.uint64)
+                F[front] = new
+        elif sparse_ok:
+            front = np.flatnonzero(new.any(axis=1))
+            fe = int(deg[front].sum())
+            if fe * SPARSE < total:
+                sparse = True
+                vals = new[front]
+    acc = np.zeros((n, k), dtype=np.uint8 if len(planes) <= 8 else np.int32)
+    for b, plane in enumerate(planes):
+        acc |= _unpack(plane, k).astype(acc.dtype, copy=False) << b
+    out[...] = acc.T
+    if unseen.any():
+        out[_unpack(unseen, k).T.astype(bool)] = -1
+
+
+def _unpack(words, k):
+    """(n, words) uint64 -> (n, k) uint8 of bits, bit j of a row first."""
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), axis=1,
+                         count=k, bitorder="little")
 
 
 # ---------------------------------------------------------------------------
@@ -178,22 +275,34 @@ def _lex_first_witness(D, v):
 def level_components(indptr, indices, keep):
     """Connected-component labels of the subgraph induced on the vertices
     where the boolean mask keep holds.  Labels of vertices outside keep are
-    meaningless (each is its own component)."""
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+    meaningless (each is its own component); only label equality means
+    anything.
 
+    Min-label propagation with pointer jumping: f[u] is a vertex of u's
+    component, never above u.  A round lowers f at u's parent f[u] to the
+    least f over u's neighbours, then replaces f by f[f] three times.
+    Everything only decreases, so a round that changes nothing leaves
+    f[f[u]] = f[u] <= f[v] for every kept edge u-v: f is constant on each
+    component, and distinct between components."""
     n = len(keep)
-    rows = np.repeat(np.arange(n), np.diff(indptr))
-    live = keep[rows] & keep[indices]
-    sub_indptr = np.zeros(n + 1, dtype=indices.dtype)
-    np.cumsum(np.bincount(rows[live], minlength=n), out=sub_indptr[1:])
-    sub_indices = indices[live]
-    # float64 data is the dtype csgraph works in, so it is not copied again;
-    # the subgraph keeps both directions of each edge, so its strong
-    # components are its components, found without adding the transpose
-    mat = csr_matrix((np.ones(len(sub_indices)), sub_indices, sub_indptr),
-                     shape=(n, n))
-    return connected_components(mat, directed=True, connection="strong")[1]
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    live = keep[src] & keep[indices]
+    src, dst = src[live], indices[live]
+    f = np.arange(n)
+    if not len(src):
+        return f
+    first = np.flatnonzero(np.concatenate(([True], src[1:] != src[:-1])))
+    hub = src[first]
+    while True:
+        low = np.minimum.reduceat(f[dst], first)
+        g = f.copy()
+        np.minimum.at(g, f[hub], low)
+        g = g[g]
+        g = g[g]
+        g = g[g]
+        if (g == f).all():
+            return f
+        f = g
 
 
 # ---------------------------------------------------------------------------

@@ -168,8 +168,9 @@ class MetricGraph:
         return _kernels.rows(self._indptr, self._indices, self.n, sources)
 
     def d(self, u: str, v: str) -> int:
-        """Shortest-path distance between two vertex ids (-1 if unreachable)."""
-        return int(self.dist[self.index(u), self.index(v)])
+        """Shortest-path distance between two vertex ids (-1 if unreachable),
+        from the BFS row of u unless dist is already built."""
+        return int(self.rows([self.index(u)])[0, self.index(v)])
 
     def tree_distances(self, u, v) -> np.ndarray:
         """d(u[k], v[k]) for index arrays u and v on a tree (NotATree

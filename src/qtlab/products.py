@@ -97,25 +97,46 @@ def product_distance(p: ProductSpace, x, y) -> ProductDistance:
     return ProductDistance("l2", None, sq, math.sqrt(sq))
 
 
+def _point_ids(p: ProductSpace) -> List[str]:
+    """point_id of every point, in points() order: each factor vertex is
+    encoded once, and a point's id joins its coordinates' encodings."""
+    enc = [[json.dumps(v) for v in f.vertex_ids] for f in p.factors]
+    return ["[" + ",".join(x) + "]" for x in itertools.product(*enc)]
+
+
+def _point_grid(p: ProductSpace) -> np.ndarray:
+    """Array of shape (n_1, ..., n_k): the points() position of each tuple
+    of factor indices."""
+    return np.arange(p.n_points).reshape([f.n for f in p.factors])
+
+
+def _coordinate_moves(grid: np.ndarray, i: int, src, dst):
+    """Positions (a, b) of the point pairs that differ in coordinate i
+    only, moving it from src[t] to dst[t]; ordered by a."""
+    g = np.moveaxis(grid, i, -1)
+    a = g[..., np.asarray(src, dtype=np.int64)].ravel()
+    b = g[..., np.asarray(dst, dtype=np.int64)].ravel()
+    order = np.argsort(a, kind="stable")
+    return a[order].tolist(), b[order].tolist()
+
+
 def product_skeleton(p: ProductSpace, max_points: Optional[int] = None) -> MetricGraph:
     """1-skeleton of the product: move along one factor edge at a time.
     BFS distance in it is the l1 product distance."""
     cap = resolve_cap(max_points, SKELETON_DEFAULT_CAP)
     if p.n_points > cap:
         raise SizeLimitExceeded(p.n_points, cap, "product_skeleton")
-    pts = p.points()
-    ids = [point_id(x) for x in pts]
+    ids = _point_ids(p)
+    grid = _point_grid(p)
     edges = []
-    for x in pts:
-        for i, f in enumerate(p.factors):
-            for nb in f.neighbors(x[i]):
-                if nb > x[i]:
-                    y = x[:i] + (nb,) + x[i + 1:]
-                    edges.append((point_id(x), point_id(y)))
+    for i, f in enumerate(p.factors):
+        e = f.edge_array()
+        a, b = _coordinate_moves(grid, i, e[:, 0], e[:, 1])
+        edges.extend((ids[s], ids[t]) for s, t in zip(a, b))
     boundary = []
     if any(f.boundary for f in p.factors):
         bsets = [set(f.boundary) for f in p.factors]
-        boundary = [point_id(x) for x in pts
+        boundary = [vid for vid, x in zip(ids, p.points())
                     if any(x[i] in bsets[i] for i in range(len(bsets)))]
     return MetricGraph(ids, edges, boundary=boundary)
 
@@ -301,18 +322,13 @@ def product_action(actions: Sequence[GroupAction],
         raise FormatError("need at least one action")
     space = ProductSpace([a.space for a in actions], "l1")
     skeleton = product_skeleton(space, max_points=max_points)
-    pts = space.points()
+    ids = _point_ids(space)
+    grid = _point_grid(space)
     gens = []
     for i, a in enumerate(actions):
-        ids = a.space.vertex_ids
         for gm in a.generators:
-            comp = {ids[s]: ids[d] for s, d in zip(*gm.pairs())}
-            fwd = {}
-            for x in pts:
-                img = comp.get(x[i])
-                if img is not None:
-                    fwd[point_id(x)] = point_id(x[:i] + (img,) + x[i + 1:])
-            gens.append((f"f{i}_{gm.name}", fwd))
+            src, dst = _coordinate_moves(grid, i, *gm.pairs())
+            gens.append((f"f{i}_{gm.name}", {ids[s]: ids[t] for s, t in zip(src, dst)}))
     if perm is not None:
         perm = tuple(perm)
         k = len(space.factors)
@@ -323,13 +339,9 @@ def product_action(actions: Sequence[GroupAction],
             if a.vertex_ids != b.vertex_ids or a.edge_pairs != b.edge_pairs:
                 raise FactorMismatch(
                     f"perm sends factor {i} to factor {j} but they differ as labeled graphs")
-        fwd = {}
-        for x in pts:
-            y = [None] * k
-            for i in range(k):
-                y[perm[i]] = x[i]
-            fwd[point_id(x)] = point_id(tuple(y))
-        gens.append(("perm", fwd))
+        # coordinate i of x becomes coordinate perm[i] of its image
+        image = np.transpose(grid, perm).ravel()
+        gens.append(("perm", {ids[s]: ids[t] for s, t in enumerate(image.tolist())}))
     action = GroupAction(skeleton, gens, mode="automorphism")
     return ProductActionResult(space, skeleton, action)
 

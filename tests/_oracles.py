@@ -86,6 +86,25 @@ def exhaustive_delta_witness(D):
     return (best,) + wit
 
 
+def induced_components(ids, edges, kept):
+    """{kept vertex: least id of its component} in the subgraph induced on
+    the set kept, by BFS from each kept vertex in id order."""
+    adj = adjacency(ids, edges)
+    rep = {}
+    for s in sorted(kept):
+        if s in rep:
+            continue
+        rep[s] = s
+        q = deque([s])
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                if v in kept and v not in rep:
+                    rep[v] = s
+                    q.append(v)
+    return rep
+
+
 def connected_avoiding(adj, dist_z, x, y, c):
     """Is there an x..y path through vertices at distance > c from z?"""
     if dist_z[x] <= c or dist_z[y] <= c:

@@ -429,6 +429,26 @@ def test_product_distance_and_geodesics_cli(tmp_path, capsys):
     assert res["passed"] is True
 
 
+def test_product_distance_reads_one_row_per_factor(tmp_path, capsys, monkeypatch):
+    """product distance needs d(x_i, y_i) in each factor: one BFS row each,
+    never a factor's all-pairs matrix."""
+    import qtlab._kernels
+
+    def refuse(*args):
+        raise AssertionError("the all-pairs distance matrix was built")
+
+    monkeypatch.setattr(qtlab._kernels, "apsp", refuse)
+    g, t = tmp_path / "c8.json", tmp_path / "bs12.json"
+    run_cli(capsys, ["construct", "cycle", "--params", '{"n": 8}', "--out", str(g)])
+    run_cli(capsys, ["construct", "bs12", "--params", '{"radius": 3}', "--out", str(t)])
+    for norm, want in (("l1", 7), ("linf", 4)):
+        rc, stdout, stderr = run_cli(capsys, [
+            "product", "distance", "--factors", str(g), str(t), "--norm", norm,
+            "--x", '["v0","m0:0/1"]', "--y", '["v4","m3:0/1"]'])
+        assert (rc, stderr) == (0, "")
+        assert json.loads(stdout)["results"]["exact"] == want
+
+
 def test_product_factor_check_cli(tmp_path, capsys):
     g = tmp_path / "p3.json"
     run_cli(capsys, ["construct", "path", "--params", '{"n": 3}', "--out", str(g)])
@@ -459,6 +479,39 @@ def test_product_distortion_cli_csv(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # command line, through a real process
+
+
+# graph commands in one fresh interpreter; `lm fit` is the one command that
+# may import scipy (scipy.optimize.linprog, its float fallback)
+NO_SCIPY_SCRIPT = r"""
+import contextlib, io, json, sys
+from qtlab.cli import main
+from qtlab.io import load_graph
+from qtlab.metric_graph import is_quasitree
+
+act = "doubleline-n16.action.json"
+runs = [
+    ["construct", "grid", "--params", '{"m": 4, "n": 5}', "--out", "grid.json"],
+    ["fixtures", "doubleline-n16", "--out", "."],
+    ["analyze", "--graph", "grid.json"],
+    ["orbit", "--action", act, "--basepoint", "(0,1)", "--horizon", "4"],
+    ["classify", "--action", act, "--basepoint", "(0,1)", "--horizon", "6"],
+    ["properness", "--action", act, "--horizon", "3"],
+    ["product", "distortion", "--factors", act, act, "--horizon", "3"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+assert is_quasitree(load_graph("grid.json"), 2).report.constant > 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_graph_commands_import_no_scipy(tmp_path, child_env):
+    r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True,
+                       cwd=str(tmp_path), text=True, env=child_env)
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout) == []
 
 
 def test_reports_are_byte_deterministic(tmp_path, child_env):

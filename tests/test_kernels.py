@@ -13,7 +13,8 @@ from qtlab.cli import _build_fixture
 
 from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
                       brute_level_joined, connected_avoiding, exhaustive_delta_witness,
-                      index_distances, random_connected_graph, random_tree_edges)
+                      index_distances, induced_components, random_connected_graph,
+                      random_tree_edges)
 
 
 def _csr(g):
@@ -65,23 +66,77 @@ def test_apsp_disconnected_minus_one():
 
 @pytest.mark.parametrize("block", [kernels.ROW_BLOCK, 7])
 def test_rows_match_oracle(monkeypatch, block):
-    # a small block makes rows() run several BFS calls per request
+    # a small block makes rows() run several BFS blocks per request: a block
+    # holds at least one word of 64 sources, and the graphs here have at
+    # most 30 vertices, so the 130-source request needs three
     monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    blocks = []
+    bfs_block = kernels._bfs_block
+
+    def counting(indptr, indices, deg, src, out):
+        blocks.append(len(src))
+        return bfs_block(indptr, indices, deg, src, out)
+
+    monkeypatch.setattr(kernels, "_bfs_block", counting)
     rng = random.Random(13)
     for ids, edges in _connected_and_split_graphs(rng, 20, 10):
         g = MetricGraph(ids, edges, allow_disconnected=True)
         oracle = all_distances(ids, edges)
         picks = [rng.randrange(g.n) for _ in range(rng.randrange(0, 12))]
-        for sources in ([], [0], picks, list(range(g.n))):
+        many = [rng.randrange(g.n) for _ in range(130)]
+        for sources in ([], [0], picks, list(range(g.n)), many):
+            blocks.clear()
             R = rows(*_csr(g), sources)
             assert R.dtype == np.int32 and R.shape == (len(sources), g.n)
             for k, s in enumerate(sources):
                 u = g.vertex_ids[s]
                 assert R[k].tolist() == [oracle[u].get(v, -1) for v in g.vertex_ids]
+            assert sum(blocks) == len(sources)
+            if sources is many:
+                assert len(blocks) == (3 if block == 7 else 1)
         # MetricGraph.rows answers from BFS, then from the matrix once built
         assert g._dist is None
         before = g.rows(picks)
         assert (g.rows(picks) == g.dist[picks]).all() and (before == g.dist[picks]).all()
+
+
+def _bfs_trap_graphs(rng):
+    """(ids, edges): one vertex, isolated vertices (first, inside and last in
+    index order, where reduceat's empty segments would bite), several
+    components, and shuffled paths and cycles of diameter 45 and more."""
+    cases = [(["a"], []), (["a", "b", "c"], []), (["a", "b", "c", "d"], [("b", "c")])]
+    ids, edges = random_connected_graph(rng, 20, 5)
+    cases.append((ids + ["!", "1x", "~"], edges))
+    cases += _connected_and_split_graphs(rng, 3, 3)
+    for n in (46, 90, 131):
+        labels = [str(v) for v in rng.sample(range(1000), n)]
+        path = [(labels[k], labels[k + 1]) for k in range(n - 1)]
+        cases.append((labels, path))
+        cases.append((labels, path + [(labels[-1], labels[0])]))
+    return cases
+
+
+# (SPARSE_MIN, SPARSE): the defaults; every graph allowed sparse levels, so
+# levels switch between the two kinds; sparse levels only
+BFS_MODES = {"default": (kernels.SPARSE_MIN, kernels.SPARSE), "switching": (0, kernels.SPARSE),
+             "sparse": (0, 0)}
+
+
+@pytest.mark.parametrize("mode", sorted(BFS_MODES))
+def test_rows_match_oracle_on_trap_graphs(monkeypatch, mode):
+    sparse_min, sparse = BFS_MODES[mode]
+    monkeypatch.setattr(kernels, "SPARSE_MIN", sparse_min)
+    monkeypatch.setattr(kernels, "SPARSE", sparse)
+    rng = random.Random(59)
+    for ids, edges in _bfs_trap_graphs(rng):
+        g = MetricGraph(ids, edges, allow_disconnected=True)
+        D = index_distances(ids, edges)
+        for count in (1, 63, 64, 65, 129):
+            sources = [rng.randrange(g.n) for _ in range(count)]
+            R = rows(*_csr(g), sources)
+            assert R.dtype == np.int32
+            assert (R == D[sources]).all(), (g, count)
+        assert (apsp(*_csr(g)) == D).all(), g
 
 
 def _tree_cases(rng):
@@ -266,3 +321,30 @@ def test_level_components_match_oracle():
                     for b in kept:
                         assert (labels[a] == labels[b]) == connected_avoiding(
                             adj, dz, g.vertex_ids[a], g.vertex_ids[b], c)
+
+
+def _same_partition(labels, rep, kept):
+    kept = sorted(kept)
+    for a in kept:
+        for b in kept:
+            assert (labels[a] == labels[b]) == (rep[a] == rep[b]), (a, b)
+
+
+def test_level_components_on_masks():
+    # all-False masks, kept vertices whose neighbours are all dropped, and
+    # random masks, on the trap graphs of the BFS tests
+    rng = random.Random(61)
+    for ids, edges in _bfs_trap_graphs(rng):
+        g = MetricGraph(ids, edges, allow_disconnected=True)
+        n = g.n
+        masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
+        lone = np.zeros(n, dtype=bool)
+        lone[::3] = True
+        masks.append(lone)
+        masks += [np.array([rng.random() < p for _ in range(n)]) for p in (0.3, 0.6, 0.9)]
+        for keep in masks:
+            labels = level_components(g._indptr, g._indices, keep)
+            assert labels.shape == (n,)
+            kept = set(np.flatnonzero(keep).tolist())
+            rep = induced_components(range(n), g.edge_pairs, kept)
+            _same_partition(labels, rep, kept)

@@ -10,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtlab import DimensionMismatch, FactorMismatch, FormatError, NormMismatch
+from qtlab.cli import _build_fixture
 from qtlab.constructions import cayley_graph, cycle_graph, grid_graph, path_graph
 from qtlab.group_action import GroupAction, Word, evaluate_word
+from qtlab.metric_graph import MetricGraph
 from qtlab.products import (
     ProductIsometry,
     ProductSpace,
@@ -35,6 +37,66 @@ def test_point_id_round_trip(coords):
 def test_point_id_survives_commas_and_quotes():
     tricky = ['a,b', 'c"d', "(0,1)"]
     assert point_of(point_id(tricky)) == tuple(tricky)
+
+
+def _assert_ids_are_point_ids(sp):
+    sk = product_skeleton(sp)
+    assert sk.vertex_ids == tuple(sorted(point_id(x) for x in sp.points()))
+    for i, f in enumerate(sp.factors):
+        for x in sp.points():
+            for nb in f.neighbors(x[i]):
+                y = x[:i] + (nb,) + x[i + 1:]
+                assert sk.has_edge(point_id(x), point_id(y))
+    assert sk.n_edges == sum(f.n_edges * sp.n_points // f.n for f in sp.factors)
+
+
+def test_skeleton_ids_are_point_ids_on_fixture_products():
+    small = [_build_fixture(name).graph for name in ("cone-z-r10", "coset-c30")]
+    for factors in (small, small[::-1], small[:1] * 3):
+        _assert_ids_are_point_ids(ProductSpace(factors))
+
+
+def test_skeleton_ids_are_point_ids_on_escaped_characters():
+    odd = ['a"b', "c\\d", "\u00e9", "\u221ax", "x,y", "[1]", "tab\t", "\U0001d53d"]
+    g = MetricGraph(odd, list(zip(odd, odd[1:])), boundary=[odd[2]])
+    sp = ProductSpace([g, path_graph(3), g])
+    _assert_ids_are_point_ids(sp)
+    sk = product_skeleton(sp)
+    assert sk.boundary == tuple(point_id(x) for x in sp.points()
+                                if odd[2] in (x[0], x[2]))
+
+
+def test_product_action_generators_use_point_ids():
+    c = _build_fixture("coset-c30").action
+    pa = product_action([c, c], perm=[1, 0])
+    ids = pa.skeleton.vertex_ids
+    for i in range(2):
+        for gm in c.generators:
+            fwd = pa.action.gen(f"f{i}_{gm.name}").forward
+            for s, t in zip(*gm.pairs()):
+                for other in c.space.vertex_ids:
+                    x = [other, other]
+                    y = [other, other]
+                    x[i], y[i] = c.space.vertex_ids[s], c.space.vertex_ids[t]
+                    assert ids[fwd[pa.skeleton.index(point_id(x))]] == point_id(y)
+    _assert_perm_moves_coordinates(pa, (1, 0))
+
+
+def _assert_perm_moves_coordinates(pa, perm):
+    ids, fwd = pa.skeleton.vertex_ids, pa.action.gen("perm").forward
+    for x in pa.product.points():
+        y = [None] * len(perm)
+        for i, j in enumerate(perm):
+            y[j] = x[i]
+        assert ids[fwd[pa.skeleton.index(point_id(x))]] == point_id(y)
+
+
+def test_product_action_cyclic_coordinate_permutation():
+    cz = cayley_graph("Z", 2)
+    pa = product_action([cz.action] * 3, perm=[2, 0, 1])
+    _assert_perm_moves_coordinates(pa, (2, 0, 1))
+    img = evaluate_word(pa.action, Word.parse("perm"), point_id(["0", "1", "2"]))
+    assert img == point_id(["1", "2", "0"])
 
 
 # ---------------------------------------------------------------------------
