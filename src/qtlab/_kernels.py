@@ -6,10 +6,11 @@ truncations:
 
 * all-pairs BFS (apsp: rows from every source, the full distance matrix,
   built only for callers that need all pairs),
-* the four-point hyperbolicity scan, pruned by the Cohen-Coudert-Lancin
-  bound defect2 <= min(d(x,y), d(z,w)): pairs by decreasing distance until
-  the level drops to the best value, then a search for the lex-first
-  witness in its canonical form x < y, x < z < w,
+* the four-point hyperbolicity scan, pruned as Cohen, Coudert & Lancin
+  do: far-apart pairs only (after the top level), by decreasing distance
+  until the level drops to the best value (defect2 <= min(d(x,y), d(z,w))),
+  then a search over all quadruples for the lex-first witness in its
+  canonical form x < y, x < z < w,
 * the bottleneck scan, per center a test-then-bisect over the levels
   d(z, .) > c, each test comparing pairs on one sphere and labelling the
   level set's components (level_components, min-label propagation).
@@ -164,7 +165,8 @@ def _unpack(words, k):
 
 
 # ---------------------------------------------------------------------------
-# four-point hyperbolicity scan (Cohen, Coudert & Lancin pruning)
+# four-point hyperbolicity scan (Cohen, Coudert & Lancin pruning, ACM JEA
+# 20, 2015)
 #
 # defect2(x,y,z,w) = d(x,y)+d(z,w) - max(d(x,z)+d(y,w), d(x,w)+d(y,z))
 #                  = 2 * (min((x.z)_w, (z.y)_w) - (x.y)_w)
@@ -176,11 +178,21 @@ def _unpack(words, k):
 # d(x,z)+d(x,w) >= d(z,w) and d(y,w)+d(y,z) >= d(z,w), so the larger of the
 # two other pairing sums is at least d(z,w) (and likewise d(x,y)).
 #
-# Phase 1 finds the value.  It visits the pairs i < j by decreasing
-# distance, one distance level at a time, and scores each pair of a level
-# against every pair at that distance or more.  Every quadruple whose
-# smaller pair lies at level L is scored there, and it cannot beat L; so the
-# scan stops at the first level <= best.
+# Far-apart pairs (Soto, PhD thesis, Paris Diderot 2011): (x, y) is
+# far-apart when no neighbour of x is farther from y and no neighbour of y
+# is farther from x.  Some quadruple of two far-apart pairs attains the
+# maximum: moving x to a neighbour x' with d(x',y) = d(x,y)+1 raises
+# d(x,y)+d(z,w) by 1 and each other pairing sum by at most 1, so defect2
+# does not drop; repeat on both pairs until it stops (the sum grows and is
+# bounded by twice the diameter).
+#
+# Phase 1 finds the value.  It visits the far-apart pairs i < j by
+# decreasing distance, one distance level at a time, and scores each pair
+# of a level against every far-apart pair at that distance or more.  Every
+# such quadruple whose smaller pair lies at level L is scored there, and it
+# cannot beat L; so the scan stops at the first level <= best.  Every pair
+# at the top level (the diameter) is far-apart, so the mask is built only
+# when the scan goes past that level; cycles and square grids stop there.
 #
 # Phase 2 finds the witness.  When the value v is 0, (0,0,0,0) is the
 # lex-first quadruple attaining it.  When v > 0 the four points are distinct
@@ -189,7 +201,8 @@ def _unpack(words, k):
 # v is therefore in the canonical form x < y, x < z < w, with d(x,y) >= v
 # and d(z,w) >= v.  Phase 2 scans x upward; for each x it scores the
 # candidates y, ascending, against the pairs (z, w), z > x, in lex order,
-# and returns the first hit.
+# and returns the first hit.  It scores all pairs, not only far-apart
+# ones: the lex-first witness need not be made of far-apart pairs.
 #
 # Both phases score in tiles of about BLOCK entries, so the extra memory of
 # a scan does not grow with n^4.
@@ -227,15 +240,42 @@ def delta_scan(D):
     return (v,) + _lex_first_witness(D, v)
 
 
+def _far_apart(D):
+    """(n, n) bool: (x, y) is far-apart when no neighbour of x is farther
+    from y and no neighbour of y is farther from x.  D is connected, n >= 2,
+    so every vertex has a neighbour and no reduceat segment is empty.
+    top[x, y], the largest d(x', y) over the neighbours x' of x, is one
+    maximum.reduceat over the rows of D at the neighbours, taken in blocks
+    of vertices that gather about ROW_BLOCK entries each."""
+    n = D.shape[0]
+    src, nb = np.nonzero(D == 1)
+    starts = np.searchsorted(src, np.arange(n + 1))
+    step = max(1, ROW_BLOCK // (n * int(np.diff(starts).max())))
+    top = np.empty_like(D)
+    for a in range(0, n, step):
+        s = starts[a:a + step + 1]
+        top[a:a + step] = np.maximum.reduceat(D[nb[s[0]:s[-1]]], s[:-1] - s[0], axis=0)
+    stay = top <= D
+    return stay & stay.T
+
+
 def _delta_value(D):
-    """Phase 1: the largest defect2, by levels of decreasing pair distance."""
+    """Phase 1: the largest defect2, by levels of decreasing pair distance,
+    over far-apart pairs only once the scan is past the top level."""
     iu, ju = np.triu_indices(D.shape[0], 1)
     d = D[iu, ju]
     order = np.argsort(-d, kind="stable")
     px, py, pd = iu[order], ju[order], d[order]
     best = 0
     start = 0
+    pruned = False
     while start < len(pd) and pd[start] > best:
+        if start and not pruned:
+            # every pair at the top level is far-apart, so it keeps its place
+            far = _far_apart(D)[px, py]
+            px, py, pd = px[far], py[far], pd[far]
+            pruned = True
+            continue
         end = int(np.searchsorted(-pd, -pd[start], side="right"))
         for rs, cs in _tiles(end - start, end):
             a = slice(start + rs.start, min(start + rs.stop, end))

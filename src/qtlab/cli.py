@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture
 from .io import (ACTION_FORMAT, GRAPH_FORMAT, load_action, load_graph,
-                 load_json, save_action, save_graph)
+                 load_json, save_action, save_graph, save_json)
 from .metric_graph import (bottleneck_constant, ends_profile,
                            enumerate_geodesics, hyperbolicity_delta)
 from .group_action import (Word, check_locally_finite_orbit, classify_action_type,
@@ -563,9 +563,7 @@ def cmd_fixtures(args):
         files["action"] = apath
         manifest["action"] = os.path.basename(apath)
         manifest["connectivity_radius"] = connectivity_radius(con.action, con.basepoint)
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    save_json(manifest, mpath)
     files["manifest"] = mpath
     results = {"fixture": args.name, "files": files,
                "n_vertices": con.graph.n, "basepoint": con.basepoint}

@@ -62,10 +62,16 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
         raise FormatError(f"bad graph object: {exc}") from exc
 
 
-def save_graph(g: MetricGraph, path: str) -> None:
+def save_json(obj, path: str) -> None:
+    """Write obj as compact JSON with sorted keys and a final newline.
+    json.dumps runs the C encoder; json.dump to a file handle runs the
+    pure-Python one, for the same bytes."""
     with open(path, "w") as fh:
-        json.dump(graph_to_dict(g), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def save_graph(g: MetricGraph, path: str) -> None:
+    save_json(graph_to_dict(g), path)
 
 
 def load_json(path: str):
@@ -135,9 +141,7 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
 
 
 def save_action(action, path: str, graph_ref: Optional[str] = None) -> None:
-    with open(path, "w") as fh:
-        json.dump(action_to_dict(action, graph_ref=graph_ref), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+    save_json(action_to_dict(action, graph_ref=graph_ref), path)
 
 
 def load_action(path: str, allow_disconnected: bool = False):

@@ -86,6 +86,22 @@ def exhaustive_delta_witness(D):
     return (best,) + wit
 
 
+def far_apart(D):
+    """Boolean matrix over the index distance matrix D of a connected graph:
+    (x, y) is far-apart when no neighbour of x is farther from y and no
+    neighbour of y is farther from x.  Neighbours are the entries at
+    distance 1."""
+    n = D.shape[0]
+    d = D.tolist()
+    nbrs = [[u for u in range(n) if d[x][u] == 1] for x in range(n)]
+    far = np.zeros((n, n), dtype=bool)
+    for x in range(n):
+        for y in range(n):
+            far[x, y] = (all(d[u][y] <= d[x][y] for u in nbrs[x])
+                         and all(d[u][x] <= d[x][y] for u in nbrs[y]))
+    return far
+
+
 def induced_components(ids, edges, kept):
     """{kept vertex: least id of its component} in the subgraph induced on
     the set kept, by BFS from each kept vertex in id order."""

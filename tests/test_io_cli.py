@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from qtlab import DisconnectedGraph, FormatError
-from qtlab.cli import main
+from qtlab.cli import _build_fixture, main
 from qtlab.constructions import cayley_graph, grid_graph, path_graph
 from qtlab.group_action import GroupAction, Word, evaluate_word
 from qtlab.io import (
@@ -372,6 +372,23 @@ def test_fixture_bundle(tmp_path, capsys):
     assert g.n == 66
     a = load_action(str(tmp_path / "doubleline-n16.action.json"))
     assert evaluate_word(a, Word.parse("s"), "(0,1)") == "(1,1)"
+
+
+def test_fixture_files_keep_the_json_dump_bytes(tmp_path, capsys):
+    # the files are written from one json.dumps string (the C encoder); they
+    # keep the bytes that json.dump to the file handle wrote
+    rc, _, _ = run_cli(capsys, ["fixtures", "doubleline-n16", "--out", str(tmp_path)])
+    assert rc == 0
+    con = _build_fixture("doubleline-n16")
+    manifest = tmp_path / "doubleline-n16.manifest.json"
+    for kind, obj in (("graph", graph_to_dict(con.graph)),
+                      ("action", action_to_dict(con.action, graph_ref="doubleline-n16.graph.json")),
+                      ("manifest", json.loads(manifest.read_text()))):
+        with open(tmp_path / "reference.json", "w") as fh:
+            json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
+            fh.write("\n")
+        assert (tmp_path / f"doubleline-n16.{kind}.json").read_bytes() == \
+            (tmp_path / "reference.json").read_bytes(), kind
 
 
 def test_fixture_listing(capsys):

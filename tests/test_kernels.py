@@ -13,7 +13,7 @@ from qtlab.cli import _build_fixture
 
 from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
                       brute_level_joined, connected_avoiding, exhaustive_delta_witness,
-                      index_distances, induced_components, random_connected_graph,
+                      far_apart, index_distances, induced_components, random_connected_graph,
                       random_tree_edges)
 
 
@@ -238,36 +238,81 @@ def test_delta_scan_matches_exhaustive_scan_on_farey_and_fixtures():
     _assert_delta_scan_matches_exhaustive(graphs)
 
 
-def test_delta_value_scores_only_the_levels_the_stop_rule_allows(monkeypatch):
-    # every level above the value v is scored; level v only when no
-    # quadruple whose two pairs are both farther apart than v attains v;
-    # no level below v
-    scored = set()
+@pytest.mark.parametrize("block", [kernels.ROW_BLOCK, 1 << 10])
+def test_far_apart_mask_matches_oracle(monkeypatch, block):
+    # the graphs of the exhaustive four-point tests above; the small block
+    # splits the neighbour gather into blocks of a few vertices
+    monkeypatch.setattr(kernels, "ROW_BLOCK", block)
+    rng = random.Random(47)
+    graphs = []
+    for _ in range(200):
+        n = rng.randrange(2, 61)
+        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
+    graphs += [grid_graph(m, k) for m in range(1, 11) for k in range(m, 11)]
+    graphs += [cycle_graph(k) for k in range(3, 91)]
+    graphs += [farey_graph(Q, P).graph for Q in range(1, 6) for P in (None, 2 * Q)]
+    graphs += [_build_fixture(name).graph for name in ("doubleline-n16", "cone-z-r10")]
+    for g in graphs:
+        if g.n > 1:
+            assert (kernels._far_apart(g.dist) == far_apart(g.dist)).all(), g
+
+
+def _scored_by_delta_value(monkeypatch):
+    """Monkeypatch _defects to record its pair arguments; returns the list
+    it appends (xa, ya, da, xb, yb, db) to."""
+    calls = []
     defects = kernels._defects
 
-    def recording(D, xa, ya, da, *rest):
-        scored.update(da.tolist())
-        return defects(D, xa, ya, da, *rest)
+    def recording(D, *pairs):
+        calls.append(pairs)
+        return defects(D, *pairs)
 
     monkeypatch.setattr(kernels, "_defects", recording)
+    return calls
+
+
+def _stop_rule_graphs():
     rng = random.Random(53)
     graphs = [cycle_graph(9), cycle_graph(10), grid_graph(3, 5)]
     for _ in range(40):
         n = rng.randrange(4, 19)
         graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, n))))
-    for g in graphs:
+    return graphs
+
+
+def test_delta_value_scores_far_apart_pairs_only(monkeypatch):
+    # a mask that keeps more than the far-apart pairs (one-sided, say)
+    # gives the same values, so only the scored pairs show it
+    calls = _scored_by_delta_value(monkeypatch)
+    for g in _stop_rule_graphs() + [farey_graph(Q, 2 * Q).graph for Q in (4, 5)]:
+        far = far_apart(g.dist)
+        calls.clear()
+        kernels._delta_value(g.dist)
+        for xa, ya, _, xb, yb, _ in calls:
+            assert far[xa, ya].all() and far[xb, yb].all(), g
+
+
+def test_delta_value_scores_only_the_levels_the_stop_rule_allows(monkeypatch):
+    # only far-apart pairs are scored: every level above the value v that
+    # holds a far-apart pair is scored; level v only when no quadruple of
+    # two far-apart pairs, both farther apart than v, attains v; no level
+    # below v
+    calls = _scored_by_delta_value(monkeypatch)
+    for g in _stop_rule_graphs():
         D = g.dist.astype(np.int64)
         pair1 = D[:, :, None, None] + D[None, None, :, :]
         pair2 = D[:, None, :, None] + D[None, :, None, :]
         pair3 = D[:, None, None, :] + D[None, :, :, None]
         defect = pair1 - np.maximum(pair2, pair3)
         nearer = np.minimum(D[:, :, None, None], D[None, None, :, :])
+        far = far_apart(D)
+        both = far[:, :, None, None] & far[None, None, :, :]
         v = int(defect.max())
-        above = int(defect[nearer > v].max(initial=0))
-        want = {L for L in np.unique(D).tolist() if L > v or (L == v > above)}
-        scored.clear()
+        above = int(defect[both & (nearer > v)].max(initial=0))
+        want = {L for L in np.unique(D[far]).tolist() if L > v or (L == v > above)}
+        calls.clear()
         assert kernels._delta_value(g.dist) == v, g
-        assert scored == want, g
+        assert {L for call in calls for L in call[2].tolist()} == want, g
 
 
 def test_bottleneck_center_matches_oracle():
