@@ -184,23 +184,20 @@ def cmd_construct(args):
     base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
     base_action = load_action(args.action) if args.action else None
 
-    action = None
-    basepoint = None
-    extras = {}
     if name == "path":
-        graph = C.path_graph(num("n"))
+        con = C.Construction(C.path_graph(num("n")), None, None)
     elif name == "cycle":
-        graph = C.cycle_graph(num("n"))
+        con = C.Construction(C.cycle_graph(num("n")), None, None)
     elif name == "grid":
-        graph = C.grid_graph(num("m"), num("n"))
+        con = C.Construction(C.grid_graph(num("m"), num("n")), None, None)
     elif name == "star":
-        graph = C.star_graph(num("leaves"))
+        con = C.Construction(C.star_graph(num("leaves")), None, None)
     elif name == "tree":
-        graph = C.regular_tree(num("degree"), num("depth"))
+        con = C.Construction(C.regular_tree(num("degree"), num("depth")), None, None)
     elif name == "rips":
         if base is None:
             raise FormatError("construct rips needs --graph for the base")
-        graph = C.rips_graph(base, num("r"))
+        con = C.Construction(C.rips_graph(base, num("r")), None, None)
     elif name == "cayley":
         if "family" not in params:
             raise FormatError("construct cayley: missing parameter 'family'")
@@ -209,13 +206,10 @@ def cmd_construct(args):
         if gens is not None:
             gens = param("gens", lambda v: _as_gen_steps(family, v), "a list of generator steps")
         con = C.cayley_graph(family, num("radius"), gens=gens)
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "farey":
         con = C.farey_graph(num("Q"), num("P") if "P" in params else None)
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "bs12":
         con = C.bass_serre_tree_bs12(num("radius"))
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "coset":
         chain = str(params.get("chain", "c30"))
         if chain == "c6":
@@ -225,27 +219,24 @@ def cmd_construct(args):
         else:
             raise FormatError(f"unknown chain {chain!r}; have c6, c30")
         con = C.coset_tree(table, ch)
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "doubleline":
         con = C.double_line_graph(num("n"),
                                   param("swaps", _int_tuple, "a list of integers")
                                   if "swaps" in params else (0, 3))
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "cone":
         if base is None:
             raise FormatError("construct cone needs --graph for the base")
         con = C.cone_graph(base, base_action, basepoint=params.get("basepoint"))
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     elif name == "horoball":
         if base is None:
             raise FormatError("construct horoball needs --graph for the base")
         con = C.horoball(base, base_action, depth=num("depth", 1),
                          basepoint=params.get("basepoint"))
-        graph, action, basepoint, extras = con.graph, con.action, con.basepoint, con.extras
     else:
         raise FormatError(
             f"unknown construction {name!r}; have path, cycle, grid, star, tree, "
             "rips, cayley, farey, bs12, coset, doubleline, cone, horoball")
+    graph, action = con.graph, con.action
 
     written = {}
     if args.out:
@@ -260,9 +251,9 @@ def cmd_construct(args):
         "family": name,
         "n_vertices": graph.n,
         "n_edges": len(graph.edges()),
-        "basepoint": basepoint,
+        "basepoint": con.basepoint,
         "has_action": action is not None,
-        "extras": extras,
+        "extras": con.extras,
         "written": written,
     }
     return _report("construct", {"family": name, "params": params,
@@ -587,7 +578,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="qtlab",
         description="metric graphs, group actions and their orbit geometry")
     p.add_argument("--seed", type=int, default=0,
-                   help="recorded in every report; fixes any randomized choices")
+                   help="recorded in every report as determinism_seed; no command is randomized")
     p.add_argument("--max-vertices", type=int, default=None,
                    help="global size cap (sets QTLAB_MAX_VERTICES)")
     sub = p.add_subparsers(dest="command", required=True)

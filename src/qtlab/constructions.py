@@ -25,7 +25,8 @@ from .group_action import GroupAction
 
 @dataclass
 class Construction:
-    """A built space plus the bundled action and a sensible basepoint.
+    """A built space plus the bundled action and a sensible basepoint (both
+    None for a plain graph).
 
     extras holds builder-specific data (end rays, coset levels, apex ids)
     keyed by plain strings so fixtures can serialize it untyped.
@@ -33,7 +34,7 @@ class Construction:
 
     graph: MetricGraph
     action: Optional[GroupAction]
-    basepoint: str
+    basepoint: Optional[str]
     extras: dict = field(default_factory=dict)
 
 
@@ -138,8 +139,7 @@ class FiniteGroupTable:
     and inverses are always verified.
     """
 
-    def __init__(self, elements: Sequence[str], mult: Dict[Tuple[str, str], str],
-                 chain: Optional[Sequence[Sequence[str]]] = None):
+    def __init__(self, elements: Sequence[str], mult: Dict[Tuple[str, str], str]):
         self.elements = tuple(str(e) for e in elements)
         if not self.elements:
             raise FormatError("group table needs at least one element")
@@ -178,7 +178,6 @@ class FiniteGroupTable:
                         if self.mult[(ab, c)] != self.mult[(a, self.mult[(b, c)])]:
                             raise FormatError(
                                 f"multiplication is not associative at ({a!r},{b!r},{c!r})")
-        self.chain = tuple(tuple(h) for h in chain) if chain is not None else None
 
     @property
     def order(self) -> int:
@@ -249,8 +248,6 @@ def c30_chain() -> Tuple[FiniteGroupTable, Tuple[Tuple[str, ...], ...]]:
 
 
 def _validate_chain(table: FiniteGroupTable, chain) -> List[Tuple[str, ...]]:
-    if chain is None:
-        chain = table.chain
     if not chain:
         raise InvalidChain("no subgroup chain given")
     out = [tuple(h) for h in chain]
@@ -266,7 +263,7 @@ def _validate_chain(table: FiniteGroupTable, chain) -> List[Tuple[str, ...]]:
     return out
 
 
-def coset_tree(table: FiniteGroupTable, chain=None) -> Construction:
+def coset_tree(table: FiniteGroupTable, chain) -> Construction:
     """Tree of nested cosets: level-i vertices are the cosets of chain[i],
     with an edge from each coset to the level-(i+1) coset containing it.
 
@@ -365,17 +362,32 @@ def _ball_bfs(start, steps, radius):
     return dist
 
 
-_F2_INV = {"x": "X", "X": "x", "y": "Y", "Y": "y"}
-
-
 def _f2_mul(left: str, word: str) -> str:
+    """Free reduction of left * word; a capital letter is the inverse."""
     out = list(left)
     for ch in word:
-        if out and out[-1] == _F2_INV[ch]:
+        if out and out[-1] == ch.swapcase():
             out.pop()
         else:
             out.append(ch)
     return "".join(out)
+
+
+def _cayley_ball(family, radius, e, steps, names, vid, mul, inv) -> Construction:
+    """Ball of the given radius about e in the Cayley graph of the generators
+    `steps` (named `names`), for the group law mul with inverse inv.  The BFS
+    steps by each generator and then its inverse; edges join v and v*g, and
+    each generator acts by left multiplication, restricted to the ball."""
+    dist = _ball_bfs(e, lambda v: (u for g in steps for u in (mul(v, g), mul(v, inv(g)))),
+                     radius)
+    edges = {tuple(sorted((vid(v), vid(mul(v, g)))))
+             for v in dist for g in steps if mul(v, g) in dist}
+    gen_maps = [(name, {vid(v): vid(mul(g, v)) for v in dist if mul(g, v) in dist})
+                for g, name in zip(steps, names)]
+    boundary = [vid(v) for v, d in dist.items() if d == radius]
+    graph = MetricGraph([vid(v) for v in dist], edges, boundary=boundary)
+    action = GroupAction(graph, gen_maps, mode="automorphism")
+    return Construction(graph, action, vid(e), extras={"family": family, "radius": radius})
 
 
 def cayley_graph(family: str, radius: int, gens=None,
@@ -396,100 +408,28 @@ def cayley_graph(family: str, radius: int, gens=None,
         steps = tuple(gens) if gens else (1,)
         if not steps or any(not isinstance(g, int) or g == 0 for g in steps):
             raise FormatError("Z generators must be nonzero integers")
-        reach = {}
-        frontier = [0]
-        reach[0] = 0
-        for depth in range(radius):
-            nxt = []
-            for v in frontier:
-                for g in steps:
-                    for u in (v + g, v - g):
-                        if u not in reach:
-                            reach[u] = depth + 1
-                            nxt.append(u)
-            frontier = nxt
-        vid = lambda v: str(v)
-        edges = set()
-        for v in reach:
-            for g in steps:
-                if v + g in reach:
-                    edges.add(tuple(sorted((vid(v), vid(v + g)))))
         names = ["s"] if len(steps) == 1 else [f"s{g}" for g in steps]
-        gen_maps = []
-        for g, name in zip(steps, names):
-            gen_maps.append((name, {vid(v): vid(v + g) for v in reach if v + g in reach}))
-        boundary = [vid(v) for v, d in reach.items() if d == radius]
-        graph = MetricGraph([vid(v) for v in reach], edges, boundary=boundary)
-        action = GroupAction(graph, gen_maps, mode="automorphism")
-        return Construction(graph, action, "0", extras={"family": family, "radius": radius})
+        return _cayley_ball(family, radius, 0, steps, names, str,
+                            lambda a, b: a + b, lambda a: -a)
 
     if family == "Z2":
         steps = tuple(tuple(g) for g in gens) if gens else ((1, 0), (0, 1))
         if not steps or any(len(g) != 2 or g == (0, 0) for g in steps):
             raise FormatError("Z2 generators must be nonzero integer pairs")
-        reach = {(0, 0): 0}
-        frontier = [(0, 0)]
-        for depth in range(radius):
-            nxt = []
-            for v in frontier:
-                for g in steps:
-                    for u in ((v[0] + g[0], v[1] + g[1]), (v[0] - g[0], v[1] - g[1])):
-                        if u not in reach:
-                            reach[u] = depth + 1
-                            nxt.append(u)
-            frontier = nxt
-        vid = lambda v: f"{v[0]},{v[1]}"
-        edges = set()
-        for v in reach:
-            for g in steps:
-                u = (v[0] + g[0], v[1] + g[1])
-                if u in reach:
-                    edges.add(tuple(sorted((vid(v), vid(u)))))
         if steps == ((1, 0), (0, 1)):
             names = ["sx", "sy"]
         else:
             names = [f"s{k}" for k in range(len(steps))]
-        gen_maps = []
-        for g, name in zip(steps, names):
-            fwd = {}
-            for v in reach:
-                u = (v[0] + g[0], v[1] + g[1])
-                if u in reach:
-                    fwd[vid(v)] = vid(u)
-            gen_maps.append((name, fwd))
-        boundary = [vid(v) for v, d in reach.items() if d == radius]
-        graph = MetricGraph([vid(v) for v in reach], edges, boundary=boundary)
-        action = GroupAction(graph, gen_maps, mode="automorphism")
-        return Construction(graph, action, "0,0", extras={"family": family, "radius": radius})
+        return _cayley_ball(family, radius, (0, 0), steps, names,
+                            lambda v: f"{v[0]},{v[1]}",
+                            lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                            lambda a: (-a[0], -a[1]))
 
     if family == "F2":
         if gens is not None:
             raise FormatError("F2 generators are fixed (x, y)")
-        words = [""]
-        frontier = [""]
-        for depth in range(radius):
-            nxt = []
-            for w in frontier:
-                for l in "xXyY":
-                    u = _f2_mul(w, l)      # right multiply
-                    if len(u) > len(w):
-                        words.append(u)
-                        nxt.append(u)
-            frontier = nxt
-        vid = lambda w: w if w else "e"
-        edges = [(vid(w), vid(w[:-1])) for w in words if w]
-        gen_maps = []
-        for l in ("x", "y"):
-            fwd = {}
-            for w in words:
-                u = _f2_mul(l, w)          # left multiply
-                if len(u) <= radius:
-                    fwd[vid(w)] = vid(u)
-            gen_maps.append((l, fwd))
-        boundary = [vid(w) for w in words if len(w) == radius]
-        graph = MetricGraph([vid(w) for w in words], edges, boundary=boundary)
-        action = GroupAction(graph, gen_maps, mode="automorphism")
-        return Construction(graph, action, "e", extras={"family": family, "radius": radius})
+        return _cayley_ball(family, radius, "", ("x", "y"), ("x", "y"),
+                            lambda w: w if w else "e", _f2_mul, str.swapcase)
 
     if family == "finite":
         if table is None:
@@ -502,32 +442,8 @@ def cayley_graph(family: str, radius: int, gens=None,
                 raise FormatError(f"generator {g!r} is not a table element")
             if g == table.identity:
                 raise FormatError("identity is not a useful generator")
-        reach = {table.identity: 0}
-        frontier = [table.identity]
-        for depth in range(radius):
-            nxt = []
-            for v in frontier:
-                for g in sg:
-                    for u in (table.mul(v, g), table.mul(v, table.inv(g))):
-                        if u not in reach:
-                            reach[u] = depth + 1
-                            nxt.append(u)
-            frontier = nxt
-        edges = set()
-        for v in reach:
-            for g in sg:
-                u = table.mul(v, g)
-                if u in reach and u != v:
-                    edges.add(tuple(sorted((v, u))))
-        gen_maps = []
-        for g in sg:
-            fwd = {v: table.mul(g, v) for v in reach if table.mul(g, v) in reach}
-            gen_maps.append((g, fwd))
-        boundary = [v for v, d in reach.items() if d == radius]
-        graph = MetricGraph(reach, edges, boundary=boundary)
-        action = GroupAction(graph, gen_maps, mode="automorphism")
-        return Construction(graph, action, table.identity,
-                            extras={"family": family, "radius": radius})
+        return _cayley_ball(family, radius, table.identity, sg, sg, str,
+                            table.mul, table.inv)
 
     raise UnknownFamily(f"unknown Cayley family {family!r}")
 

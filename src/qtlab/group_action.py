@@ -26,10 +26,10 @@ from .errors import (
     NotATree,
     NotAQuasitree,
     OutOfTruncation,
+    SizeLimitExceeded,
     VertexNotFound,
 )
 from .metric_graph import (
-    DELTA_DEFAULT_CAP,
     MetricGraph,
     QuasitreeResult,
     hyperbolicity_delta,
@@ -188,8 +188,9 @@ class GroupAction:
         except KeyError:
             raise FormatError(f"no generator named {name!r}") from None
 
-    def gen_names(self) -> Tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
+    def letters(self) -> List[Tuple[str, int]]:
+        """Every signed letter: generator index ascending, +1 before -1."""
+        return [(g.name, s) for g in self.generators for s in (1, -1)]
 
     def letter_map(self, name: str, sign: int) -> np.ndarray:
         g = self.gen(name)
@@ -276,10 +277,7 @@ def orbit(a: GroupAction, x0: str, horizon: int) -> OrbitResult:
     `horizon`.  Expansion order is generator index ascending, +1 before -1,
     which makes witness words the lexicographically-first shortest ones."""
     start = a.space.index(x0)
-    letters = []
-    for gi, gm in enumerate(a.generators):
-        letters.append((gm.name, 1))
-        letters.append((gm.name, -1))
+    letters = a.letters()
     witnesses = {start: Word()}
     order = [start]
     frontier = [start]
@@ -327,20 +325,19 @@ class LocalFinitenessReport:
 def check_locally_finite_orbit(a: GroupAction, x0: str, rho_max: int, horizon: int) -> LocalFinitenessReport:
     """Counts orbit points in balls around x0, at the full horizon and at half
     of it.  A count that is still growing with the horizon at fixed radius is
-    evidence against a locally finite orbit and raises the warning flag."""
-    full = orbit(a, x0, horizon)
-    half = orbit(a, x0, max(1, horizon // 2))
-    xi = a.space.index(x0)
-    drow = a.space.rows([xi])[0]
+    evidence against a locally finite orbit and raises the warning flag.
+    One walk to the larger horizon serves both: a point is in the orbit at
+    horizon h exactly when its witness word has length at most h."""
+    half = max(1, horizon // 2)
+    res = orbit(a, x0, max(horizon, half))
+    drow = a.space.rows([a.space.index(x0)])[0]
 
-    def ball_counts(res):
-        ds = sorted(int(drow[a.space.index(v)]) for v in res.vertices)
-        out = []
-        for rho in range(rho_max + 1):
-            out.append(sum(1 for d in ds if 0 <= d <= rho))
-        return tuple(out)
+    def ball_counts(h):
+        ds = [int(drow[a.space.index(v)]) for v in res.vertices
+              if len(res.witnesses[v]) <= h]
+        return tuple(sum(1 for d in ds if 0 <= d <= rho) for rho in range(rho_max + 1))
 
-    cf = ball_counts(full)
+    cf = ball_counts(horizon)
     ch = ball_counts(half)
     warning = any(f > h for f, h in zip(cf, ch))
     return LocalFinitenessReport(x0, horizon, cf, ch, warning)
@@ -501,16 +498,17 @@ class IsometryReport:
 
 
 def _ambient_slack(g: MetricGraph) -> Tuple[Fraction, Optional[str]]:
-    """4 * delta when the hyperbolicity scan is affordable, else a documented
-    default of 4 with a note."""
+    """4 * delta when the hyperbolicity scan is within its size cap, else a
+    documented default of 4 with a note."""
     cached = getattr(g, "_delta4_cache", None)
     if cached is not None:
         return cached, None
-    if g.n <= DELTA_DEFAULT_CAP:
+    try:
         val = 4 * hyperbolicity_delta(g).delta
-        g._delta4_cache = val
-        return val, None
-    return Fraction(4), "ambient delta not computed (graph over cap); using slack 4"
+    except SizeLimitExceeded:
+        return Fraction(4), "ambient delta not computed (graph over cap); using slack 4"
+    g._delta4_cache = val
+    return val, None
 
 
 def classify_isometry(
@@ -518,20 +516,19 @@ def classify_isometry(
     w: Word,
     x0: str,
     horizon: int = 32,
-    slack: Optional[Fraction] = None,
     space_is_quasitree: Optional[bool] = None,
 ) -> IsometryReport:
     """Elliptic / loxodromic / parabolic-candidate classification of one word.
 
     Pipeline: power-orbit cycle detection (elliptic, certified); exact
     translation length on trees; otherwise a displacement-doubling test with
-    additive slack (default 4*delta of the ambient space) for loxodromy, and
-    a decay gate for parabolic candidates: the tau upper bound must fall
-    under the horoball rate 2*(1 + ceil(log2 n))/n and the power orbit must
-    escape past 3/4 of the truncation radius seen from x0.  Parabolic
-    candidates are demoted to Unknown when the ambient space is known to be a
-    quasitree (finitely generated groups acting on quasitrees have no
-    parabolic isometries)."""
+    additive slack 4*delta of the ambient space (4 over the size cap) for
+    loxodromy, and a decay gate for parabolic candidates: the tau upper
+    bound must fall under the horoball rate 2*(1 + ceil(log2 n))/n and the
+    power orbit must escape past 3/4 of the truncation radius seen from x0.
+    Parabolic candidates are demoted to Unknown when the ambient space is
+    known to be a quasitree (finitely generated groups acting on quasitrees
+    have no parabolic isometries)."""
     notes: List[str] = []
     xi = a.space.index(x0)
     ids = a.space.vertex_ids
@@ -587,10 +584,9 @@ def classify_isometry(
     dists = [int(drow[p]) for p in points]
     tau_upper = min(Fraction(dists[k], k) for k in range(1, n_reached + 1))
 
-    if slack is None:
-        slack, note = _ambient_slack(a.space)
-        if note:
-            notes.append(note)
+    slack, note = _ambient_slack(a.space)
+    if note:
+        notes.append(note)
     doubling_ok = all(
         dists[2 * k] >= 2 * dists[k] - slack
         for k in range(1, n_reached // 2 + 1)
@@ -678,16 +674,17 @@ def serre_elliptic_test(a: GroupAction, words: Optional[Sequence[Word]] = None) 
 # ---------------------------------------------------------------------------
 
 
-def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word, min_tail: int = 3) -> int:
+def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word) -> int:
     """Translation of the basepoint ray[0] along the end defined by a
     geodesic ray.  Computed as the stable value of
 
         d(g(ray[0]), ray[n]) - d(ray[0], ray[n]),
 
     positive when g moves the basepoint away from the end.  EndNotInvariant
-    when the differences do not stabilize over the available tail."""
+    when the differences do not stabilize over the last three points of the
+    ray."""
     ray = [str(v) for v in ray]
-    if len(ray) < max(2, min_tail):
+    if len(ray) < 3:
         raise EndNotInvariant("ray too short to certify an end")
     r0 = a.space.index(ray[0])
     r0row = a.space.rows([r0])[0]
@@ -710,16 +707,16 @@ def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word, min_tail:
     images = gmap[ridx]
     images = images[images >= 0]
     drift = [int(d) for d in a.space.rows(images)[:, ridx].min(axis=1)]
-    if len(drift) < min_tail:
+    if len(drift) < 3:
         raise EndNotInvariant("image of the ray leaves the truncation too early")
-    if len(set(drift[-min_tail:])) != 1:
+    if len(set(drift[-3:])) != 1:
         raise EndNotInvariant(
             f"image of the ray drifts away from it: distances {drift[-6:]}"
         )
     gx = a.space.index(evaluate_word(a, w, ray[0]))
     gxrow = a.space.rows([gx])[0]
     vals = [int(gxrow[vi]) - k for k, vi in enumerate(ridx)]
-    tail = vals[-min_tail:]
+    tail = vals[-3:]
     if len(set(tail)) != 1:
         raise EndNotInvariant(
             f"Busemann differences do not stabilize along the ray tail: {vals[-6:]}"
@@ -762,7 +759,7 @@ def _realized_walk(a: GroupAction, horizon: int):
     stack, and deeper candidates still merge into it, so a caller that keeps
     a shallower state must copy it before resuming the walk."""
     n = a.space.n
-    letters = [(gm.name, s) for gm in a.generators for s in (1, -1)]
+    letters = a.letters()
     maps = [a.letter_map(name, sign) for name, sign in letters]
     stack = np.empty((64, n), dtype=np.int64)
     stack[0] = np.arange(n)
@@ -939,13 +936,9 @@ class ActionTypeReport:
     loxodromics: tuple         # display strings of loxodromic words found
 
 
-def _reduced_words(names: Sequence[str], max_len: int) -> List[Word]:
-    """All nonempty freely reduced words up to max_len, letters in generator
-    order with +1 before -1."""
-    letters = []
-    for n in names:
-        letters.append((n, 1))
-        letters.append((n, -1))
+def _reduced_words(letters: Sequence[Tuple[str, int]], max_len: int) -> List[Word]:
+    """All nonempty freely reduced words up to max_len, extending each word
+    by the letters in the given order."""
     out: List[Word] = []
     frontier: List[Word] = [Word()]
     for _ in range(max_len):
@@ -982,18 +975,17 @@ def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, x0row, horizon: in
 
 
 def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
-                          reps, orbit_idx, gromov2, power: int,
-                          threshold: int) -> Optional[dict]:
-    """Checks a ping-pong schedule for w1^power, w2^power on the orbit.
+                          reps, orbit_idx, gromov2) -> Optional[dict]:
+    """Checks a ping-pong schedule for w1^2, w2^2 on the orbit.
 
-    Quadrants are orbit points with Gromov product >= threshold against each
-    of the four direction fingerprints; gromov2(v, rep) is twice the Gromov
-    product (v . rep) at x0.  Requires pairwise disjoint quadrants,
-    basepoint outside all of them, and each signed power mapping every defined
-    orbit point outside its repelling quadrant into its attracting one."""
+    Quadrants are orbit points with Gromov product >= 1 against each of the
+    four direction fingerprints; gromov2(v, rep) is twice the Gromov product
+    (v . rep) at x0.  Requires pairwise disjoint quadrants, basepoint
+    outside all of them, and each signed square mapping every defined orbit
+    point outside its repelling quadrant into its attracting one."""
     quads = []
     for rep in reps:
-        quads.append({v for v in orbit_idx if gromov2(v, rep) >= 2 * threshold})
+        quads.append({v for v in orbit_idx if gromov2(v, rep) >= 2})
     for i in range(4):
         for j in range(i + 1, 4):
             if quads[i] & quads[j]:
@@ -1001,10 +993,10 @@ def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
     if any(x0i in q for q in quads):
         return None
     moves = [
-        (w1.power(power), quads[1], quads[0]),
-        (w1.power(-power), quads[0], quads[1]),
-        (w2.power(power), quads[3], quads[2]),
-        (w2.power(-power), quads[2], quads[3]),
+        (w1.power(2), quads[1], quads[0]),
+        (w1.power(-2), quads[0], quads[1]),
+        (w2.power(2), quads[3], quads[2]),
+        (w2.power(-2), quads[2], quads[3]),
     ]
     checked = 0
     for wp, repelling, attracting in moves:
@@ -1020,9 +1012,9 @@ def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
         if not any_defined:
             return None
     return {
-        "powers": (f"{w1.display()}^{power}", f"{w2.display()}^{power}"),
+        "powers": (f"{w1.display()}^2", f"{w2.display()}^2"),
         "checks": checked,
-        "threshold": threshold,
+        "threshold": 1,
     }
 
 
@@ -1030,25 +1022,21 @@ def classify_action_type(
     a: GroupAction,
     x0: str,
     horizon: int = 8,
-    word_cap: int = 2,
-    sep_threshold: Optional[int] = None,
-    pp_threshold: int = 1,
-    pp_power: int = 2,
     space_is_quasitree: Optional[bool] = None,
 ) -> ActionTypeReport:
     """Finite-horizon surrogate of the bounded / horocyclic / lineal / focal /
     general classification of an action on a hyperbolic space.
 
-    Pipeline: a fully exhausted orbit certifies Bounded; otherwise words up
-    to word_cap are scanned for loxodromics.  None found with an unbounded
-    orbit gives ParabolicCandidate (heuristic).  With loxodromics, direction
-    fingerprints (farthest points along g^{+-n} x0) are clustered by Gromov
-    product at sep_threshold (default half the largest fingerprint radius):
-    one shared unordered pair of directions is Lineal, one shared direction
-    with at least two distinct opposite directions is QuasiParabolic, and two
-    loxodromics with four separated directions plus a verified ping-pong
-    schedule (default powers 2, giving a displacement margin over the
-    quadrant threshold) certify General."""
+    Pipeline: a fully exhausted orbit certifies Bounded; otherwise the
+    reduced words of length at most 2 are scanned for loxodromics.  None
+    found with an unbounded orbit gives ParabolicCandidate (heuristic).  With
+    loxodromics, direction fingerprints (farthest points along g^{+-n} x0)
+    are clustered by Gromov product at sep_threshold, half the largest
+    fingerprint radius (at least 1): one shared unordered pair of directions
+    is Lineal, one shared direction with at least two distinct opposite
+    directions is QuasiParabolic, and two loxodromics with four separated
+    directions plus a verified ping-pong schedule (squares, giving a
+    displacement margin over the quadrant threshold 1) certify General."""
     x0i = a.space.index(x0)
     ids = a.space.vertex_ids
     orb = orbit(a, x0, max(horizon, 4))
@@ -1056,7 +1044,7 @@ def classify_action_type(
         return ActionTypeReport("Bounded", "certified",
                                 {"orbit_size": orb.size, "horizon": orb.horizon}, ())
 
-    words = _reduced_words(a.gen_names(), word_cap)
+    words = _reduced_words(a.letters(), 2)
     quasitree = space_is_quasitree
     if quasitree is None:
         quasitree = a.space.is_tree()
@@ -1104,8 +1092,7 @@ def classify_action_type(
         return int(x0row[v]) + int(x0row[rep]) - int(rep_rows[rep][v])
 
     radius = max(int(x0row[r]) for r in reps)
-    if sep_threshold is None:
-        sep_threshold = max(1, radius // 2)
+    sep_threshold = max(1, radius // 2)
     # union-find clustering by Gromov product
     cls = {r: r for r in reps}
 
@@ -1151,8 +1138,7 @@ def classify_action_type(
             labels = {find(r) for r in four}
             if len(labels) != 4:
                 continue
-            cert = _pingpong_certificate(a, x0i, w1, w2, four, orbit_idx, gromov2,
-                                         pp_power, pp_threshold)
+            cert = _pingpong_certificate(a, x0i, w1, w2, four, orbit_idx, gromov2)
             if cert is not None:
                 evidence["pingpong"] = cert
                 return ActionTypeReport("General", "certified", evidence, lox_words)

@@ -120,10 +120,10 @@ def _coordinate_moves(grid: np.ndarray, i: int, src, dst):
     return a[order].tolist(), b[order].tolist()
 
 
-def product_skeleton(p: ProductSpace, max_points: Optional[int] = None) -> MetricGraph:
+def product_skeleton(p: ProductSpace) -> MetricGraph:
     """1-skeleton of the product: move along one factor edge at a time.
     BFS distance in it is the l1 product distance."""
-    cap = resolve_cap(max_points, SKELETON_DEFAULT_CAP)
+    cap = resolve_cap(None, SKELETON_DEFAULT_CAP)
     if p.n_points > cap:
         raise SizeLimitExceeded(p.n_points, cap, "product_skeleton")
     ids = _point_ids(p)
@@ -197,10 +197,9 @@ class ProductIsometry:
     """A vertex bijection of a product space, verified distance-preserving
     for the chosen norm on every pair at construction time."""
 
-    def __init__(self, space: ProductSpace, mapping: Dict[Tuple[str, ...], Tuple[str, ...]],
-                 max_points: Optional[int] = None):
+    def __init__(self, space: ProductSpace, mapping: Dict[Tuple[str, ...], Tuple[str, ...]]):
         self.space = space
-        cap = resolve_cap(max_points, 2000)
+        cap = resolve_cap(None, 2000)
         if space.n_points > cap:
             raise SizeLimitExceeded(space.n_points, cap, "ProductIsometry")
         pts = space.points()
@@ -311,8 +310,7 @@ class ProductActionResult:
 
 
 def product_action(actions: Sequence[GroupAction],
-                   perm: Optional[Sequence[int]] = None,
-                   max_points: Optional[int] = None) -> ProductActionResult:
+                   perm: Optional[Sequence[int]] = None) -> ProductActionResult:
     """Componentwise action on the l1 skeleton: generator f{i}_{name} moves
     coordinate i by the i-th action's generator and fixes the rest.  An
     optional coordinate permutation becomes one more generator named
@@ -321,7 +319,7 @@ def product_action(actions: Sequence[GroupAction],
     if not actions:
         raise FormatError("need at least one action")
     space = ProductSpace([a.space for a in actions], "l1")
-    skeleton = product_skeleton(space, max_points=max_points)
+    skeleton = product_skeleton(space)
     ids = _point_ids(space)
     grid = _point_grid(space)
     gens = []

@@ -152,6 +152,11 @@ def test_coset_tree_rejects_non_subgroup_level():
         coset_tree(t, chain=[{"g0"}, {"g0", "g1"}, set(t.elements)])
 
 
+def test_coset_tree_rejects_an_empty_chain():
+    with pytest.raises(InvalidChain):
+        coset_tree(FiniteGroupTable.cyclic(6), [])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=2, max_value=12))
 def test_trivial_chain_gives_star(n):

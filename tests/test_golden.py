@@ -1,0 +1,94 @@
+"""Golden digests: the bytes every Cayley family and every fixture builds.
+
+The digests were taken from the builders before the Cayley families shared
+one ball builder; a refactor of the builders must keep every one of them."""
+
+import hashlib
+import json
+
+import pytest
+
+from qtlab.cli import FIXTURES, main
+from qtlab.constructions import c6_chain, c30_chain, cayley_graph
+from qtlab.io import action_to_dict, graph_to_dict
+
+# (family, radius, gens, group table, sha256 of graph + action + basepoint + extras)
+CAYLEY = [
+    ("Z", 4, None, None,
+     "cf720e8cd0dc4bfd3adfb290a1f38727f24b975a2ea84cb8673e8d75f381c429"),
+    ("Z", 3, (2, 3), None,
+     "fc1a55dff0766a33ca42634396bb4d22107d27f3f535a32730fcabff8062d9e8"),
+    ("Z", 3, (1, -1), None,
+     "68277eb8cfb148b33fb4a7e6b14a4e3665bc36a11fa5249678f98b4370af4b2a"),
+    ("Z", 0, None, None,
+     "bfa13f3f762661c5caff2804def806e8d26a55e15557b4bf6a88e79b6e108550"),
+    ("Z2", 3, None, None,
+     "8b1e579a6676f39fe86236d877bfb4f6e87a72e09d3ecb6ef469f94228759352"),
+    ("Z2", 2, ((1, 1), (0, 2)), None,
+     "4879999091cf3fdcb3da03cdb28be0800d3b05dac6930a551ad254bd5bd43d88"),
+    ("F2", 0, None, None,
+     "6a81a3c5a2d8b7c14cafe24c9fbb854466cabb5897406acd49cad623dc24aa03"),
+    ("F2", 1, None, None,
+     "bb6071b1e0e971e0861855371238be9a385ec2dbaa0e105c9a57a54ae4508bd3"),
+    ("F2", 2, None, None,
+     "408517f3cab65d464e55f1b35fc8b5b7a55c5510a33d49764762c4ee03c65831"),
+    ("F2", 3, None, None,
+     "1c0ec5a894ed910f16fef81f76ed3777116decb4323c230365340dc632a0b7d7"),
+    ("F2", 4, None, None,
+     "8886b02ec505efcf4a2cde0b8ed42ff88dad49000bc994308fc8a67c61234961"),
+    ("F2", 5, None, None,
+     "b1d41f371cdaa2a030d85a290b7e736ab0f5f1ecf197d6ce69a21b688498670a"),
+    ("finite", 2, ("g1",), "c6",
+     "65c3bdefb17d21892f8cf0956deecd6dea2bc358a3724f6532b52bb63e9548e2"),
+    ("finite", 3, ("g1",), "c6",
+     "70a3c09ef174ff47192cabc50030057e2333e70be06b9e6da3e4f1d8d35ba3c5"),
+    ("finite", 3, ("g1|g0|g0", "g0|g1|g1"), "c30",
+     "f78cf8490a82eb2738200b4e8cf35b95e13085fb6ab8ab06c42d71081903d750"),
+]
+
+FIXTURE_FILES = {
+    "bs12-r8.action.json": "40aa302f70c30d2353201f71656c3df10f236a5513597db33bcad9b0738ad244",
+    "bs12-r8.graph.json": "e12dd0ed93bd297fecb77656933fa40a4c11dfc7d55a4f208de20bbf9b472d93",
+    "bs12-r8.manifest.json": "713c4efb5e2e956837fe34f35749a9acee4ae71c2ccd5456585f53f42d4bcb8f",
+    "cone-z-r10.action.json": "15a843ed114c76dd6a68cd32c1b4d6f55aa28b889439befb1908e8ea3169c5e0",
+    "cone-z-r10.graph.json": "1555125ba6ba30a17796c343bf4cd7c84d3437d3ab487a6b371946e826dcb928",
+    "cone-z-r10.manifest.json": "90c2e74b2a5dcd459bb886872bb6e563aaaf0c386b44249ae66d1a98a12a202a",
+    "coset-c30.action.json": "9171d4dd4e0e72b7aa55acec3a716e14e4f0f7df892af5ef3410a58b6e9df60e",
+    "coset-c30.graph.json": "0b32e14efc3c52768e87ab28cc878a9026afec8ccce7a1643c2fba89ef0afeeb",
+    "coset-c30.manifest.json": "8bceb90a912b43c647c37f4aff04e6c733acfcdca0359176e6ed867554f9b87e",
+    "doubleline-n16.action.json": "1e0bbfe01efff1d0b27d74057ca303cc4d290a37ddb222a7938e1932a98cae50",
+    "doubleline-n16.graph.json": "06c0017228547a6969ebd07e99d944100dd8c5d3d3ed0a810b9cfba1634ad61e",
+    "doubleline-n16.manifest.json": "99386c09d5405208d06671442027dedba8c2c344d4264927624af44177526346",
+    "f2-r5.action.json": "55bbdcc5bcb26e7a84d0e1efdc567c44ca08745af04fa49f225e45f1ec9ae6ba",
+    "f2-r5.graph.json": "6f1ffc95c5e0083848449f5acffaed982de9d889d5b58f85d094dcec3455db78",
+    "f2-r5.manifest.json": "5204272b5cca8242ddbad66bfd1115a7434d283aa77bc63c7b7fe9476965ca14",
+    "farey-Q20.action.json": "31bee0cced0eb3105207bf1691b5fdb3240b40823a572e4dcdb7d71dff4d7647",
+    "farey-Q20.graph.json": "3c7ab647206e20ca9657a299eab4ceb2b37d3a384ed629bdd0d19e8a469faee8",
+    "farey-Q20.manifest.json": "5a181b244fc854d9d754b49ed287d3540a24811ff55e6c1fe23d7cf5a154eed8",
+    "horoball-line-d7.action.json": "dc8b86b472a6333d2965fa134afeb8d34424aa6ac7d71e6b7e57e01d4e339b68",
+    "horoball-line-d7.graph.json": "8ef26db9f5c93c602dfd9fe12b1c35365ea7879334165553d49ea384fba296f0",
+    "horoball-line-d7.manifest.json": "ef7064acf0d86cce1fe11abb02c29c50914cb4dfae5cf869f75eab68e4fc53b1",
+}
+
+TABLES = {"c6": c6_chain, "c30": c30_chain}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("family,radius,gens,table,digest", CAYLEY)
+def test_cayley_ball_bytes(family, radius, gens, table, digest):
+    con = cayley_graph(family, radius, gens=gens,
+                       table=TABLES[table]()[0] if table else None)
+    obj = {"graph": graph_to_dict(con.graph), "action": action_to_dict(con.action),
+           "basepoint": con.basepoint, "extras": con.extras}
+    assert sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()) == digest
+
+
+def test_fixture_file_bytes(tmp_path, capsys):
+    for name in FIXTURES:
+        assert main(["fixtures", name, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    written = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
+    assert written == FIXTURE_FILES

@@ -191,6 +191,43 @@ def test_orbit_exhausts_finite():
     assert res.exhausted and res.complete and res.size == 6
 
 
+def test_letters_run_by_generator_then_sign():
+    assert double_line_graph(3).action.letters() == [
+        ("s", 1), ("s", -1), ("sigma0", 1), ("sigma0", -1), ("sigma3", 1), ("sigma3", -1)]
+
+
+def test_local_finiteness_walks_the_orbit_once(monkeypatch):
+    """Both count tuples come from one walk and equal the counts of separate
+    orbits at the full and the half horizon."""
+    import qtlab.group_action as ga
+
+    cases = [(cayley_graph("Z", 12).action, "0"), (cayley_graph("F2", 3).action, "e"),
+             (farey_graph(4).action, "inf"), (double_line_graph(5).action, "(0,1)"),
+             (bass_serre_tree_bs12(4).action, "m0:0/1")]
+    walks = []
+
+    def counted(*args):
+        walks.append(args)
+        return orbit(*args)
+
+    monkeypatch.setattr(ga, "orbit", counted)
+    for a, x0 in cases:
+        drow = a.space.rows([a.space.index(x0)])[0]
+        for horizon in range(7):
+            for rho_max in (0, 2, horizon, 8):
+                expected = []
+                for h in (horizon, max(1, horizon // 2)):
+                    ds = [int(drow[a.space.index(v)]) for v in orbit(a, x0, h).vertices]
+                    expected.append(tuple(sum(1 for d in ds if 0 <= d <= rho)
+                                          for rho in range(rho_max + 1)))
+                walks.clear()
+                fin = check_locally_finite_orbit(a, x0, rho_max, horizon)
+                assert len(walks) == 1
+                assert (fin.counts, fin.counts_half_horizon) == tuple(expected)
+                assert fin.growth_warning == any(
+                    f > h for f, h in zip(*expected))
+
+
 def test_local_finiteness_flags():
     fin = check_locally_finite_orbit(rotation_action(6), "v0", 3, 10)
     assert not fin.growth_warning

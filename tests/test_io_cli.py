@@ -352,6 +352,24 @@ def test_row_commands_build_no_distance_matrix(tmp_path, capsys, monkeypatch):
             assert (rc, stderr) == (0, ""), argv
 
 
+def test_classify_falls_back_to_slack_4_under_a_lowered_cap(tmp_path, capsys):
+    """--max-vertices below the graph size skips the four-point scan the
+    way the default cap does: slack 4 with a note, not a refusal."""
+    assert main(["fixtures", "doubleline-n16", "--out", str(tmp_path)]) == 0
+    argv = ["classify", "--action", str(tmp_path / "doubleline-n16.action.json"),
+            "--basepoint", "(0,1)", "--word", "s"]
+    reports = []
+    for cap in ([], ["--max-vertices", "10"]):
+        capsys.readouterr()
+        rc, stdout, stderr = run_cli(capsys, cap + argv)
+        assert (rc, stderr) == (0, "")
+        reports.append(json.loads(stdout)["results"])
+    scanned, capped = reports
+    assert scanned["notes"] == []
+    assert capped["certificate"]["slack"] == "4"
+    assert capped["notes"] == ["ambient delta not computed (graph over cap); using slack 4"]
+
+
 def test_unknown_fixture_name(capsys):
     rc, _, stderr = run_cli(capsys, ["fixtures", "no-such-fixture"])
     assert rc == 2
@@ -538,6 +556,20 @@ def test_reports_are_byte_deterministic(tmp_path, child_env):
     b = subprocess.run(cmd, capture_output=True, cwd=str(tmp_path), env=child_env)
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
+    # Cayley edges are collected in a set, whose order follows the string
+    # hash seed; the report and both files must not
+    outputs = []
+    for hash_seed in ("0", "1"):
+        d = tmp_path / f"hash{hash_seed}"
+        d.mkdir()
+        r = subprocess.run(
+            [sys.executable, "-m", "qtlab.cli", "construct", "cayley", "--params",
+             '{"family": "Z2", "radius": 3, "gens": [[1, 1], [0, 2]]}',
+             "--out", "g.json", "--action-out", "a.json"],
+            capture_output=True, cwd=str(d), env=dict(child_env, PYTHONHASHSEED=hash_seed))
+        assert (r.returncode, r.stderr) == (0, b"")
+        outputs.append((r.stdout, (d / "g.json").read_bytes(), (d / "a.json").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_console_entry_reports_errors_on_stderr(tmp_path, child_env):
