@@ -28,12 +28,10 @@ from . import __version__
 from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture
 from .io import (ACTION_FORMAT, GRAPH_FORMAT, load_action, load_graph,
                  load_json, save_action, save_graph, save_json)
-from .metric_graph import (bottleneck_constant, ends_profile,
-                           enumerate_geodesics, hyperbolicity_delta)
+from .metric_graph import bottleneck_constant, hyperbolicity_delta
 from .group_action import (Word, check_locally_finite_orbit, classify_action_type,
                            classify_isometry, connectivity_radius, orbit,
-                           properness_profiles, rips_orbit_graph,
-                           stable_translation_length)
+                           properness_profiles, rips_orbit_graph)
 from . import constructions as C
 from .products import (ProductIsometry, ProductSpace, distortion_profile,
                        factor_preservation_check, l1_geodesic_uniqueness,
@@ -128,7 +126,7 @@ def cmd_analyze(args):
     bot = bottleneck_constant(g)
     results = {
         "n_vertices": g.n,
-        "n_edges": len(g.edges()),
+        "n_edges": g.n_edges,
         "is_tree": g.is_tree(),
         "diameter": g.diameter(),
         "two_delta": hyp.two_delta,
@@ -250,7 +248,7 @@ def cmd_construct(args):
     results = {
         "family": name,
         "n_vertices": graph.n,
-        "n_edges": len(graph.edges()),
+        "n_edges": graph.n_edges,
         "basepoint": con.basepoint,
         "has_action": action is not None,
         "extras": con.extras,
@@ -302,7 +300,7 @@ def cmd_rips_orbit(args):
         "basepoint": rg.basepoint,
         "horizon": rg.horizon,
         "orbit_size": rg.orbit.size,
-        "n_edges": len(rg.graph.edges()),
+        "n_edges": rg.graph.n_edges,
         "connected": rg.graph.connected,
         "connectivity_radius": connectivity_radius(a, args.basepoint),
     }
@@ -546,7 +544,7 @@ def cmd_fixtures(args):
         "graph": os.path.basename(gpath),
         "basepoint": con.basepoint,
         "n_vertices": con.graph.n,
-        "n_edges": len(con.graph.edges()),
+        "n_edges": con.graph.n_edges,
         "extras": _plain(con.extras),
     }
     if con.action is not None:

@@ -12,8 +12,6 @@ finite Cayley constructions, not general group theory.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -467,49 +465,50 @@ def farey_graph(Q: int, P: Optional[int] = None) -> Construction:
     if P < 1:
         raise FormatError("P must be >= 1")
 
-    fracs = [(1, 0)]
-    for q in range(1, Q + 1):
-        for p in range(-P, P + 1):
-            if gcd(abs(p), q) == 1:
-                fracs.append((p, q))
+    # pos[q, p + P]: index of p/q in ids (q-major, then p), -1 where
+    # gcd(|p|, q) > 1
+    ps = np.arange(-P, P + 1, dtype=np.int64)
+    qs = np.arange(1, Q + 1, dtype=np.int64)
+    reduced = np.gcd(np.abs(ps)[None, :], qs[:, None]) == 1
+    pos = np.full((Q + 1, 2 * P + 1), -1, dtype=np.int64)
+    pos[1:][reduced] = np.arange(1, int(reduced.sum()) + 1)
+    qq, pp = np.nonzero(reduced)
+    nums, dens = ps[pp], qs[qq]
+    ids = ["inf"] + [str(p) if q == 1 else f"{p}/{q}"
+                     for p, q in zip(nums.tolist(), dens.tolist())]
+    N = len(ids)
+    src = np.arange(1, N, dtype=np.int64)
 
-    def vid(pq):
-        p, q = pq
-        if q == 0:
-            return "inf"
-        return str(p) if q == 1 else f"{p}/{q}"
+    # r/s ~ p/q exactly when r = (ps -+ 1)/q is an integer, so each finite
+    # vertex has at most two neighbours per denominator s; infinity = 1/0
+    # joins every integer.  Keys i*N + j (i < j) sort to row-major order.
+    keys = [pos[1, :]]
+    for s in range(1, Q + 1):
+        for e in (-1, 1):
+            r, rem = np.divmod(nums * s + e, dens)
+            ok = (rem == 0) & (np.abs(r) <= P)
+            i = src[ok]
+            j = pos[s, r[ok] + P]
+            up = i < j
+            keys.append(i[up] * N + j[up])
+    ii, jj = np.divmod(np.unique(np.concatenate(keys)), N)
+    edges = [(ids[i], ids[j]) for i, j in zip(ii.tolist(), jj.tolist())]
 
-    nums = np.array([p for p, q in fracs], dtype=np.int64)
-    dens = np.array([q for p, q in fracs], dtype=np.int64)
-    ids = [vid(f) for f in fracs]
-    edges = []
-    # |ps - qr| = 1 tested a block of rows at a time, so no N x N matrix is
-    # ever held; pairs come out in row-major (i < j) order
-    for lo in range(0, len(fracs), 256):
-        hi = min(lo + 256, len(fracs))
-        det = nums[lo:hi, None] * dens[None, :] - dens[lo:hi, None] * nums[None, :]
-        ii, jj = np.nonzero(np.abs(det) == 1)
-        keep = jj > ii + lo
-        edges.extend((ids[i + lo], ids[j]) for i, j in zip(ii[keep], jj[keep]))
+    edge_of_window = (dens >= Q - 1) | (np.abs(nums) >= P - 1)
+    boundary = [ids[k] for k in src[edge_of_window].tolist()]
 
-    boundary = [vid((p, q)) for p, q in fracs if q > 0 and (q >= Q - 1 or abs(p) >= P - 1)]
+    def partial_map(ok, dst):
+        return {ids[i]: ids[j] for i, j in zip(src[ok].tolist(), dst.tolist())}
 
-    in_range = {f: vid(f) for f in fracs}
-
-    def canon(p, q):
-        if q < 0:
-            p, q = -p, -q
-        return (p, q)
-
-    s_map = {}
-    t_map = {}
-    for p, q in fracs:
-        img = canon(-q, p)
-        if img in in_range:
-            s_map[vid((p, q))] = in_range[img]
-        img = canon(p + q, q)
-        if img in in_range:
-            t_map[vid((p, q))] = in_range[img]
+    # S: p/q -> -q/p, written (-sign(p) q)/|p|, and infinity -> 0.  At 0 it
+    # gives -1/0, which is not the vertex 1/0, so S is undefined there.
+    # T: p/q -> (p + q)/q fixes infinity.
+    s_ok = (nums != 0) & (np.abs(nums) <= Q) & (dens <= P)
+    s_map = {"inf": "0", **partial_map(
+        s_ok, pos[np.abs(nums[s_ok]), P - np.sign(nums[s_ok]) * dens[s_ok]])}
+    t_ok = np.abs(nums + dens) <= P
+    t_map = {"inf": "inf", **partial_map(
+        t_ok, pos[dens[t_ok], nums[t_ok] + dens[t_ok] + P])}
 
     graph = MetricGraph(ids, edges, boundary=boundary)
     action = GroupAction(graph, [("S", s_map), ("T", t_map)], mode="automorphism")
@@ -526,57 +525,53 @@ def farey_graph(Q: int, P: Optional[int] = None) -> Construction:
 # rational in [0, 2^m).  Each ball splits into two at level m+1 and sits
 # inside one at level m-1, giving a 3-regular tree; the parent chain
 # m -> -infinity is the end fixed by the whole group.
-
-
-def _bs_vid(m: int, r: Fraction) -> str:
-    return f"m{m}:{r.numerator}/{r.denominator}"
+#
+# The builder stores r as the integer R = r * 2^D with D = radius + 1: the
+# ball reaches level -radius, whose parents (level -radius - 1) are looked
+# up too, and every r there is a multiple of 2^-D.  Reduction mod 2^m is
+# then a mask of the low m + D bits.
 
 
 def bass_serre_tree_bs12(radius: int) -> Construction:
     if radius < 1:
         raise FormatError("radius must be >= 1")
+    D = radius + 1
 
-    def parent(v):
-        m, r = v
-        return (m - 1, r % (Fraction(2) ** (m - 1)))
-
-    def children(v):
-        m, r = v
-        step = Fraction(2) ** m
-        return ((m + 1, r), (m + 1, r + step))
+    def mask(m):
+        return (1 << (m + D)) - 1
 
     def neighbors(v):
-        c1, c2 = children(v)
-        return (parent(v), c1, c2)
+        m, R = v
+        return ((m - 1, R & mask(m - 1)), (m + 1, R), (m + 1, R + (1 << (m + D))))
 
-    base = (0, Fraction(0))
-    dist = _ball_bfs(base, neighbors, radius)
-    ball = set(dist)
+    def vid(m, R):
+        if R == 0:
+            return f"m{m}:0/1"
+        tz = min((R & -R).bit_length() - 1, D)
+        return f"m{m}:{R >> tz}/{1 << (D - tz)}"
 
-    ids = {v: _bs_vid(*v) for v in ball}
+    dist = _ball_bfs((0, 0), neighbors, radius)
+    ids = {v: vid(*v) for v in dist}
     edges = []
-    for v in ball:
-        p = parent(v)
-        if p in ball:
-            edges.append((ids[v], ids[p]))
-
     a_map = {}
     t_map = {}
-    for v in ball:
-        m, r = v
-        img = (m, (r + 1) % (Fraction(2) ** m))
-        if img in ball:
-            a_map[ids[v]] = ids[img]
-        img = (m + 1, (2 * r) % (Fraction(2) ** (m + 1)))
-        if img in ball:
-            t_map[ids[v]] = ids[img]
+    for v, name in ids.items():
+        m, R = v
+        up = (m - 1, R & mask(m - 1))
+        if up in ids:
+            edges.append((name, ids[up]))
+        img = ids.get((m, (R + (1 << D)) & mask(m)))
+        if img is not None:
+            a_map[name] = img
+        img = ids.get((m + 1, (2 * R) & mask(m + 1)))
+        if img is not None:
+            t_map[name] = img
 
     boundary = [ids[v] for v, d in dist.items() if d == radius]
     graph = MetricGraph(ids.values(), edges, boundary=boundary)
     action = GroupAction(graph, [("a", a_map), ("t", t_map)], mode="automorphism")
-    ray = [_bs_vid(-j, Fraction(0)) for j in range(radius + 1)]
-    return Construction(graph, action, _bs_vid(0, Fraction(0)),
-                        extras={"radius": radius, "ray": ray})
+    ray = [vid(-j, 0) for j in range(radius + 1)]
+    return Construction(graph, action, ray[0], extras={"radius": radius, "ray": ray})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ left to right, so evaluating [s, t] at v yields t(s(v)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -27,7 +27,6 @@ from .errors import (
     NotAQuasitree,
     OutOfTruncation,
     SizeLimitExceeded,
-    VertexNotFound,
 )
 from .metric_graph import (
     MetricGraph,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional, Union
+from typing import Optional
 
 from .errors import FormatError, QtlabError
 from .metric_graph import MetricGraph

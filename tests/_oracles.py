@@ -7,6 +7,7 @@ under test.
 
 import math
 from collections import deque
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
@@ -308,3 +309,75 @@ def dense_mode_check(D, vertex_ids, name, mode, src, dst):
         v = vertex_ids[int(src[j])]
         return f"generator {name!r} violates {mode} mode at pair ({u!r}, {v!r})"
     return None
+
+
+def brute_farey(Q, P):
+    """The Farey truncation by definition: infinity = 1/0 and every reduced
+    p/q with 1 <= q <= Q and |p| <= P, listed q-major, adjacent when
+    |ps - qr| = 1, tested over all pairs.  Returns (ids in listing order,
+    sorted id-pair edges, boundary, {"S": map, "T": map}).  Images are
+    reduced with a positive denominator and looked up among the vertices, so
+    S sends 0 to -1/0, which is not the vertex 1/0: S is undefined at 0."""
+    fracs = [(1, 0)] + [(p, q) for q in range(1, Q + 1) for p in range(-P, P + 1)
+                        if math.gcd(p, q) == 1]
+    name = {f: "inf" if f[1] == 0 else str(f[0]) if f[1] == 1 else f"{f[0]}/{f[1]}"
+            for f in fracs}
+    ids = [name[f] for f in fracs]
+    edges = sorted(tuple(sorted((name[a], name[b])))
+                   for k, a in enumerate(fracs) for b in fracs[k + 1:]
+                   if abs(a[0] * b[1] - a[1] * b[0]) == 1)
+    boundary = [name[(p, q)] for p, q in fracs
+                if q > 0 and (q >= Q - 1 or abs(p) >= P - 1)]
+
+    def image(p, q):
+        f = (-p, -q) if q < 0 else (p, q)
+        return name.get(f)
+
+    maps = {"S": {}, "T": {}}
+    for p, q in fracs:
+        for gen, img in (("S", image(-q, p)), ("T", image(p + q, q))):
+            if img is not None:
+                maps[gen][name[(p, q)]] = img
+    return ids, edges, boundary, maps
+
+
+def brute_bs12(radius):
+    """The BS(1,2) Bass-Serre tree ball on exact dyadic rationals: vertices
+    (m, r) with r in [0, 2^m) a Fraction, parent (m - 1, r mod 2^(m-1)),
+    children (m + 1, r) and (m + 1, r + 2^m), a: r -> r + 1 and t: (m, r) ->
+    (m + 1, 2r), each reduced mod 2^m at its level.  A BFS from (0, 0) over
+    (parent, child, child) to the given radius.  Returns (ids in BFS order,
+    sorted id-pair edges, boundary in BFS order, {"a": map, "t": map})."""
+    def vid(v):
+        m, r = v
+        return f"m{m}:{r.numerator}/{r.denominator}"
+
+    def parent(v):
+        m, r = v
+        return (m - 1, r % (Fraction(2) ** (m - 1)))
+
+    def neighbors(v):
+        m, r = v
+        return (parent(v), (m + 1, r), (m + 1, r + Fraction(2) ** m))
+
+    dist = {(0, Fraction(0)): 0}
+    frontier = list(dist)
+    for depth in range(radius):
+        nxt = []
+        for v in frontier:
+            for u in neighbors(v):
+                if u not in dist:
+                    dist[u] = depth + 1
+                    nxt.append(u)
+        frontier = nxt
+
+    ids = [vid(v) for v in dist]
+    edges = sorted(tuple(sorted((vid(v), vid(parent(v))))) for v in dist if parent(v) in dist)
+    boundary = [vid(v) for v, d in dist.items() if d == radius]
+    maps = {"a": {}, "t": {}}
+    for m, r in dist:
+        for gen, img in (("a", (m, (r + 1) % (Fraction(2) ** m))),
+                         ("t", (m + 1, (2 * r) % (Fraction(2) ** (m + 1))))):
+            if img in dist:
+                maps[gen][vid((m, r))] = vid(img)
+    return ids, edges, boundary, maps

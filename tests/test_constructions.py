@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtlab import (
+    FormatError,
     InvalidChain,
     UnknownFamily,
     bottleneck_constant,
@@ -29,6 +30,8 @@ from qtlab.constructions import (
     star_graph,
 )
 from qtlab.group_action import Word, evaluate_word, rips_orbit_graph, word_map
+
+from _oracles import brute_bs12, brute_farey
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +308,51 @@ def test_bs12_ray_is_a_geodesic():
     for u, v in zip(ray, ray[1:]):
         assert g.has_edge(u, v)
     assert g.d(ray[0], ray[-1]) == len(ray) - 1
+
+
+
+def built(con):
+    """(ids, edges, boundary, generator maps) of a construction as id data."""
+    g = con.graph
+    ids = g.vertex_ids
+    maps = {gm.name: {ids[s]: ids[d] for s, d in zip(*gm.pairs())}
+            for gm in con.action.generators}
+    return list(ids), list(g.edges()), list(g.boundary), maps
+
+
+FAREY_SIZES = sorted({(Q, P) for Q in range(1, 9) for P in (1, 2, Q, None, 3 * Q + 1)},
+                     key=lambda qp: (qp[0], qp[1] or 3 * qp[0]))
+
+
+@pytest.mark.parametrize("Q,P", FAREY_SIZES)
+def test_farey_matches_the_all_pairs_oracle(Q, P):
+    con = farey_graph(Q, P)
+    P = 3 * Q if P is None else P
+    ids, edges, boundary, maps = brute_farey(Q, P)
+    assert built(con) == (sorted(ids), edges, boundary, maps)
+    assert con.basepoint == "inf"
+    assert con.extras == {"Q": Q, "P": P}
+
+
+@pytest.mark.parametrize("radius", range(1, 11))
+def test_bs12_matches_the_fraction_oracle(radius):
+    con = bass_serre_tree_bs12(radius)
+    ids, edges, boundary, maps = brute_bs12(radius)
+    assert built(con) == (sorted(ids), edges, boundary, maps)
+    assert con.basepoint == "m0:0/1" == ids[0]
+    assert con.extras == {"radius": radius, "ray": [f"m{-j}:0/1" for j in range(radius + 1)]}
+    assert set(con.extras["ray"]) <= set(ids)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: bass_serre_tree_bs12(0), "radius must be >= 1"),
+    (lambda: farey_graph(0), "Q must be >= 1"),
+    (lambda: farey_graph(3, 0), "P must be >= 1"),
+])
+def test_truncation_size_errors(build, message):
+    with pytest.raises(FormatError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

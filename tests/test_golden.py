@@ -1,7 +1,9 @@
 """Golden digests: the bytes every Cayley family and every fixture builds.
 
-The digests were taken from the builders before the Cayley families shared
-one ball builder; a refactor of the builders must keep every one of them."""
+The Cayley and fixture digests were taken from the builders before the
+Cayley families shared one ball builder, and the large-truncation digests
+before the Farey and BS(1,2) builders moved to integer arithmetic; a
+refactor of the builders must keep every one of them."""
 
 import hashlib
 import json
@@ -70,6 +72,17 @@ FIXTURE_FILES = {
     "horoball-line-d7.manifest.json": "ef7064acf0d86cce1fe11abb02c29c50914cb4dfae5cf869f75eab68e4fc53b1",
 }
 
+# the two truncations at the sizes the large-truncation benchmark builds:
+# (family, params, sha256 of the graph file, sha256 of the action file)
+LARGE_TRUNCATIONS = [
+    ("farey", '{"P": 72, "Q": 24}',
+     "0e4caa5f1d99d2f8090124e73f5c354002a03b27b95e725c4b391af45354b878",
+     "b5c2cf7fb76af4c8463f46819827f305fa8bf81b96caa5d6004b37f6704c25bf"),
+    ("bs12", '{"radius": 9}',
+     "1b8f3ede5ca8d373e8a75590267389b16578230110dd41c39f64fe6fef67ffa0",
+     "aa8d6308cf1f5b6238ddee331ec3706d2d538a52526d1979b3cab515387e2e06"),
+]
+
 TABLES = {"c6": c6_chain, "c30": c30_chain}
 
 
@@ -92,3 +105,13 @@ def test_fixture_file_bytes(tmp_path, capsys):
     capsys.readouterr()
     written = {p.name: sha256(p.read_bytes()) for p in tmp_path.iterdir()}
     assert written == FIXTURE_FILES
+
+
+@pytest.mark.parametrize("family,params,graph_digest,action_digest", LARGE_TRUNCATIONS)
+def test_large_truncation_file_bytes(tmp_path, capsys, family, params, graph_digest,
+                                     action_digest):
+    g, a = tmp_path / f"{family}.graph.json", tmp_path / f"{family}.action.json"
+    assert main(["construct", family, "--params", params,
+                 "--out", str(g), "--action-out", str(a)]) == 0
+    capsys.readouterr()
+    assert (sha256(g.read_bytes()), sha256(a.read_bytes())) == (graph_digest, action_digest)

@@ -1,0 +1,79 @@
+"""Every name a module imports at module level is used in that module.
+
+The scan parses each module of the package with ``ast``; it does not import
+them.  Package ``__init__.py`` files re-export names and are exempt, and so
+is ``from __future__ import annotations``."""
+
+import ast
+import pathlib
+
+import pytest
+
+import qtlab
+
+PACKAGE = pathlib.Path(qtlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+
+
+def _module_level_imports(tree):
+    """(bound name, line) of each import statement outside functions and
+    classes, including those under a module-level if or try."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "__future__":
+                continue
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+        elif isinstance(node, (ast.If, ast.Try)):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                stack.extend(getattr(node, field, ()))
+        elif isinstance(node, ast.ExceptHandler):
+            stack.extend(node.body)
+
+
+def _used_names(tree):
+    """Names loaded anywhere in the module, plus the names in __all__ and in
+    string annotations."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotations = []
+        if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            annotations.append(node.annotation)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            annotations.append(node.returns)
+        for ann in annotations:
+            for sub in ast.walk(ann):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    used |= _used_names(ast.parse(sub.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+def test_the_scan_sees_every_module():
+    assert {p.name for p in MODULES} >= {"cli.py", "constructions.py", "metric_graph.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_level_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used_names(tree)
+    dead = [f"{name} (line {line})" for name, line in _module_level_imports(tree)
+            if name not in used]
+    assert not dead, f"{path.name} imports names it never uses: {', '.join(sorted(dead))}"
+
+
+def test_the_scan_flags_an_unused_import():
+    tree = ast.parse("import os\nfrom typing import List, Optional\n"
+                     "from __future__ import annotations\n"
+                     "def f(x: 'Optional[int]'):\n    return os.sep\n")
+    used = _used_names(tree)
+    assert [n for n, _ in _module_level_imports(tree) if n not in used] == ["List"]
