@@ -399,9 +399,15 @@ def cmd_product(args):
         space = ProductSpace(_load_factors(args.factors), args.norm)
         payload = load_json(args.map)
         pairs = payload.get("mapping") if isinstance(payload, dict) else payload
-        if pairs is None:
+        if not isinstance(pairs, list):
             raise FormatError(f"{args.map}: no 'mapping' array")
-        mapping = {tuple(map(str, src)): tuple(map(str, dst)) for src, dst in pairs}
+        mapping = {}
+        for entry in pairs:
+            if not (isinstance(entry, list) and len(entry) == 2
+                    and all(isinstance(side, list) for side in entry)):
+                raise FormatError(f"{args.map}: bad mapping entry {entry!r}; "
+                                  "want [src, dst], each an array of vertex ids")
+            mapping[tuple(map(str, entry[0]))] = tuple(map(str, entry[1]))
         iso = ProductIsometry(space, mapping)
         rep = factor_preservation_check(space, iso)
         results = {

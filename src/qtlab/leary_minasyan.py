@@ -5,11 +5,11 @@ for matched powers, and fitting of translation-length samples by a linear
 seminorm.
 
 Everything here is exact over Fraction; floats only appear in reports as
-convenience approximations and in the linear-programming fallback of the
-fitter.
+convenience approximations.
 """
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -25,10 +25,22 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            raise FormatError(f"cannot read {x!r} as an exact rational") from None
     if isinstance(x, float):
         raise FormatError(f"refusing float entry {x!r}; pass int, Fraction or string")
     raise FormatError(f"cannot read {x!r} as an exact rational")
+
+
+def _integer(x) -> int:
+    """A sample direction coordinate: an int or a string of one; floats are
+    refused, as for tau."""
+    try:
+        return int(x) if isinstance(x, str) else operator.index(x)
+    except (TypeError, ValueError):
+        raise FormatError(f"direction entry {x!r} is not an integer") from None
 
 
 class ExactMat2:
@@ -37,10 +49,10 @@ class ExactMat2:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, rows):
-        rows = list(rows)
-        if len(rows) != 2 or any(len(list(r)) != 2 for r in map(list, rows)):
-            raise FormatError("need a 2x2 array of entries")
-        (a, b), (c, d) = (list(rows[0]), list(rows[1]))
+        try:
+            (a, b), (c, d) = rows
+        except (TypeError, ValueError):
+            raise FormatError("need a 2x2 array of entries") from None
         self.a, self.b, self.c, self.d = _frac(a), _frac(b), _frac(c), _frac(d)
 
     @classmethod
@@ -355,16 +367,18 @@ def parse_samples(obj) -> List[Tuple[Tuple[int, int], Fraction]]:
         obj = obj.get("samples")
     if obj is None:
         raise FormatError("no samples found")
+    if not isinstance(obj, (list, tuple)):
+        raise FormatError(f"samples must be an array of [[m, n], tau], got {obj!r}")
     out = []
     for item in obj:
         try:
             (m, n), tau = item
         except (TypeError, ValueError):
             raise FormatError(f"bad sample {item!r}; want [[m, n], tau]") from None
-        tau = _frac(tau)
+        m, n, tau = _integer(m), _integer(n), _frac(tau)
         if tau < 0:
             raise FormatError(f"negative translation length {tau} at ({m}, {n})")
-        out.append(((int(m), int(n)), tau))
+        out.append(((m, n), tau))
     return out
 
 
@@ -384,9 +398,9 @@ def _residual(samples, x: Fraction, y: Fraction) -> Fraction:
 def fit_translation_homomorphism(samples) -> FitResult:
     """Fit tau(m, n) ~ |m x + n y|.  Two independent directions pin (x, y)
     up to the four sign choices, tried exactly over Fraction; when none is
-    a perfect fit the best Chebyshev solution is refined by linear
-    programming with signs taken from the best exact candidate.  The global
-    sign is fixed by making the first nonzero coordinate positive."""
+    a perfect fit, the exact Chebyshev (minimax) fit with the signs of the
+    best such candidate is returned.  The global sign is fixed by making the
+    first nonzero coordinate positive."""
     samples = parse_samples(samples)
     if not samples:
         raise FormatError("need at least one sample")
@@ -416,39 +430,34 @@ def fit_translation_homomorphism(samples) -> FitResult:
             if r == 0:
                 x, y = _canonical_sign(x, y)
                 return FitResult(x, y, Fraction(0), "exact", len(samples))
-        if best is not None and best[2] == 0:
-            break
 
-    # no exact interpolant: Chebyshev refinement with linprog, signs frozen
-    # from the best exact candidate
-    from scipy.optimize import linprog
-
+    # no exact interpolant: the exact Chebyshev fit, signs frozen from the
+    # best candidate.  With a_i = s_i (m_i, n_i), LP duality puts the least
+    # eps with every |a_i . u - tau_i| <= eps at the largest |lam . tau| /
+    # |lam|_1 over triples, lam = (det(a2, a3), det(a3, a1), det(a1, a2));
+    # the fit is the lex-least feasible meet of lines a_i . u = tau_i +- eps.
     x0, y0, _ = best
-    signs = []
-    for (m, n), _tau in samples:
-        v = m * x0 + n * y0
-        signs.append(1 if v >= 0 else -1)
-    # variables (x, y, eps): minimize eps subject to
-    #   s_i (m_i x + n_i y) - tau_i <= eps  and  tau_i - s_i (...) <= eps
-    A_ub, b_ub = [], []
-    for ((m, n), tau), s in zip(samples, signs):
-        A_ub.append([s * m, s * n, -1.0])
-        b_ub.append(float(tau))
-        A_ub.append([-s * m, -s * n, -1.0])
-        b_ub.append(-float(tau))
-    res = linprog(c=[0.0, 0.0, 1.0], A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None), (None, None), (0, None)], method="highs")
-    if not res.success:
-        x, y = _canonical_sign(x0, y0)
-        return FitResult(x, y, best[2], "exact", len(samples))
-    x = Fraction(res.x[0]).limit_denominator(10 ** 9)
-    y = Fraction(res.x[1]).limit_denominator(10 ** 9)
+    rows = [(m, n, tau) if m * x0 + n * y0 >= 0 else (-m, -n, tau)
+            for (m, n), tau in samples]
+    eps = Fraction(0)
+    for (m1, n1, t1), (m2, n2, t2), (m3, n3, t3) in itertools.combinations(rows, 3):
+        lam = (m2 * n3 - m3 * n2, m3 * n1 - m1 * n3, m1 * n2 - m2 * n1)
+        if any(lam):
+            eps = max(eps, abs(lam[0] * t1 + lam[1] * t2 + lam[2] * t3)
+                      / sum(map(abs, lam)))
+    vertices = []
+    for (m1, n1, t1), (m2, n2, t2) in itertools.combinations(rows, 2):
+        det = m1 * n2 - m2 * n1
+        if det == 0:
+            continue
+        for c1, c2 in itertools.product((t1 - eps, t1 + eps), (t2 - eps, t2 + eps)):
+            x, y = (c1 * n2 - c2 * n1) / det, (m1 * c2 - m2 * c1) / det
+            if all(abs(m * x + n * y - t) <= eps for m, n, t in rows):
+                vertices.append((x, y))
+    x, y = min(vertices)
     r = _residual(samples, x, y)
-    if r <= best[2]:
-        x, y = _canonical_sign(x, y)
-        return FitResult(x, y, r, "chebyshev", len(samples))
-    x, y = _canonical_sign(x0, y0)
-    return FitResult(x, y, best[2], "exact", len(samples))
+    x, y = _canonical_sign(x, y)
+    return FitResult(x, y, r, "chebyshev", len(samples))
 
 
 # ---------------------------------------------------------------------------

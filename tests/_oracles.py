@@ -381,3 +381,57 @@ def brute_bs12(radius):
             if img in dist:
                 maps[gen][vid((m, r))] = vid(img)
     return ids, edges, boundary, maps
+
+
+def _det3(r1, r2, r3):
+    return (r1[0] * (r2[1] * r3[2] - r2[2] * r3[1])
+            - r1[1] * (r2[0] * r3[2] - r2[2] * r3[0])
+            + r1[2] * (r2[0] * r3[1] - r2[1] * r3[0]))
+
+
+def brute_chebyshev(samples):
+    """The Chebyshev fit of tau(m, n) ~ |m x + n y| with frozen signs, as a
+    linear program in (x, y, eps) solved by visiting every vertex.
+
+    The signs s_i are those of m_i x + n_i y (+1 at 0) at the pair
+    interpolant with the least residual max | |m x + n y| - tau |, the first
+    one met with pairs in sample order and sign choices (+,+), (+,-), (-,+),
+    (-,-).  A vertex is where three of the 2N constraints
+    +-(s_i (m_i x + n_i y) - tau_i) <= eps are tight; each is solved by
+    Cramer's rule and kept if it meets all 2N, so the scan is O(N^4).
+    Returns (least eps, lex-least (x, y) among the vertices reaching it)."""
+    best = None
+    for ((m1, n1), t1), ((m2, n2), t2) in combinations(samples, 2):
+        det = m1 * n2 - m2 * n1
+        if det == 0:
+            continue
+        for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            # solve m1 x + n1 y = s1 t1, m2 x + n2 y = s2 t2
+            x = (s1 * t1 * n2 - s2 * t2 * n1) / Fraction(det)
+            y = (m1 * s2 * t2 - m2 * s1 * t1) / Fraction(det)
+            r = max(abs(abs(m * x + n * y) - t) for (m, n), t in samples)
+            if best is None or r < best[0]:
+                best = (r, x, y)
+    _, x0, y0 = best
+    rows = []
+    for (m, n), t in samples:
+        s = 1 if m * x0 + n * y0 >= 0 else -1
+        rows.append((s * m, s * n, t))
+    # over integers: scale tau by the common denominator L, and keep the
+    # vertex as (X, Y, E) / (d L) with Cramer's determinant d > 0
+    L = math.lcm(*(t.denominator for _, _, t in rows))
+    rows = [(m, n, int(t * L)) for m, n, t in rows]
+    # the tight form sigma (a . u) - eps = sigma tau, for sigma = +-1
+    planes = [(sg * m, sg * n, -1, sg * t) for m, n, t in rows for sg in (1, -1)]
+    vertices = []
+    for tight in combinations(planes, 3):
+        d = _det3(*(p[:3] for p in tight))
+        if d == 0:
+            continue
+        X, Y, E = (_det3(*(p[:k] + p[3:] + p[k + 1:3] for p in tight)) for k in range(3))
+        if d < 0:
+            d, X, Y, E = -d, -X, -Y, -E
+        if all(abs(m * X + n * Y - t * d) <= E for m, n, t in rows):
+            vertices.append((Fraction(E, d * L), Fraction(X, d * L), Fraction(Y, d * L)))
+    eps = min(v[0] for v in vertices)
+    return eps, min((x, y) for e, x, y in vertices if e == eps)

@@ -1,0 +1,127 @@
+"""Fuzzing the error contract of the command line at three input boundaries:
+`lm fit` sample files, `lm obstruction --matrix` and `product factor-check
+--map`.  Whatever the input, a command exits 0, or exits 2 with exactly one
+JSON object on stderr and nothing on stdout; it never raises."""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qtlab.cli import main
+
+
+def _tuple_ish(item, size):
+    """A list of the given items whose length is usually, but not always,
+    the given size."""
+    return st.one_of(st.lists(item, min_size=size, max_size=size),
+                     st.lists(item, max_size=size + 1))
+
+
+# exact rationals, strings that are not, floats, and JSON values of the wrong type
+BAD_STRINGS = ["x", "", " ", "1/0", "0/0", "1//2", "--1", "1.5.2", "inf", "nan",
+               "0x10", "3/-", "1/2/3"]
+NUMBERS = st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30),
+                    st.fractions(max_denominator=9).map(str), st.sampled_from(BAD_STRINGS),
+                    st.floats(allow_nan=True, allow_infinity=False), st.booleans(),
+                    st.none())
+JUNK = st.one_of(NUMBERS, st.lists(st.integers(-3, 3), max_size=3),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2))
+SAMPLE = st.one_of(
+    st.tuples(_tuple_ish(st.one_of(st.integers(-6, 6), NUMBERS), 2), NUMBERS).map(list),
+    _tuple_ish(JUNK, 2), JUNK)
+SAMPLES = st.one_of(st.fixed_dictionaries({"samples": st.lists(SAMPLE, max_size=6)}),
+                    st.fixed_dictionaries({"samples": JUNK}),
+                    st.lists(SAMPLE, max_size=6), JUNK)
+MATRIX = st.one_of(
+    _tuple_ish(_tuple_ish(st.one_of(st.integers(-6, 6), NUMBERS), 2), 2).map(json.dumps),
+    JUNK.map(json.dumps), st.sampled_from(["[[1, 2], [3, 4]", "", "[[3,4],[-4,3]]x"]))
+VERTEX = st.one_of(st.sampled_from(["v0", "v1", "v2", "zz"]), JUNK)
+ENTRY = st.one_of(_tuple_ish(_tuple_ish(VERTEX, 2), 2), _tuple_ish(JUNK, 2), JUNK)
+MAPPING = st.one_of(st.fixed_dictionaries({"mapping": st.lists(ENTRY, max_size=4)}),
+                    st.fixed_dictionaries({"mapping": JUNK}),
+                    st.lists(ENTRY, max_size=4), JUNK)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("contract")
+    assert _run(["construct", "path", "--params", '{"n": 3}', "--out",
+                 str(d / "p3.json")])[0] == 0
+    return d
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def _check_contract(argv):
+    """Run argv; on exit 2 return the error object of its one-line JSON
+    diagnostic, on exit 0 None."""
+    rc, out, err = _run(argv)
+    assert rc in (0, 2), (argv, rc, err)
+    if rc == 0:
+        assert err == ""
+        return None
+    assert out == ""
+    assert err.endswith("\n") and err.count("\n") == 1
+    error = json.loads(err)["error"]
+    assert isinstance(error["message"], str)
+    return error
+
+
+@settings(max_examples=150, deadline=None)
+@given(SAMPLES)
+def test_lm_fit_samples_keep_the_contract(workdir, payload):
+    path = workdir / "samples.json"
+    path.write_text(json.dumps(payload))
+    _check_contract(["lm", "fit", "--samples", str(path)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(MATRIX)
+def test_lm_obstruction_matrix_keeps_the_contract(matrix):
+    # "--matrix=..." so that argparse takes a value such as "-1e+16" as the
+    # value, not as an option
+    _check_contract(["lm", "obstruction", "--k-max", "2", f"--matrix={matrix}"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(MAPPING)
+def test_factor_check_map_keeps_the_contract(workdir, payload):
+    path = workdir / "map.json"
+    path.write_text(json.dumps(payload))
+    p3 = str(workdir / "p3.json")
+    _check_contract(["product", "factor-check", "--factors", p3, p3, "--map", str(path)])
+
+
+@pytest.mark.parametrize("argv_tail, payload", [
+    (["lm", "fit", "--samples"], {"samples": 7}),
+    (["lm", "fit", "--samples"], {"samples": [[["a", 0], 1], [[0, 1], 1]]}),
+    (["lm", "fit", "--samples"], {"samples": [[[1, 0], "x"], [[0, 1], 1]]}),
+    (["lm", "fit", "--samples"], {"samples": [[[1, 0], "1/0"], [[0, 1], 1]]}),
+    (["lm", "fit", "--samples"], {"samples": [[[1.5, 0], 1], [[0, 1], 1]]}),
+    (["product", "factor-check", "--map"], {"mapping": 5}),
+    (["product", "factor-check", "--map"], {"mapping": [[1, 2]]}),
+    (["product", "factor-check", "--map"],
+     {"mapping": [[["v0", "v0"], ["v1", "v1"], ["v2", "v2"]]]}),
+])
+def test_known_bad_files_exit_2(workdir, argv_tail, payload):
+    path = workdir / "bad.json"
+    path.write_text(json.dumps(payload))
+    argv = argv_tail + [str(path)]
+    if argv[0] == "product":
+        p3 = str(workdir / "p3.json")
+        argv[2:2] = ["--factors", p3, p3]
+    assert _check_contract(argv)["type"] == "FormatError"
+
+
+@pytest.mark.parametrize("matrix", ["5", '[[1,2],[3,"a"]]', '[[1,2],[3,"1/0"]]', "[[1,2],[3,1.5]]"])
+def test_known_bad_matrices_exit_2(matrix):
+    argv = ["lm", "obstruction", "--k-max", "2", "--matrix", matrix]
+    assert _check_contract(argv)["type"] == "FormatError"

@@ -1,11 +1,14 @@
-"""Every name a module imports at module level is used in that module.
+"""Every name a module imports at module level is used in that module, and
+every import anywhere in the package is of the standard library, numpy or
+the package itself.
 
-The scan parses each module of the package with ``ast``; it does not import
-them.  Package ``__init__.py`` files re-export names and are exempt, and so
-is ``from __future__ import annotations``."""
+The scans parse each module of the package with ``ast``; they do not import
+them.  Package ``__init__.py`` files re-export names and are exempt from the
+first scan, and so is ``from __future__ import annotations``."""
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -77,3 +80,33 @@ def test_the_scan_flags_an_unused_import():
                      "def f(x: 'Optional[int]'):\n    return os.sep\n")
     used = _used_names(tree)
     assert [n for n, _ in _module_level_imports(tree) if n not in used] == ["List"]
+
+
+def _foreign_imports(tree):
+    """(top-level module, line) of every import, in functions too, that is
+    not relative and not of the standard library, numpy or qtlab."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "qtlab"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] not in allowed:
+                yield name.split(".")[0], node.lineno
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_and_numpy(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = [f"{name} (line {line})" for name, line in _foreign_imports(tree)]
+    assert not foreign, f"{path.name} imports beyond stdlib and numpy: {', '.join(foreign)}"
+
+
+def test_the_scan_flags_a_function_level_import():
+    tree = ast.parse("import os, numpy as np\nfrom . import io\n"
+                     "def f():\n    from scipy.optimize import linprog\n"
+                     "    import qtlab.cli\n")
+    assert list(_foreign_imports(tree)) == [("scipy", 4)]

@@ -516,8 +516,8 @@ def test_product_distortion_cli_csv(tmp_path, capsys):
 # command line, through a real process
 
 
-# graph commands in one fresh interpreter; `lm fit` is the one command that
-# may import scipy (scipy.optimize.linprog, its float fallback)
+# graph commands and a Chebyshev `lm fit` in one fresh interpreter; qtlab
+# runs on numpy alone, so none of them may import scipy
 NO_SCIPY_SCRIPT = r"""
 import contextlib, io, json, sys
 from qtlab.cli import main
@@ -525,6 +525,9 @@ from qtlab.io import load_graph
 from qtlab.metric_graph import is_quasitree
 
 act = "doubleline-n16.action.json"
+# no pair of samples interpolates, so the fit takes its Chebyshev branch
+with open("noisy.json", "w") as fh:
+    json.dump({"samples": [[[1, 0], 1], [[2, 0], 4], [[0, 1], 0], [[1, 1], "5/3"]]}, fh)
 runs = [
     ["construct", "grid", "--params", '{"m": 4, "n": 5}', "--out", "grid.json"],
     ["fixtures", "doubleline-n16", "--out", "."],
@@ -533,16 +536,18 @@ runs = [
     ["classify", "--action", act, "--basepoint", "(0,1)", "--horizon", "6"],
     ["properness", "--action", act, "--horizon", "3"],
     ["product", "distortion", "--factors", act, act, "--horizon", "3"],
+    ["lm", "fit", "--samples", "noisy.json"],
 ]
 for argv in runs:
-    with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
         assert main(argv) == 0, argv
+assert json.loads(out.getvalue())["results"]["method"] == "chebyshev"
 assert is_quasitree(load_graph("grid.json"), 2).report.constant > 0
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def test_graph_commands_import_no_scipy(tmp_path, child_env):
+def test_no_command_imports_scipy(tmp_path, child_env):
     r = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT], capture_output=True,
                        cwd=str(tmp_path), text=True, env=child_env)
     assert r.returncode == 0, r.stderr

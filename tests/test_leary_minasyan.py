@@ -1,6 +1,7 @@
 """Tests for the exact planar algebra: matrices, the rotation representation,
 Gaussian integer powers, obstruction determinants, and translation-length fits."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qtlab.leary_minasyan import (
     ExactMat2,
     GaussianInt,
     PlanarIsometry,
+    _canonical_sign,
     conjugation_exponents,
     fit_translation_homomorphism,
     gaussian_power_check,
@@ -21,6 +23,8 @@ from qtlab.leary_minasyan import (
     parse_samples,
     seminorm_audit,
 )
+
+from _oracles import brute_chebyshev
 
 M = ExactMat2(CONJUGATING_MATRIX)
 
@@ -46,6 +50,15 @@ def test_inverse_round_trip():
     a = ExactMat2(((2, 1), (1, 1)))
     assert (a @ a.inverse()) == ExactMat2.identity()
     assert (a.inverse() @ a) == ExactMat2.identity()
+
+
+@pytest.mark.parametrize("rows", [
+    5, None, "ab", [[1, 2]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]], [[1, 2], 5],
+    [[1, 2], [3, "a"]], [[1, 2], [3, "1/0"]], [[1, 2], [3, 1.5]], [[1, 2], [3, None]],
+])
+def test_malformed_matrices_are_format_errors(rows):
+    with pytest.raises(FormatError):
+        ExactMat2(rows)
 
 
 def test_singular_matrix_has_no_inverse():
@@ -234,9 +247,42 @@ def test_chebyshev_fallback_finds_the_minimax_point():
     assert fit.method == "chebyshev"
     assert fit.residual == Fraction(2, 3)
     assert fit.x == Fraction(5, 3)
+    # every y in [-2/3, 2/3] is optimal; the tie goes to the lex-least vertex
+    assert fit.y == Fraction(-2, 3)
     # the reported residual really is the worst error of the reported pair
     worst = max(abs(abs(m * fit.x + n * fit.y) - tau) for (m, n), tau in samples)
     assert worst == fit.residual
+
+
+def _noisy_table(rng, k):
+    """k samples |m x + n y| + noise, clipped at 0, for a random rational
+    (x, y), directions in [-6, 6]^2 and noise in [-12, 12] / [1, 8]."""
+    x = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    y = Fraction(rng.randint(-20, 20), rng.randint(1, 6))
+    table = []
+    for _ in range(k):
+        m, n = rng.randint(-6, 6), rng.randint(-6, 6)
+        noise = Fraction(rng.randint(-12, 12), rng.randint(1, 8))
+        table.append(((m, n), max(Fraction(0), abs(m * x + n * y) + noise)))
+    return table
+
+
+def test_chebyshev_fit_matches_the_vertex_oracle():
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 200:
+        samples = _noisy_table(rng, rng.randint(3, 8))
+        try:
+            fit = fit_translation_homomorphism(samples)
+        except DegenerateSamples:
+            continue
+        if fit.method != "chebyshev":
+            assert fit.residual == 0
+            continue
+        eps, (x, y) = brute_chebyshev(samples)
+        assert fit.residual == eps, samples
+        assert (fit.x, fit.y) == _canonical_sign(x, y), samples
+        checked += 1
 
 
 def test_parse_samples_accepts_payload_dict():
@@ -249,6 +295,22 @@ def test_parse_samples_rejects_bad_entries():
         parse_samples([((1, 0), -2)])
     with pytest.raises(FormatError):
         parse_samples([((1, 0), 1.5)])
+
+
+@pytest.mark.parametrize("payload", [
+    {"samples": 7}, {"samples": "abc"}, {"samples": [7]}, {"samples": [[[1, 0]]]},
+    {"samples": [[[1, 0, 2], 1]]}, {"samples": [[["a", 0], 1]]},
+    {"samples": [[[1.5, 0], 1]]}, {"samples": [[[1, None], 1]]},
+    {"samples": [[[1, 0], "x"]]}, {"samples": [[[1, 0], "1/0"]]},
+    {"samples": [[[1, 0], None]]}, {"samples": [[[1, 0], [1]]]}, {},
+])
+def test_parse_samples_rejects_malformed_payloads(payload):
+    with pytest.raises(FormatError):
+        parse_samples(payload)
+
+
+def test_parse_samples_reads_integer_strings_as_directions():
+    assert parse_samples([[["2", "-3"], "1/2"]]) == [((2, -3), Fraction(1, 2))]
 
 
 # ---------------------------------------------------------------------------
