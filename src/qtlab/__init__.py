@@ -10,10 +10,10 @@ from .errors import (QtlabError, EmptyGraph, DisconnectedGraph, SizeLimitExceede
                      NotAQuasitree, EndNotInvariant, CenterNotFound, RadiusTooLarge,
                      InvalidChain, UnknownFamily, UnknownFixture, NegativeExponent,
                      DimensionMismatch, NormMismatch, FactorMismatch, DegenerateSamples)
-from .metric_graph import (MetricGraph, all_pairs_distances, hyperbolicity_delta,
+from .metric_graph import (MetricGraph, graph_from_ids, hyperbolicity_delta,
                            four_point_defect2, bottleneck_constant, is_quasitree,
                            enumerate_geodesics, ends_profile)
-from .group_action import (GroupAction, Word, evaluate_word, word_map, orbit,
+from .group_action import (GroupAction, action_from_maps, Word, evaluate_word, word_map, orbit,
                            check_locally_finite_orbit, rips_orbit_graph,
                            connectivity_radius, stable_translation_length,
                            tree_translation_length, classify_isometry,

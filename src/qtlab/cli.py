@@ -17,6 +17,7 @@ import csv
 import functools
 import io as _stringio
 import json
+import operator
 import os
 import sys
 from dataclasses import asdict, is_dataclass
@@ -138,18 +139,25 @@ def cmd_analyze(args):
     return _report("analyze", {"graph": args.graph}, results, args.seed), None
 
 
+def _int(value) -> int:
+    """An int or a string of one; a float or a bool is a TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value) if isinstance(value, str) else operator.index(value)
+
+
 def _int_tuple(value):
     """Tuple of ints from a JSON list; TypeError or ValueError otherwise."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(int(v) for v in value)
+    return tuple(_int(v) for v in value)
 
 
 def _as_gen_steps(family: str, gens):
     if not isinstance(gens, list):
         raise TypeError(f"expected a list, got {gens!r}")
     if family == "Z":
-        return tuple(int(v) for v in gens)
+        return _int_tuple(gens)
     if family == "Z2":
         return tuple(_int_tuple(g) for g in gens)
     return tuple(str(v) for v in gens)
@@ -177,7 +185,7 @@ def cmd_construct(args):
         """Integer parameter, or default when key is missing and default is set."""
         if key not in params and default is not None:
             return default
-        return param(key, int, "an integer")
+        return param(key, _int, "an integer")
 
     base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
     base_action = load_action(args.action) if args.action else None
@@ -572,13 +580,21 @@ def cmd_fixtures(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise FormatError, which main reports as JSON on stderr
+    like any other bad input; subparsers are built from the same class."""
+
+    def error(self, message):
+        raise FormatError(f"{self.prog}: {message}")
+
+
 # Built once per process: building it costs about 3.5 ms, and each build
 # leaves a cyclic object graph behind, so a process that calls main() many
 # times would otherwise pay both on every call.  parse_args does not change
 # the parser.
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="qtlab",
         description="metric graphs, group actions and their orbit geometry")
     p.add_argument("--seed", type=int, default=0,
@@ -681,8 +697,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except FormatError as exc:
+        return _fail(None, "FormatError", exc, 2)
     saved_cap = os.environ.get("QTLAB_MAX_VERTICES")
     if args.max_vertices is not None:
         os.environ["QTLAB_MAX_VERTICES"] = str(args.max_vertices)
@@ -698,10 +716,10 @@ def main(argv=None) -> int:
                 os.environ["QTLAB_MAX_VERTICES"] = saved_cap
 
 
-def _fail(args, kind: str, exc: Exception, code: int) -> int:
-    """Write the JSON diagnostic for a failed command to stderr."""
+def _fail(command, kind: str, exc: Exception, code: int) -> int:
+    """Write the JSON diagnostic for a failed command (None: unparsed) to stderr."""
     sys.stderr.write(json.dumps(
-        {"command": args.command, "error": {"type": kind, "message": str(exc)}},
+        {"command": command, "error": {"type": kind, "message": str(exc)}},
         sort_keys=True, separators=(",", ":")) + "\n")
     return code
 
@@ -711,11 +729,11 @@ def _dispatch(args) -> int:
         rep, csv_rows = args.func(args)
         _emit_report(rep, args, csv_rows)
     except SizeLimitExceeded as exc:
-        return _fail(args, "SizeLimitExceeded", exc, 3)
+        return _fail(args.command, "SizeLimitExceeded", exc, 3)
     except QtlabError as exc:
-        return _fail(args, type(exc).__name__, exc, 2)
+        return _fail(args.command, type(exc).__name__, exc, 2)
     except OSError as exc:
-        return _fail(args, "FileError", exc, 2)
+        return _fail(args.command, "FileError", exc, 2)
     return 0
 
 

@@ -17,8 +17,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import FormatError, InvalidChain, UnknownFamily
-from .metric_graph import MetricGraph
-from .group_action import GroupAction
+from .metric_graph import MetricGraph, graph_from_ids
+from .group_action import GroupAction, action_from_maps, forward_map
 
 
 @dataclass
@@ -41,6 +41,20 @@ class Construction:
 # ---------------------------------------------------------------------------
 
 
+def _action_on(graph: MetricGraph, ids, maps) -> GroupAction:
+    """Automorphism-mode action on graph from (name, pairs) maps, each pair
+    (s, t) sending ids[s] to ids[t]."""
+    at = graph.indices(ids)
+    return GroupAction(graph, [
+        (name, forward_map(graph.n, *at[np.asarray(pairs, dtype=np.int64).reshape(-1, 2)].T))
+        for name, pairs in maps], mode="automorphism")
+
+
+def _moves(pos: dict, f) -> list:
+    """Position pairs (pos[v], pos[f(v)]) over the v in pos with f(v) in pos."""
+    return [(k, pos[u]) for v, k in pos.items() for u in (f(v),) if u in pos]
+
+
 def _pad_ids(prefix: str, n: int) -> List[str]:
     width = len(str(max(n - 1, 0)))
     return [f"{prefix}{k:0{width}d}" for k in range(n)]
@@ -49,39 +63,30 @@ def _pad_ids(prefix: str, n: int) -> List[str]:
 def path_graph(n: int) -> MetricGraph:
     if n < 1:
         raise FormatError("path needs at least one vertex")
-    ids = _pad_ids("v", n)
-    return MetricGraph(ids, [(ids[k], ids[k + 1]) for k in range(n - 1)])
+    return MetricGraph(_pad_ids("v", n), [(k, k + 1) for k in range(n - 1)])
 
 
 def cycle_graph(n: int) -> MetricGraph:
     if n < 3:
         raise FormatError("cycle needs at least three vertices")
-    ids = _pad_ids("v", n)
-    edges = [(ids[k], ids[(k + 1) % n]) for k in range(n)]
-    return MetricGraph(ids, edges)
+    return MetricGraph(_pad_ids("v", n), [(k, (k + 1) % n) for k in range(n)])
 
 
 def grid_graph(m: int, n: int) -> MetricGraph:
     if m < 1 or n < 1:
         raise FormatError("grid needs positive side lengths")
     wi, wj = len(str(m - 1)), len(str(n - 1))
-    vid = lambda i, j: f"{i:0{wi}d},{j:0{wj}d}"
-    ids = [vid(i, j) for i in range(m) for j in range(n)]
-    edges = []
-    for i in range(m):
-        for j in range(n):
-            if i + 1 < m:
-                edges.append((vid(i, j), vid(i + 1, j)))
-            if j + 1 < n:
-                edges.append((vid(i, j), vid(i, j + 1)))
+    ids = [f"{i:0{wi}d},{j:0{wj}d}" for i in range(m) for j in range(n)]
+    at = np.arange(m * n).reshape(m, n)     # position of (i, j) in ids
+    edges = np.concatenate((np.stack((at[:-1].ravel(), at[1:].ravel()), axis=1),
+                            np.stack((at[:, :-1].ravel(), at[:, 1:].ravel()), axis=1)))
     return MetricGraph(ids, edges)
 
 
 def star_graph(leaves: int) -> MetricGraph:
     if leaves < 1:
         raise FormatError("star needs at least one leaf")
-    leaf_ids = _pad_ids("l", leaves)
-    return MetricGraph(["c"] + leaf_ids, [("c", l) for l in leaf_ids])
+    return MetricGraph(["c"] + _pad_ids("l", leaves), [(0, k) for k in range(1, leaves + 1)])
 
 
 def regular_tree(degree: int, depth: int) -> MetricGraph:
@@ -96,19 +101,17 @@ def regular_tree(degree: int, depth: int) -> MetricGraph:
         raise FormatError("depth must be >= 0")
     ids = ["r"]
     edges = []
-    frontier = ["r"]
+    frontier = [0]
     for level in range(depth):
         nxt = []
-        for v in frontier:
-            fanout = degree if v == "r" else degree - 1
+        for k in frontier:
+            fanout = degree if k == 0 else degree - 1
             for c in range(fanout):
-                child = v + str(c)
-                ids.append(child)
-                edges.append((v, child))
-                nxt.append(child)
+                edges.append((k, len(ids)))
+                nxt.append(len(ids))
+                ids.append(ids[k] + str(c))
         frontier = nxt
-    g = MetricGraph(ids, edges, boundary=frontier if depth > 0 else ())
-    return g
+    return MetricGraph(ids, edges, boundary=frontier if depth > 0 else ())
 
 
 def rips_graph(g: MetricGraph, r: int) -> MetricGraph:
@@ -116,8 +119,7 @@ def rips_graph(g: MetricGraph, r: int) -> MetricGraph:
     if r < 0:
         raise FormatError("r must be >= 0")
     close = np.triu((g.dist > 0) & (g.dist <= r), 1)
-    edges = [(g.vertex_ids[i], g.vertex_ids[j]) for i, j in np.argwhere(close)]
-    return MetricGraph(g.vertex_ids, edges, boundary=g.boundary,
+    return MetricGraph(g.vertex_ids, np.argwhere(close), boundary=g.indices(g.boundary),
                        allow_disconnected=(r == 0 or not g.connected))
 
 
@@ -305,8 +307,8 @@ def coset_tree(table: FiniteGroupTable, chain) -> Construction:
 
     ids = [vid for lv in level_ids for vid in lv] + ([apex] if apex else [])
     top_count = len(level_ids[k])
-    graph = MetricGraph(ids, edges,
-                        allow_disconnected=(apex is None and (top_count > 1 or k == 0 and len(ids) > 1)))
+    graph = graph_from_ids(ids, edges,
+                           allow_disconnected=(apex is None and (top_count > 1 or k == 0 and len(ids) > 1)))
 
     gens = []
     for g in table.elements:
@@ -319,7 +321,7 @@ def coset_tree(table: FiniteGroupTable, chain) -> Construction:
         if apex:
             fwd[apex] = apex
         gens.append((g, fwd))
-    action = GroupAction(graph, gens, mode="automorphism")
+    action = action_from_maps(graph, gens, mode="automorphism")
 
     base_ids = [coset_of[i][table.identity] for i in range(k + 1)]
     stab_sizes = [sum(1 for g in table.elements
@@ -378,13 +380,15 @@ def _cayley_ball(family, radius, e, steps, names, vid, mul, inv) -> Construction
     each generator acts by left multiplication, restricted to the ball."""
     dist = _ball_bfs(e, lambda v: (u for g in steps for u in (mul(v, g), mul(v, inv(g)))),
                      radius)
-    edges = {tuple(sorted((vid(v), vid(mul(v, g)))))
-             for v in dist for g in steps if mul(v, g) in dist}
-    gen_maps = [(name, {vid(v): vid(mul(g, v)) for v in dist if mul(g, v) in dist})
-                for g, name in zip(steps, names)]
-    boundary = [vid(v) for v, d in dist.items() if d == radius]
-    graph = MetricGraph([vid(v) for v in dist], edges, boundary=boundary)
-    action = GroupAction(graph, gen_maps, mode="automorphism")
+    pos = {v: k for k, v in enumerate(dist)}
+    # v ~ v*g is found from both ends when g or g^-1 repeats (g^2 = 1, or
+    # gens such as (1, -1)), so the pairs go through a set
+    edges = list({tuple(sorted(p)) for g in steps for p in _moves(pos, lambda v: mul(v, g))})
+    ids = [vid(v) for v in dist]
+    graph = MetricGraph(ids, edges,
+                        boundary=[k for k, d in enumerate(dist.values()) if d == radius])
+    action = _action_on(graph, ids, [(name, _moves(pos, lambda v: mul(g, v)))
+                                     for g, name in zip(steps, names)])
     return Construction(graph, action, vid(e), extras={"family": family, "radius": radius})
 
 
@@ -480,9 +484,9 @@ def farey_graph(Q: int, P: Optional[int] = None) -> Construction:
     src = np.arange(1, N, dtype=np.int64)
 
     # r/s ~ p/q exactly when r = (ps -+ 1)/q is an integer, so each finite
-    # vertex has at most two neighbours per denominator s; infinity = 1/0
-    # joins every integer.  Keys i*N + j (i < j) sort to row-major order.
-    keys = [pos[1, :]]
+    # vertex has at most two neighbours per denominator s, each edge found
+    # from its lower position; infinity = 1/0 joins every integer
+    ends = [np.stack((np.zeros(2 * P + 1, dtype=np.int64), pos[1, :]), axis=1)]
     for s in range(1, Q + 1):
         for e in (-1, 1):
             r, rem = np.divmod(nums * s + e, dens)
@@ -490,28 +494,20 @@ def farey_graph(Q: int, P: Optional[int] = None) -> Construction:
             i = src[ok]
             j = pos[s, r[ok] + P]
             up = i < j
-            keys.append(i[up] * N + j[up])
-    ii, jj = np.divmod(np.unique(np.concatenate(keys)), N)
-    edges = [(ids[i], ids[j]) for i, j in zip(ii.tolist(), jj.tolist())]
-
+            ends.append(np.stack((i[up], j[up]), axis=1))
     edge_of_window = (dens >= Q - 1) | (np.abs(nums) >= P - 1)
-    boundary = [ids[k] for k in src[edge_of_window].tolist()]
-
-    def partial_map(ok, dst):
-        return {ids[i]: ids[j] for i, j in zip(src[ok].tolist(), dst.tolist())}
+    graph = MetricGraph(ids, np.concatenate(ends), boundary=src[edge_of_window])
 
     # S: p/q -> -q/p, written (-sign(p) q)/|p|, and infinity -> 0.  At 0 it
     # gives -1/0, which is not the vertex 1/0, so S is undefined there.
     # T: p/q -> (p + q)/q fixes infinity.
     s_ok = (nums != 0) & (np.abs(nums) <= Q) & (dens <= P)
-    s_map = {"inf": "0", **partial_map(
-        s_ok, pos[np.abs(nums[s_ok]), P - np.sign(nums[s_ok]) * dens[s_ok]])}
+    s_dst = pos[np.abs(nums[s_ok]), P - np.sign(nums[s_ok]) * dens[s_ok]]
     t_ok = np.abs(nums + dens) <= P
-    t_map = {"inf": "inf", **partial_map(
-        t_ok, pos[dens[t_ok], nums[t_ok] + dens[t_ok] + P])}
-
-    graph = MetricGraph(ids, edges, boundary=boundary)
-    action = GroupAction(graph, [("S", s_map), ("T", t_map)], mode="automorphism")
+    t_dst = pos[dens[t_ok], nums[t_ok] + dens[t_ok] + P]
+    action = _action_on(graph, ids, [
+        ("S", np.stack((np.append(0, src[s_ok]), np.append(pos[1, P], s_dst)), axis=1)),
+        ("T", np.stack((np.append(0, src[t_ok]), np.append(0, t_dst)), axis=1))])
     return Construction(graph, action, "inf", extras={"Q": Q, "P": P})
 
 
@@ -551,25 +547,13 @@ def bass_serre_tree_bs12(radius: int) -> Construction:
         return f"m{m}:{R >> tz}/{1 << (D - tz)}"
 
     dist = _ball_bfs((0, 0), neighbors, radius)
-    ids = {v: vid(*v) for v in dist}
-    edges = []
-    a_map = {}
-    t_map = {}
-    for v, name in ids.items():
-        m, R = v
-        up = (m - 1, R & mask(m - 1))
-        if up in ids:
-            edges.append((name, ids[up]))
-        img = ids.get((m, (R + (1 << D)) & mask(m)))
-        if img is not None:
-            a_map[name] = img
-        img = ids.get((m + 1, (2 * R) & mask(m + 1)))
-        if img is not None:
-            t_map[name] = img
-
-    boundary = [ids[v] for v, d in dist.items() if d == radius]
-    graph = MetricGraph(ids.values(), edges, boundary=boundary)
-    action = GroupAction(graph, [("a", a_map), ("t", t_map)], mode="automorphism")
+    pos = {v: k for k, v in enumerate(dist)}
+    ids = [vid(*v) for v in dist]
+    graph = MetricGraph(ids, _moves(pos, lambda v: (v[0] - 1, v[1] & mask(v[0] - 1))),
+                        boundary=[k for k, d in enumerate(dist.values()) if d == radius])
+    action = _action_on(graph, ids, [
+        ("a", _moves(pos, lambda v: (v[0], (v[1] + (1 << D)) & mask(v[0])))),
+        ("t", _moves(pos, lambda v: (v[0] + 1, (2 * v[1]) & mask(v[0] + 1))))])
     ray = [vid(-j, 0) for j in range(radius + 1)]
     return Construction(graph, action, ray[0], extras={"radius": radius, "ray": ray})
 
@@ -586,23 +570,18 @@ def cone_graph(base: MetricGraph, base_action: Optional[GroupAction] = None,
     matter how spread out the base was."""
     if base.has_vertex("apex"):
         raise FormatError("base already has a vertex named 'apex'")
-    ids = list(base.vertex_ids) + ["apex"]
-    edges = list(base.edges()) + [(v, "apex") for v in base.vertex_ids]
-    boundary = list(base.boundary)
-    if boundary:
-        boundary = boundary + ["apex"]
-    graph = MetricGraph(ids, edges, boundary=boundary)
+    n = base.n      # the position of the apex; base vertex i keeps position i
+    spokes = np.stack((np.arange(n), np.full(n, n)), axis=1)
+    graph = MetricGraph(base.vertex_ids + ("apex",), np.concatenate((base.edge_array(), spokes)),
+                        boundary=base.indices(base.boundary).tolist() + ([n] if base.boundary else []))
     action = None
     if base_action is not None:
         if base_action.mode != "automorphism":
             raise FormatError("cone extension needs an automorphism-mode base action")
-        ids_act = base_action.space.vertex_ids
-        gens = []
-        for gm in base_action.generators:
-            fwd = {ids_act[s]: ids_act[d] for s, d in zip(*gm.pairs())}
-            fwd["apex"] = "apex"
-            gens.append((gm.name, fwd))
-        action = GroupAction(graph, gens, mode="automorphism")
+        apex = base_action.space.n
+        action = _action_on(graph, base_action.space.vertex_ids + ("apex",), [
+            (gm.name, np.append(np.stack(gm.pairs(), axis=1), [[apex, apex]], axis=0))
+            for gm in base_action.generators])
     if basepoint is None:
         basepoint = min(base.vertex_ids)
     return Construction(graph, action, basepoint, extras={"apex": "apex"})
@@ -620,30 +599,19 @@ def double_line_graph(n: int, swaps: Sequence[int] = (0, 3)) -> Construction:
         if abs(k) > n:
             raise FormatError(f"swap position {k} outside [-{n}, {n}]")
 
-    vid = lambda k, i: f"({k},{i})"
-    ids = [vid(k, i) for k in range(-n, n + 1) for i in (1, 2)]
-    edges = []
-    for k in range(-n, n + 1):
-        for i in (1, 2):
-            if k + 1 <= n:
-                edges.append((vid(k, i), vid(k + 1, i)))
-        if k - 1 >= -n:
-            edges.append((vid(k, 1), vid(k - 1, 2)))
-        if k + 1 <= n:
-            edges.append((vid(k, 1), vid(k + 1, 2)))
-
-    shift = {vid(k, i): vid(k + 1, i) for k in range(-n, n) for i in (1, 2)}
-    gens = [("s", shift)]
+    # (k, i) has position 2 (k + n) + i - 1, so for k < n, (k, 1) at p has
+    # (k, 2) at p + 1 and (k + 1, 1), (k + 1, 2) at p + 2, p + 3
+    ids = [f"({k},{i})" for k in range(-n, n + 1) for i in (1, 2)]
+    p = np.arange(0, 4 * n, 2)
+    edges = np.concatenate([np.stack(e, axis=1) for e in
+                            ((p, p + 2), (p + 1, p + 3), (p + 2, p + 1), (p, p + 3))])
+    graph = MetricGraph(ids, edges, boundary=[0, 1, 4 * n, 4 * n + 1])
+    maps = [("s", np.stack((np.arange(4 * n), np.arange(2, 4 * n + 2)), axis=1))]
     for k in swaps:
-        fwd = {v: v for v in ids}
-        fwd[vid(k, 1)] = vid(k, 2)
-        fwd[vid(k, 2)] = vid(k, 1)
-        gens.append((f"sigma{k}", fwd))
-
-    boundary = [vid(k, i) for k in (-n, n) for i in (1, 2)]
-    graph = MetricGraph(ids, edges, boundary=boundary)
-    action = GroupAction(graph, gens, mode="automorphism")
-    return Construction(graph, action, vid(0, 1),
+        image, q = np.arange(len(ids)), 2 * (k + n)
+        image[[q, q + 1]] = q + 1, q
+        maps.append((f"sigma{k}", np.stack((np.arange(len(ids)), image), axis=1)))
+    return Construction(graph, _action_on(graph, ids, maps), "(0,1)",
                         extras={"n": n, "swaps": list(swaps)})
 
 
@@ -659,32 +627,27 @@ def horoball(base: MetricGraph, base_action: Optional[GroupAction] = None,
     if depth < 1:
         raise FormatError("depth must be >= 1")
     ids_base = base.vertex_ids
-    vid = lambda v, j: f"{v}|{j}"
-    ids = [vid(v, j) for j in range(depth + 1) for v in ids_base]
-    edges = []
-    for j in range(depth):
-        for v in ids_base:
-            edges.append((vid(v, j), vid(v, j + 1)))
+    nb = base.n
+    # base vertex i at level j has position j * nb + i; vertical edges join p, p + nb
+    ids = [f"{v}|{j}" for j in range(depth + 1) for v in ids_base]
+    below = np.arange(depth * nb)
+    edges = [np.stack((below, below + nb), axis=1)]
     for j in range(depth + 1):
         close = np.triu((base.dist > 0) & (base.dist <= 2 ** j), 1)
-        for i, k in np.argwhere(close):
-            edges.append((vid(ids_base[i], j), vid(ids_base[k], j)))
+        edges.append(np.argwhere(close) + j * nb)
 
-    boundary = [vid(v, depth) for v in ids_base]
-    boundary += [vid(v, j) for v in base.boundary for j in range(depth)]
-    graph = MetricGraph(ids, edges, boundary=boundary)
+    boundary = np.concatenate((below[:nb] + depth * nb,
+                               (base.indices(base.boundary)[:, None] + nb * np.arange(depth)).ravel()))
+    graph = MetricGraph(ids, np.concatenate(edges), boundary=boundary)
     action = None
     if base_action is not None:
         if base_action.mode != "automorphism":
             raise FormatError("horoball extension needs an automorphism-mode base action")
         ids_act = base_action.space.vertex_ids
-        gens = []
-        for gm in base_action.generators:
-            src, dst = gm.pairs()
-            fwd = {vid(ids_act[s], j): vid(ids_act[d], j)
-                   for s, d in zip(src, dst) for j in range(depth + 1)}
-            gens.append((gm.name, fwd))
-        action = GroupAction(graph, gens, mode="automorphism")
+        action = _action_on(graph, [f"{v}|{j}" for j in range(depth + 1) for v in ids_act], [
+            (gm.name, np.concatenate([np.stack(gm.pairs(), axis=1) + j * len(ids_act)
+                                      for j in range(depth + 1)]))
+            for gm in base_action.generators])
     if basepoint is None:
-        basepoint = vid(min(ids_base), 0)
+        basepoint = f"{ids_base[0]}|0"
     return Construction(graph, action, basepoint, extras={"depth": depth})

@@ -128,13 +128,23 @@ class GeneratorMap:
         return src, self.forward[src]
 
 
+def forward_map(n: int, src, dst) -> np.ndarray:
+    """Index array of length n sending src[k] to dst[k], -1 elsewhere."""
+    fwd = np.full(n, -1, dtype=np.int64)
+    fwd[src] = dst
+    return fwd
+
+
 class GroupAction:
     """A finite set of partial graph symmetries acting on a MetricGraph.
 
+    generators are (name, forward) pairs, forward an index array of length
+    space.n with -1 where undefined (action_from_maps takes id dicts).
     mode 'automorphism' checks that each generator preserves the adjacency
     relation wherever both endpoints are defined, on the edges of its domain
     and image; mode 'isometry' checks full distance preservation on defined
-    pairs, which needs the full distance matrix.
+    pairs, which needs the full distance matrix.  The first broken pair is
+    reported in id order.
     """
 
     def __init__(self, space: MetricGraph, generators, mode: str = "automorphism"):
@@ -142,22 +152,25 @@ class GroupAction:
             raise FormatError(f"unknown mode {mode!r}")
         self.space = space
         self.mode = mode
+        n = space.n
         gens: List[GeneratorMap] = []
         names = set()
-        for name, mapping in generators:
-            name = str(name)
+        for name, forward in generators:
+            if not isinstance(name, str):
+                raise FormatError(f"generator names must be strings, got {name!r}")
             if not name or name in names:
                 raise FormatError(f"generator names must be unique and nonempty, got {name!r}")
             names.add(name)
-            pairs = [(space.index(s), space.index(t)) for s, t in mapping.items()]
-            src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            if len(np.unique(dst)) != len(dst):
+            fwd = np.array(forward, dtype=np.int64)
+            if fwd.shape != (n,) or ((fwd < -1) | (fwd >= n)).any():
+                raise FormatError(f"generator {name!r} must be an index array of "
+                                  f"length {n} with entries from -1 to {n - 1}")
+            src = np.flatnonzero(fwd >= 0)
+            dst = fwd[src]
+            bwd = forward_map(n, dst, src)
+            if np.count_nonzero(bwd >= 0) != len(src):
                 raise FormatError(f"generator {name!r} is not injective")
             self._check_mode(name, src, dst)
-            fwd = np.full(space.n, -1, dtype=np.int64)
-            bwd = np.full(space.n, -1, dtype=np.int64)
-            fwd[src] = dst
-            bwd[dst] = src
             fwd.setflags(write=False)
             bwd.setflags(write=False)
             gens.append(GeneratorMap(name, fwd, bwd))
@@ -201,6 +214,13 @@ class GroupAction:
 
     def __repr__(self):
         return f"GroupAction({len(self.generators)} generators on {self.space!r}, mode={self.mode})"
+
+
+def action_from_maps(space: MetricGraph, generators, mode: str = "automorphism") -> GroupAction:
+    """GroupAction from (name, {source id: image id}) generator maps."""
+    return GroupAction(space, [
+        (name, forward_map(space.n, space.indices(m.keys()), space.indices(m.values())))
+        for name, m in generators], mode)
 
 
 def _adjacency_breaks(g: MetricGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -359,21 +379,17 @@ def rips_orbit_graph(a: GroupAction, x0: str, r: int, horizon: int) -> RipsOrbit
     if r < 0:
         raise FormatError("r must be >= 0")
     res = orbit(a, x0, horizon)
-    vids = a.space.vertex_ids
-    idx = np.sort([a.space.index(v) for v in res.vertices])
-    ids = [vids[i] for i in idx]
+    idx = np.sort(a.space.indices(res.vertices))
     sub = a.space.rows(idx)[:, idx]
     close = np.triu((sub > 0) & (sub <= r), 1)
-    edges = [(ids[i], ids[j]) for i, j in np.argwhere(close)]
-    graph = MetricGraph(ids, edges, allow_disconnected=True)
-    present = np.zeros(a.space.n, dtype=bool)
-    present[idx] = True
-    gens = []
-    for gm in a.generators:
-        src, dst = gm.pairs()
-        keep = present[src] & present[dst]
-        gens.append((gm.name, {vids[s]: vids[t] for s, t in zip(src[keep], dst[keep])}))
-    action = GroupAction(graph, gens, mode="automorphism")
+    vids = a.space.vertex_ids
+    graph = MetricGraph([vids[i] for i in idx.tolist()], np.argwhere(close),
+                        allow_disconnected=True)
+    # idx ascends, so orbit point idx[k] is graph index k = local[idx[k]];
+    # local is -1 off the orbit and at local[-1], where undefined images land
+    local = np.append(forward_map(a.space.n, idx, np.arange(len(idx))), -1)
+    action = GroupAction(graph, [(gm.name, local[gm.forward[idx]]) for gm in a.generators],
+                         mode="automorphism")
     return RipsOrbitGraph(r, x0, horizon, graph, action, res)
 
 
@@ -903,7 +919,7 @@ def orbit_quasiconvexity(
     M = connectivity_radius(a, x0)
     K = C + (M + 1) // 2
     res = orbit(a, x0, horizon)
-    oi = np.array(sorted(a.space.index(v) for v in res.vertices), dtype=np.int64)
+    oi = np.sort(a.space.indices(res.vertices))
     R = a.space.rows(oi)       # R[k, v] = d(oi[k], v)
     min_orb = R.min(axis=0)
     DOO = R[:, oi]
@@ -1128,7 +1144,7 @@ def classify_action_type(
             evidence["opposite_directions"] = sorted(ids[o] for o in others)
             return ActionTypeReport("QuasiParabolic", "heuristic", evidence, lox_words)
 
-    orbit_idx = [a.space.index(v) for v in orb.vertices]
+    orbit_idx = a.space.indices(orb.vertices).tolist()
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
             w1, p1, m1 = dirs[i]

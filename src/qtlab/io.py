@@ -13,6 +13,8 @@ qtlab-action-v1
 
 Generator maps list forward images only; inverses are derived.  Non-injective
 maps and duplicate edges are rejected.
+Vertex ids are strings; the loaders here turn them into vertex indices, and
+everything past them works on index arrays.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import json
 import os
 from typing import Optional
 
-from .errors import FormatError, QtlabError
-from .metric_graph import MetricGraph
+from .errors import FormatError
+from .metric_graph import MetricGraph, graph_from_ids
 
 GRAPH_FORMAT = "qtlab-graph-v1"
 ACTION_FORMAT = "qtlab-action-v1"
@@ -45,21 +47,19 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
     for key in ("vertices", "edges"):
         if key not in d:
             raise FormatError(f"graph object missing {key!r}")
-    edges = []
-    for e in d["edges"]:
-        if not isinstance(e, (list, tuple)) or len(e) != 2:
-            raise FormatError(f"edge entries must be pairs, got {e!r}")
-        edges.append((e[0], e[1]))
-    try:
-        return MetricGraph(
-            d["vertices"], edges,
-            boundary=d.get("boundary", ()),
-            allow_disconnected=allow_disconnected,
-        )
-    except QtlabError:
-        raise
-    except Exception as exc:
-        raise FormatError(f"bad graph object: {exc}") from exc
+    vertices, edges, boundary = d["vertices"], d["edges"], d.get("boundary", [])
+    for key, value in (("vertices", vertices), ("edges", edges), ("boundary", boundary)):
+        if not isinstance(value, list):
+            raise FormatError(f"graph {key!r} must be a list, got {value!r}")
+    for key, value in (("vertices", vertices), ("boundary", boundary)):
+        for v in value:
+            if not isinstance(v, str):
+                raise FormatError(f"graph {key!r} entries must be vertex id strings, got {v!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+            raise FormatError(f"edge entries must be pairs of vertex ids, got {e!r}")
+    return graph_from_ids(vertices, edges, boundary=boundary,
+                          allow_disconnected=allow_disconnected)
 
 
 def save_json(obj, path: str) -> None:
@@ -104,7 +104,7 @@ def action_to_dict(action, graph_ref: Optional[str] = None) -> dict:
 
 
 def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = False):
-    from .group_action import GroupAction
+    from .group_action import action_from_maps
 
     if not isinstance(d, dict) or d.get("format") != ACTION_FORMAT:
         raise FormatError(f"expected format {ACTION_FORMAT!r}")
@@ -113,6 +113,8 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
             raise FormatError(f"action object missing {key!r}")
     graph = d["graph"]
     if isinstance(graph, str):
+        if "\0" in graph:
+            raise FormatError(f"graph reference {graph!r} is not a file path")
         g = load_graph(os.path.join(base_dir, graph), allow_disconnected=allow_disconnected)
     else:
         g = graph_from_dict(graph, allow_disconnected=allow_disconnected)
@@ -137,7 +139,7 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
                 raise FormatError(f"generator {entry['name']!r}: duplicate source {p[0]!r}")
             pairs[p[0]] = p[1]
         gens.append((entry["name"], pairs))
-    return GroupAction(g, gens, mode=d["mode"])
+    return action_from_maps(g, gens, mode=d["mode"])
 
 
 def save_action(action, path: str, graph_ref: Optional[str] = None) -> None:

@@ -25,6 +25,9 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        # Fraction expands "1e10000000" in full, for seconds and 400 MB
+        if "e" in x or "E" in x:
+            raise FormatError(f"refusing exponent notation in {x!r}; write the rational out")
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -66,9 +66,11 @@ class MetricGraph:
     """Finite simple graph with BFS distances on demand.
 
     Vertex ids are strings, stored sorted: vertex_ids[i] is the id of index i
-    and the i-th smallest id.  Edges are unordered pairs; loops and duplicate
-    edges are rejected.  Unless allow_disconnected is set, the graph must be
-    connected; distances between components are -1.
+    and the i-th smallest id.  The ids may come in any order; edges, a (k, 2)
+    integer array, and boundary hold positions into vertex_ids as given
+    (graph_from_ids takes ids instead).  Edges are unordered pairs; loops and
+    duplicate edges are rejected.  Unless allow_disconnected is set, the
+    graph must be connected; distances between components are -1.
 
     Building a graph computes its components only.  rows(sources) gives the
     BFS rows of a few vertices; dist, the full read-only int32 matrix, is
@@ -76,49 +78,47 @@ class MetricGraph:
     """
 
     def __init__(self, vertex_ids, edges, boundary=(), allow_disconnected=False):
-        ids = sorted(str(v) for v in vertex_ids)
-        if not ids:
+        given = list(vertex_ids)
+        n = len(given)
+        if not n:
             raise EmptyGraph("graph has no vertices")
-        if len(set(ids)) != len(ids):
-            raise FormatError("duplicate vertex ids")
-        self.vertex_ids = tuple(ids)
+        order = sorted(range(n), key=given.__getitem__)
+        self.vertex_ids = ids = tuple(given[k] for k in order)
         self._index = {v: i for i, v in enumerate(ids)}
-        n = len(ids)
+        if len(self._index) != n:
+            raise FormatError("duplicate vertex ids")
+        ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bpos = np.asarray(boundary, dtype=np.int64).reshape(-1)
+        for pos in (ends, bpos):
+            if pos.size and (pos.min() < 0 or pos.max() >= n):
+                raise VertexNotFound(f"edge or boundary position outside range({n})")
+        rank = np.empty(n, dtype=np.int64)     # rank[position] = index
+        rank[order] = np.arange(n)
+        a, b = rank[ends].T
+        self.boundary = tuple(ids[i] for i in rank[bpos].tolist())
 
-        seen = set()
-        pairs = []
-        for e in edges:
-            a, b = e
-            for end in (a, b):
-                if end not in self._index:
-                    raise VertexNotFound(f"edge endpoint {end!r} is not a vertex")
-            i, j = self._index[a], self._index[b]
-            if i == j:
-                raise FormatError(f"self-loop at {a!r}")
-            key = (i, j) if i < j else (j, i)
-            if key in seen:
-                raise FormatError(f"duplicate edge {a!r} - {b!r}")
-            seen.add(key)
-            pairs.append(key)
-        pairs.sort()
-        self.edge_pairs = tuple(pairs)
-
-        for v in boundary:
-            if v not in self._index:
-                raise VertexNotFound(f"boundary vertex {v!r} is not a vertex")
-        self.boundary = tuple(str(v) for v in boundary)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        if (lo == hi).any():
+            raise FormatError(f"self-loop at {ids[lo[np.argmax(lo == hi)]]!r}")
+        # one stable sort of the keys i * n + j finds the repeated edges; the
+        # first one listed is the first position not first among equal keys
+        keys = lo * n + hi
+        by_key = np.argsort(keys, kind="stable")
+        repeats = np.flatnonzero(np.diff(keys[by_key]) == 0)
+        if len(repeats):
+            k = by_key[repeats + 1].min()
+            raise FormatError(f"duplicate edge {ids[a[k]]!r} - {ids[b[k]]!r}")
 
         # CSR adjacency with each neighbor list sorted by index (= by id), so
-        # BFS layers come out deterministic
-        ends = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        src = np.concatenate((ends[:, 0], ends[:, 1]))
-        dst = np.concatenate((ends[:, 1], ends[:, 0]))
-        order = np.lexsort((dst, src))
+        # BFS layers come out deterministic: the ordered adjacent pairs as
+        # keys i * n + j, sorted, are the CSR entries in order
+        self._keys = np.sort(np.concatenate((keys, hi * n + lo)))
+        src, dst = np.divmod(self._keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
         self._indptr = indptr
-        self._indices = dst[order].astype(np.int32)
-        self._entry_rows = src[order]     # the row of each CSR entry
+        self._indices = dst.astype(np.int32)
+        self._entry_rows = src     # the row of each CSR entry
 
         self._component = _kernels.level_components(indptr, self._indices,
                                                      np.ones(n, dtype=bool))
@@ -127,7 +127,6 @@ class MetricGraph:
             raise DisconnectedGraph(*_disconnected_pair(self))
         self._dist = None
         self._tree = None
-        self._keys = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -137,13 +136,14 @@ class MetricGraph:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_pairs)
+        return len(self._indices) // 2
 
     def index(self, v: str) -> int:
-        try:
-            return self._index[v]
-        except KeyError:
-            raise VertexNotFound(f"no vertex {v!r}") from None
+        return _lookup(self._index, (v,), "no vertex {!r}")[0]
+
+    def indices(self, ids) -> np.ndarray:
+        """Index array of the given vertex ids."""
+        return np.array(_lookup(self._index, ids, "no vertex {!r}"), dtype=np.int64)
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -203,10 +203,6 @@ class MetricGraph:
     def adjacent(self, u, v) -> np.ndarray:
         """Elementwise adjacency of the index arrays u and v."""
         q = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
-        if self._keys is None:
-            # ordered adjacent pairs as i * n + j; CSR order is (row, column)
-            # order, so the keys come sorted
-            self._keys = self._entry_rows * self.n + self._indices
         keys = self._keys
         if not len(keys):
             return np.zeros(q.shape, dtype=bool)
@@ -234,11 +230,12 @@ class MetricGraph:
 
     def edges(self):
         """Edges as id pairs, sorted."""
-        return tuple((self.vertex_ids[i], self.vertex_ids[j]) for i, j in self.edge_pairs)
+        ids = self.vertex_ids
+        return tuple((ids[i], ids[j]) for i, j in self.edge_array().tolist())
 
     def edge_array(self) -> np.ndarray:
-        """Edges as a (k, 2) index array with i < j in each row, in the
-        order of edge_pairs."""
+        """Edges as a (k, 2) index array with i < j in each row, rows in
+        lexicographic order."""
         up = self._entry_rows < self._indices
         return np.stack((self._entry_rows[up], self._indices[up].astype(np.int64)), axis=1)
 
@@ -252,11 +249,21 @@ class MetricGraph:
         return f"MetricGraph({self.n} vertices, {self.n_edges} edges)"
 
 
-def all_pairs_distances(vertex_ids, edges, boundary=()) -> MetricGraph:
-    """Build a MetricGraph and its full distance matrix by BFS."""
-    g = MetricGraph(vertex_ids, edges, boundary=boundary)
-    g.dist
-    return g
+def graph_from_ids(vertex_ids, edges, boundary=(), allow_disconnected=False) -> MetricGraph:
+    """MetricGraph from edges (id pairs) and boundary given as vertex ids."""
+    ids = list(vertex_ids)
+    pos = {v: k for k, v in enumerate(ids)}
+    ends = _lookup(pos, (v for a, b in edges for v in (a, b)), "edge endpoint {!r} is not a vertex")
+    return MetricGraph(ids, ends, boundary=_lookup(pos, boundary, "boundary vertex {!r} is not a vertex"),
+                       allow_disconnected=allow_disconnected)
+
+
+def _lookup(pos: dict, ids, message: str) -> list:
+    """pos[v] for each v in ids; VertexNotFound naming the first one missing."""
+    try:
+        return [pos[v] for v in ids]
+    except KeyError as exc:
+        raise VertexNotFound(message.format(exc.args[0])) from None
 
 
 # ---------------------------------------------------------------------------
@@ -482,11 +489,7 @@ def ends_profile(g: MetricGraph, center: str, radius: int, boundary: Optional[Se
         raise ValueError("radius must be >= 0")
     if boundary is None:
         boundary = g.boundary
-    bset = set()
-    for b in boundary:
-        if not g.has_vertex(b):
-            raise VertexNotFound(f"boundary vertex {b!r} is not a vertex")
-        bset.add(g.index(b))
+    bset = set(_lookup(g._index, boundary, "boundary vertex {!r} is not a vertex"))
     ci = g.index(center)
     ball = g.rows([ci])[0]
     if bset and all(ball[b] <= radius for b in bset):

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (DimensionMismatch, FactorMismatch, FormatError,
                      NormMismatch, SizeLimitExceeded)
 from .metric_graph import MetricGraph, enumerate_geodesics, resolve_cap
-from .group_action import GroupAction, realized_elements
+from .group_action import GroupAction, forward_map, realized_elements
 
 NORMS = ("l1", "l2", "linf")
 SKELETON_DEFAULT_CAP = 20000
@@ -110,14 +110,11 @@ def _point_grid(p: ProductSpace) -> np.ndarray:
     return np.arange(p.n_points).reshape([f.n for f in p.factors])
 
 
-def _coordinate_moves(grid: np.ndarray, i: int, src, dst):
+def _coordinate_moves(grid: np.ndarray, i: int, src: np.ndarray, dst: np.ndarray):
     """Positions (a, b) of the point pairs that differ in coordinate i
-    only, moving it from src[t] to dst[t]; ordered by a."""
+    only, moving it from src[t] to dst[t]."""
     g = np.moveaxis(grid, i, -1)
-    a = g[..., np.asarray(src, dtype=np.int64)].ravel()
-    b = g[..., np.asarray(dst, dtype=np.int64)].ravel()
-    order = np.argsort(a, kind="stable")
-    return a[order].tolist(), b[order].tolist()
+    return g[..., src].ravel(), g[..., dst].ravel()
 
 
 def product_skeleton(p: ProductSpace) -> MetricGraph:
@@ -126,19 +123,13 @@ def product_skeleton(p: ProductSpace) -> MetricGraph:
     cap = resolve_cap(None, SKELETON_DEFAULT_CAP)
     if p.n_points > cap:
         raise SizeLimitExceeded(p.n_points, cap, "product_skeleton")
-    ids = _point_ids(p)
     grid = _point_grid(p)
-    edges = []
-    for i, f in enumerate(p.factors):
-        e = f.edge_array()
-        a, b = _coordinate_moves(grid, i, e[:, 0], e[:, 1])
-        edges.extend((ids[s], ids[t]) for s, t in zip(a, b))
-    boundary = []
-    if any(f.boundary for f in p.factors):
-        bsets = [set(f.boundary) for f in p.factors]
-        boundary = [vid for vid, x in zip(ids, p.points())
-                    if any(x[i] in bsets[i] for i in range(len(bsets)))]
-    return MetricGraph(ids, edges, boundary=boundary)
+    edges = [np.stack(_coordinate_moves(grid, i, *f.edge_array().T), axis=1)
+             for i, f in enumerate(p.factors)]
+    # the points with some coordinate on its factor's boundary, in order
+    boundary = np.unique(np.concatenate([np.moveaxis(grid, i, -1)[..., f.indices(f.boundary)].ravel()
+                                         for i, f in enumerate(p.factors)]))
+    return MetricGraph(_point_ids(p), np.concatenate(edges), boundary=boundary)
 
 
 @dataclass
@@ -210,14 +201,15 @@ class ProductIsometry:
             raise FormatError("mapping is not a bijection of product vertices")
         self.mapping = mapping
 
-        # compare the full distance matrix with its image, factor by factor
-        index = {x: k for k, x in enumerate(pts)}
+        # compare the full distance matrix with its image, factor by factor;
+        # coordinate fi of pts[k] is the fi-th factor index of position k
         m = len(pts)
+        coords = np.indices([f.n for f in space.factors]).reshape(len(space.factors), m)
         src = np.zeros((m, m), dtype=np.int64)
         dst = np.zeros((m, m), dtype=np.int64)
         for fi, f in enumerate(space.factors):
-            ax = np.array([f.index(x[fi]) for x in pts])
-            bx = np.array([f.index(mapping[x][fi]) for x in pts])
+            ax = coords[fi]
+            bx = f.indices([mapping[x][fi] for x in pts])
             da = f.dist[np.ix_(ax, ax)].astype(np.int64)
             db = f.dist[np.ix_(bx, bx)].astype(np.int64)
             if space.norm == "l1":
@@ -320,13 +312,14 @@ def product_action(actions: Sequence[GroupAction],
         raise FormatError("need at least one action")
     space = ProductSpace([a.space for a in actions], "l1")
     skeleton = product_skeleton(space)
-    ids = _point_ids(space)
+    rank = skeleton.indices(_point_ids(space))     # skeleton index of each position
     grid = _point_grid(space)
+    n = skeleton.n
     gens = []
     for i, a in enumerate(actions):
         for gm in a.generators:
             src, dst = _coordinate_moves(grid, i, *gm.pairs())
-            gens.append((f"f{i}_{gm.name}", {ids[s]: ids[t] for s, t in zip(src, dst)}))
+            gens.append((f"f{i}_{gm.name}", forward_map(n, rank[src], rank[dst])))
     if perm is not None:
         perm = tuple(perm)
         k = len(space.factors)
@@ -334,12 +327,12 @@ def product_action(actions: Sequence[GroupAction],
             raise FormatError(f"{perm!r} is not a permutation of 0..{k - 1}")
         for i, j in enumerate(perm):
             a, b = space.factors[i], space.factors[j]
-            if a.vertex_ids != b.vertex_ids or a.edge_pairs != b.edge_pairs:
+            if a.vertex_ids != b.vertex_ids or not np.array_equal(a.edge_array(), b.edge_array()):
                 raise FactorMismatch(
                     f"perm sends factor {i} to factor {j} but they differ as labeled graphs")
         # coordinate i of x becomes coordinate perm[i] of its image
         image = np.transpose(grid, perm).ravel()
-        gens.append(("perm", {ids[s]: ids[t] for s, t in enumerate(image.tolist())}))
+        gens.append(("perm", forward_map(n, rank, rank[image])))
     action = GroupAction(skeleton, gens, mode="automorphism")
     return ProductActionResult(space, skeleton, action)
 

@@ -45,7 +45,7 @@ from qtlab.leary_minasyan import (
     seminorm_audit,
 )
 from qtlab.metric_graph import (
-    MetricGraph,
+    graph_from_ids,
     bottleneck_constant,
     hyperbolicity_delta,
     is_quasitree,
@@ -76,7 +76,7 @@ def test_criterion_01_random_trees_are_degenerate():
     for trial in range(50):
         n = rng.randint(2, 16)
         edges = [(str(a), str(b)) for a, b in _oracles.random_tree_edges(rng, n)]
-        g = MetricGraph([str(i) for i in range(n)], edges)
+        g = graph_from_ids([str(i) for i in range(n)], edges)
         assert hyperbolicity_delta(g).two_delta == 0, trial
         assert bottleneck_constant(g).constant == 0, trial
     print("PASS criterion-1 50 random trees: two_delta == 0 and C == 0")
@@ -125,9 +125,9 @@ def test_criterion_04_orbit_graphs_recover_geometry():
     gamma1 = rips_orbit_graph(con.action, "0", r=1, horizon=12).graph
     assert sorted(gamma1.vertex_ids) == sorted(base.graph.vertex_ids)
     base_edges = sorted((base.graph.vertex_ids[i], base.graph.vertex_ids[j])
-                        for i, j in base.graph.edge_pairs)
+                        for i, j in base.graph.edge_array().tolist())
     got_edges = sorted((gamma1.vertex_ids[i], gamma1.vertex_ids[j])
-                       for i, j in gamma1.edge_pairs)
+                       for i, j in gamma1.edge_array().tolist())
     assert got_edges == base_edges
     # every shipped fixture is connected at its connectivity radius,
     # whatever the truncation horizon

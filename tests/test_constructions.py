@@ -39,8 +39,8 @@ from _oracles import brute_bs12, brute_farey
 
 
 def id_edges(g):
-    """Edge set as vertex-id pairs; edge_pairs stores index pairs."""
-    return sorted((g.vertex_ids[i], g.vertex_ids[j]) for i, j in g.edge_pairs)
+    """Edge set as vertex-id pairs; edge_array() holds index pairs."""
+    return sorted((g.vertex_ids[i], g.vertex_ids[j]) for i, j in g.edge_array().tolist())
 
 
 def test_path_and_cycle_shapes():

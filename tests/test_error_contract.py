@@ -1,7 +1,8 @@
-"""Fuzzing the error contract of the command line at three input boundaries:
-`lm fit` sample files, `lm obstruction --matrix` and `product factor-check
---map`.  Whatever the input, a command exits 0, or exits 2 with exactly one
-JSON object on stderr and nothing on stdout; it never raises."""
+"""Fuzzing the error contract of the command line at its input boundaries:
+graph and action files, `lm fit` sample files, `lm obstruction --matrix`
+and `product factor-check --map`.  Whatever the input, a command exits 0,
+or exits 2 with exactly one JSON object on stderr and nothing on stdout; it
+never raises."""
 
 import contextlib
 import io
@@ -43,6 +44,62 @@ ENTRY = st.one_of(_tuple_ish(_tuple_ish(VERTEX, 2), 2), _tuple_ish(JUNK, 2), JUN
 MAPPING = st.one_of(st.fixed_dictionaries({"mapping": st.lists(ENTRY, max_size=4)}),
                     st.fixed_dictionaries({"mapping": JUNK}),
                     st.lists(ENTRY, max_size=4), JUNK)
+
+# graph and action objects over the ids of a small graph, well typed at
+# first so that self-loops, duplicate edges, unknown ids, duplicate map
+# sources and non-injective maps reach the constructors; then a list may get
+# one entry of the wrong type, and each key may be dropped or replaced by a
+# value of the wrong type
+IDS = ["v0", "v1", "v2", "v3"]
+ID = st.sampled_from(IDS + ["zz"])
+PAIR = st.lists(ID, min_size=2, max_size=2)
+
+
+@st.composite
+def _spoiled(draw, items, max_size):
+    out = draw(st.lists(items, max_size=max_size))
+    if draw(st.sampled_from(["keep"] * 5 + ["spoil"])) == "spoil":
+        out.insert(draw(st.integers(0, len(out))), draw(st.one_of(_tuple_ish(JUNK, 2), JUNK)))
+    return out
+
+
+@st.composite
+def _mutated(draw, obj):
+    for key in list(obj):
+        if key == "format":
+            continue
+        what = draw(st.sampled_from(["keep"] * 10 + ["drop", "junk"]))
+        if what == "drop":
+            del obj[key]
+        elif what == "junk":
+            obj[key] = draw(JUNK)
+    return obj
+
+
+@st.composite
+def graph_objects(draw):
+    obj = {"format": "qtlab-graph-v1",
+           "vertices": draw(st.one_of(st.permutations(IDS), _spoiled(ID, 5))),
+           "edges": draw(_spoiled(PAIR, 7))}
+    if draw(st.booleans()):
+        obj["boundary"] = draw(_spoiled(ID, 3))
+    return draw(_mutated(obj))
+
+
+@st.composite
+def action_objects(draw):
+    path = {"format": "qtlab-graph-v1", "vertices": IDS,
+            "edges": [["v0", "v1"], ["v1", "v2"], ["v2", "v3"]]}
+    generators = [draw(_mutated({"name": draw(st.sampled_from(["a", "b", "c", "a", ""])),
+                                 "map": draw(_spoiled(PAIR, 5))}))
+                  for _ in range(draw(st.integers(0, 3)))]
+    graph = draw(st.sampled_from(["path"] * 4 + ["fuzzed", "reference"]))
+    obj = {"format": "qtlab-action-v1",
+           "graph": (path if graph == "path" else draw(graph_objects()) if graph == "fuzzed"
+                     else draw(st.text(max_size=3))),
+           "mode": draw(st.sampled_from(["automorphism"] * 4 + ["isometry"] * 2 + ["bogus"])),
+           "generators": generators}
+    return draw(_mutated(obj))
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +157,34 @@ def test_factor_check_map_keeps_the_contract(workdir, payload):
     _check_contract(["product", "factor-check", "--factors", p3, p3, "--map", str(path)])
 
 
+@settings(max_examples=300, deadline=None)
+@given(graph_objects())
+def test_graph_files_keep_the_contract(workdir, payload):
+    path = workdir / "graph.json"
+    path.write_text(json.dumps(payload))
+    _check_contract(["analyze", "--graph", str(path)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(action_objects())
+def test_action_files_keep_the_contract(workdir, payload):
+    path = workdir / "action.json"
+    path.write_text(json.dumps(payload))
+    _check_contract(["orbit", "--action", str(path), "--basepoint", "v0", "--horizon", "2"])
+
+
+GRAPH = {"format": "qtlab-graph-v1", "vertices": ["a", "b"], "edges": [["a", "b"]]}
+
+
 @pytest.mark.parametrize("argv_tail, payload", [
+    (["analyze", "--graph"], {**GRAPH, "edges": 5}),
+    (["analyze", "--graph"], {**GRAPH, "vertices": [1, 2], "edges": [[1, 2]]}),
+    (["analyze", "--graph"], {**GRAPH, "vertices": [None], "edges": []}),
+    (["analyze", "--graph"], {**GRAPH, "vertices": "ab", "edges": []}),
+    (["analyze", "--graph"], {**GRAPH, "boundary": [["a"]]}),
+    (["orbit", "--basepoint", "a", "--action"],
+     {"format": "qtlab-action-v1", "graph": GRAPH, "mode": "automorphism",
+      "generators": [{"name": ["s"], "map": [["a", "b"], ["b", "a"]]}]}),
     (["lm", "fit", "--samples"], {"samples": 7}),
     (["lm", "fit", "--samples"], {"samples": [[["a", 0], 1], [[0, 1], 1]]}),
     (["lm", "fit", "--samples"], {"samples": [[[1, 0], "x"], [[0, 1], 1]]}),
@@ -121,7 +205,56 @@ def test_known_bad_files_exit_2(workdir, argv_tail, payload):
     assert _check_contract(argv)["type"] == "FormatError"
 
 
-@pytest.mark.parametrize("matrix", ["5", '[[1,2],[3,"a"]]', '[[1,2],[3,"1/0"]]', "[[1,2],[3,1.5]]"])
+@pytest.mark.parametrize("matrix", ["5", '[[1,2],[3,"a"]]', '[[1,2],[3,"1/0"]]', "[[1,2],[3,1.5]]",
+                                    '[["1e100000",0],[0,1]]', '[[1,2],[3,"2E3"]]'])
 def test_known_bad_matrices_exit_2(matrix):
     argv = ["lm", "obstruction", "--k-max", "2", "--matrix", matrix]
     assert _check_contract(argv)["type"] == "FormatError"
+
+
+def test_exponent_tau_is_refused(workdir):
+    # Fraction would expand the exponent in full; "1e100000" is still fast
+    # enough to read, so the refusal is what this pins
+    path = workdir / "exp.json"
+    path.write_text(json.dumps({"samples": [[[1, 0], "1e100000"], [[0, 1], "1"]]}))
+    error = _check_contract(["lm", "fit", "--samples", str(path)])
+    assert error["type"] == "FormatError" and "exponent" in error["message"]
+
+
+@pytest.mark.parametrize("params", [
+    '{"Q": 2.5}', '{"Q": true}',
+])
+def test_integer_params_refuse_floats_and_bools(params):
+    error = _check_contract(["construct", "farey", "--params", params])
+    assert error["type"] == "FormatError" and "'Q'" in error["message"]
+
+
+@pytest.mark.parametrize("gens", ["[true]", "[1.0]", "[[1, 0], [0, false]]"])
+def test_integer_gens_refuse_floats_and_bools(gens):
+    family = "Z2" if gens.startswith("[[") else "Z"
+    error = _check_contract(["construct", "cayley", "--params",
+                             f'{{"family": "{family}", "radius": 2, "gens": {gens}}}'])
+    assert error["type"] == "FormatError" and "'gens'" in error["message"]
+
+
+def test_integer_strings_are_still_read():
+    assert _check_contract(["construct", "farey", "--params", '{"Q": "2"}']) is None
+
+
+@pytest.mark.parametrize("argv", [
+    # two argv items: argparse reads "-1e+16" as an option, not as the value
+    ["lm", "obstruction", "--k-max", "2", "--matrix", "-1e+16"],
+    ["lm", "obstruction", "--k-max"],
+    ["lm", "obstruction", "--k-max", "two"],
+    ["no-such-command"],
+    [],
+])
+def test_usage_errors_are_json(argv):
+    error = _check_contract(argv)
+    assert error["type"] == "FormatError"
+
+
+def test_help_still_exits_0():
+    with pytest.raises(SystemExit) as exc:
+        _run(["lm", "--help"])
+    assert exc.value.code == 0

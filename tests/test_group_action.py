@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtlab import (GroupAction, MetricGraph, Word, busemann_homomorphism,
+from qtlab import (GroupAction, Word, action_from_maps, graph_from_ids, busemann_homomorphism,
                    check_locally_finite_orbit, classify_action_type,
                    classify_isometry, connectivity_radius, evaluate_word,
                    orbit, orbit_quasiconvexity, properness_profiles,
@@ -27,7 +27,7 @@ def rotation_action(n):
     g = cycle_graph(n)
     ids = g.vertex_ids
     fwd = {ids[i]: ids[(i + 1) % n] for i in range(n)}
-    return GroupAction(g, [("r", fwd)])
+    return action_from_maps(g, [("r", fwd)])
 
 
 # --- words -----------------------------------------------------------------
@@ -67,15 +67,21 @@ def test_mode_validation_difference():
     g = path_graph(5)
     # distance 2 pair mapped to distance 3: fine for adjacency, not isometry
     partial = {"v0": "v0", "v2": "v3"}
-    GroupAction(g, [("f", partial)], mode="automorphism")
+    action_from_maps(g, [("f", partial)], mode="automorphism")
     with pytest.raises(FormatError):
-        GroupAction(g, [("f", partial)], mode="isometry")
+        action_from_maps(g, [("f", partial)], mode="isometry")
 
 
 def test_adjacency_violation_rejected():
     g = path_graph(4)
     with pytest.raises(FormatError):
-        GroupAction(g, [("f", {"v0": "v0", "v1": "v3"})])
+        action_from_maps(g, [("f", {"v0": "v0", "v1": "v3"})])
+
+
+def test_mode_witness_follows_id_order():
+    # the map lists v3 first; the first broken pair in id order is (v0, v3)
+    with pytest.raises(FormatError, match=r"at pair \('v0', 'v3'\)"):
+        action_from_maps(path_graph(4), [("f", {"v3": "v3", "v2": "v0", "v0": "v2"})])
 
 
 def _mode_check_cases(rng):
@@ -97,7 +103,7 @@ def _mode_check_cases(rng):
         if rng.random() < 0.3:
             # drop a few edges, so the graph may fall apart
             es = [e for e in es if rng.random() < 0.7]
-        g = MetricGraph(vs, es, allow_disconnected=True)
+        g = graph_from_ids(vs, es, allow_disconnected=True)
         dom = rng.sample(vs, rng.randrange(1, n + 1))
         cases.append((g, dict(zip(dom, rng.sample(vs, len(dom))))))
     out = []
@@ -121,15 +127,16 @@ def test_mode_check_matches_the_dense_check(mode):
     raised = passed = 0
     for g, mapping in _mode_check_cases(rng):
         D = index_distances(list(g.vertex_ids), g.edges())
-        src = np.array([g.index(s) for s in mapping])
-        dst = np.array([g.index(t) for t in mapping.values()])
+        # generators are index arrays, so the first broken pair is the first
+        # in id order, whatever order the map lists its sources in
+        src, dst = np.array(sorted((g.index(s), g.index(t)) for s, t in mapping.items())).T
         expected = dense_mode_check(D, g.vertex_ids, "f", mode, src, dst)
         if expected is None:
-            GroupAction(g, [("f", mapping)], mode=mode)
+            action_from_maps(g, [("f", mapping)], mode=mode)
             passed += 1
         else:
             with pytest.raises(FormatError) as exc:
-                GroupAction(g, [("f", mapping)], mode=mode)
+                action_from_maps(g, [("f", mapping)], mode=mode)
             assert str(exc.value) == expected
             raised += 1
     assert raised > 20 and passed > 20
@@ -138,14 +145,24 @@ def test_mode_check_matches_the_dense_check(mode):
 def test_non_injective_rejected():
     g = path_graph(3)
     with pytest.raises(FormatError):
-        GroupAction(g, [("f", {"v0": "v1", "v2": "v1"})])
+        action_from_maps(g, [("f", {"v0": "v1", "v2": "v1"})])
+
+
+def test_generators_are_index_arrays():
+    g = path_graph(3)
+    assert GroupAction(g, [("s", [1, 2, -1])]).gen("s").backward.tolist() == [-1, 0, 1]
+    for bad in ([1, 2], [1, 2, 3], [-2, 0, 1], [0, 0, -1]):
+        with pytest.raises(FormatError):
+            GroupAction(g, [("s", bad)])
+    with pytest.raises(FormatError, match="strings"):
+        GroupAction(g, [(["s"], [0, 1, 2])])
 
 
 def test_duplicate_generator_names_rejected():
     g = path_graph(3)
     ident = {v: v for v in g.vertex_ids}
     with pytest.raises(FormatError):
-        GroupAction(g, [("f", ident), ("f", ident)])
+        action_from_maps(g, [("f", ident), ("f", ident)])
 
 
 def test_evaluate_word_and_truncation():
@@ -298,7 +315,7 @@ def test_classify_reflection_elliptic():
     g = path_graph(5)
     ids = g.vertex_ids
     refl = {ids[i]: ids[4 - i] for i in range(5)}
-    a = GroupAction(g, [("f", refl)])
+    a = action_from_maps(g, [("f", refl)])
     rep = classify_isometry(a, Word.parse("f"), "v0")
     assert rep.verdict == "Elliptic"
     assert rep.confidence == "certified"
@@ -460,7 +477,7 @@ def test_orbit_quasiconvexity_doubleline():
 
 def test_action_type_bounded_trivial():
     g = path_graph(3)
-    a = GroupAction(g, [("e", {v: v for v in g.vertex_ids})])
+    a = action_from_maps(g, [("e", {v: v for v in g.vertex_ids})])
     rep = classify_action_type(a, "v0")
     assert rep.verdict == "Bounded"
     assert rep.confidence == "certified"
@@ -499,11 +516,11 @@ def test_action_type_quasiparabolic_bs12():
 def test_tree_classify_names_least_id_at_minimal_displacement():
     """Insertion order differs from id order: the swap of leaves p and q
     fixes m, r and s, and the certificate names the least of those ids."""
-    from qtlab import MetricGraph
-    g = MetricGraph(["s", "r", "p", "q", "m"],
+    from qtlab import graph_from_ids
+    g = graph_from_ids(["s", "r", "p", "q", "m"],
                     [("m", "s"), ("m", "r"), ("m", "p"), ("m", "q")])
     swap = {"p": "q", "q": "p", "m": "m", "r": "r", "s": "s"}
-    a = GroupAction(g, [("f", swap)])
+    a = action_from_maps(g, [("f", swap)])
     # horizon 1 stops the power orbit before it closes, so the tree method runs
     rep = classify_isometry(a, Word.parse("f"), "p", horizon=1)
     assert rep.method == "tree-min-displacement"
@@ -517,7 +534,7 @@ def test_generator_maps_are_index_arrays():
     assert gm.backward.tolist() == [4, 0, 1, 2, 3]
     src, dst = gm.pairs()
     assert src.tolist() == [0, 1, 2, 3, 4] and dst.tolist() == [1, 2, 3, 4, 0]
-    partial = GroupAction(path_graph(3), [("s", {"v0": "v1", "v1": "v2"})])
+    partial = action_from_maps(path_graph(3), [("s", {"v0": "v1", "v1": "v2"})])
     assert partial.gen("s").forward.tolist() == [1, 2, -1]
     assert partial.apply_letter("s", 1, 2) is None
     assert partial.apply_letter("s", -1, 2) == 1
@@ -567,7 +584,7 @@ def _partial_cycle_action(rng, n):
     for name, f in (("r", lambda i: (i + 1) % n), ("f", lambda i: (-i) % n)):
         dom = [i for i in range(n) if rng.random() < 0.7]
         gens.append((name, {ids[i]: ids[f(i)] for i in dom}))
-    return GroupAction(g, gens)
+    return action_from_maps(g, gens)
 
 
 def test_realized_elements_match_the_dict_reference():

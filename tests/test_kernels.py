@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qtlab._kernels as kernels
-from qtlab import (DisconnectedGraph, MetricGraph, bottleneck_constant, cycle_graph,
+from qtlab import (DisconnectedGraph, graph_from_ids, bottleneck_constant, cycle_graph,
                    farey_graph, grid_graph, hyperbolicity_delta)
 from qtlab.errors import NotATree
 from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
@@ -49,7 +49,7 @@ def _connected_and_split_graphs(rng, connected, split):
 def test_apsp_matches_oracle():
     rng = random.Random(11)
     for ids, edges in _connected_and_split_graphs(rng, 10, 4):
-        g = MetricGraph(ids, edges, allow_disconnected=True)
+        g = graph_from_ids(ids, edges, allow_disconnected=True)
         D = apsp(*_csr(g))
         oracle = all_distances(ids, edges)
         for u in ids:
@@ -58,7 +58,7 @@ def test_apsp_matches_oracle():
 
 
 def test_apsp_disconnected_minus_one():
-    g = MetricGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], allow_disconnected=True)
+    g = graph_from_ids(["a", "b", "c", "d"], [("a", "b"), ("c", "d")], allow_disconnected=True)
     D = apsp(*_csr(g))
     assert D[g.index("a"), g.index("c")] == -1
     assert D[g.index("a"), g.index("b")] == 1
@@ -80,7 +80,7 @@ def test_rows_match_oracle(monkeypatch, block):
     monkeypatch.setattr(kernels, "_bfs_block", counting)
     rng = random.Random(13)
     for ids, edges in _connected_and_split_graphs(rng, 20, 10):
-        g = MetricGraph(ids, edges, allow_disconnected=True)
+        g = graph_from_ids(ids, edges, allow_disconnected=True)
         oracle = all_distances(ids, edges)
         picks = [rng.randrange(g.n) for _ in range(rng.randrange(0, 12))]
         many = [rng.randrange(g.n) for _ in range(130)]
@@ -129,7 +129,7 @@ def test_rows_match_oracle_on_trap_graphs(monkeypatch, mode):
     monkeypatch.setattr(kernels, "SPARSE", sparse)
     rng = random.Random(59)
     for ids, edges in _bfs_trap_graphs(rng):
-        g = MetricGraph(ids, edges, allow_disconnected=True)
+        g = graph_from_ids(ids, edges, allow_disconnected=True)
         D = index_distances(ids, edges)
         for count in (1, 63, 64, 65, 129):
             sources = [rng.randrange(g.n) for _ in range(count)]
@@ -146,7 +146,7 @@ def _tree_cases(rng):
         # shuffled labels, so index 0 is not always the first vertex built
         labels = [str(v) for v in rng.sample(range(1000), n)]
         edges = [(labels[a], labels[b]) for a, b in random_tree_edges(rng, n)]
-        graphs.append(MetricGraph(labels, edges))
+        graphs.append(graph_from_ids(labels, edges))
     return graphs
 
 
@@ -185,9 +185,9 @@ def test_disconnected_pairs_are_the_first_unreachable_from_index_0():
         order = sorted(ids)
         expected = (order[i], order[j])
         with pytest.raises(DisconnectedGraph) as exc:
-            MetricGraph(ids, edges)
+            graph_from_ids(ids, edges)
         assert (exc.value.u, exc.value.v) == expected
-        g = MetricGraph(ids, edges, allow_disconnected=True)
+        g = graph_from_ids(ids, edges, allow_disconnected=True)
         assert not g.connected
         for scan in (hyperbolicity_delta, bottleneck_constant):
             with pytest.raises(DisconnectedGraph) as exc:
@@ -200,7 +200,7 @@ def test_delta_scan_matches_oracle_witness():
     graphs = [grid_graph(4, 4), cycle_graph(9)]
     for _ in range(8):
         ids, edges = random_connected_graph(rng, rng.randrange(4, 12), rng.randrange(0, 4))
-        graphs.append(MetricGraph(ids, edges))
+        graphs.append(graph_from_ids(ids, edges))
     for g in graphs:
         ids, edges = _ids_edges(g)
         two_delta, *wit = delta_scan(g.dist)
@@ -219,7 +219,7 @@ def test_delta_scan_matches_exhaustive_scan_on_random_graphs():
     graphs = []
     for _ in range(200):
         n = rng.randrange(2, 61)
-        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
+        graphs.append(graph_from_ids(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
     _assert_delta_scan_matches_exhaustive(graphs)
 
 
@@ -247,7 +247,7 @@ def test_far_apart_mask_matches_oracle(monkeypatch, block):
     graphs = []
     for _ in range(200):
         n = rng.randrange(2, 61)
-        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
+        graphs.append(graph_from_ids(*random_connected_graph(rng, n, rng.randrange(0, 2 * n))))
     graphs += [grid_graph(m, k) for m in range(1, 11) for k in range(m, 11)]
     graphs += [cycle_graph(k) for k in range(3, 91)]
     graphs += [farey_graph(Q, P).graph for Q in range(1, 6) for P in (None, 2 * Q)]
@@ -276,7 +276,7 @@ def _stop_rule_graphs():
     graphs = [cycle_graph(9), cycle_graph(10), grid_graph(3, 5)]
     for _ in range(40):
         n = rng.randrange(4, 19)
-        graphs.append(MetricGraph(*random_connected_graph(rng, n, rng.randrange(0, n))))
+        graphs.append(graph_from_ids(*random_connected_graph(rng, n, rng.randrange(0, n))))
     return graphs
 
 
@@ -322,7 +322,7 @@ def test_bottleneck_center_matches_oracle():
     graphs = [grid_graph(5, 5), cycle_graph(12)]
     for _ in range(8):
         ids, edges = random_connected_graph(rng, rng.randrange(4, 14), rng.randrange(0, 4))
-        graphs.append(MetricGraph(ids, edges))
+        graphs.append(graph_from_ids(ids, edges))
     for g in graphs:
         ids, edges = _ids_edges(g)
         D, indptr, indices = g.dist, g._indptr, g._indices
@@ -342,7 +342,7 @@ def test_sphere_test_matches_full_level_set():
     rng = random.Random(41)
     for _ in range(30):
         ids, edges = random_connected_graph(rng, rng.randrange(3, 16), rng.randrange(0, 6))
-        g = MetricGraph(ids, edges)
+        g = graph_from_ids(ids, edges)
         for z in range(g.n):
             r = g.dist[z]
             for c in range(int(r.max()) + 1):
@@ -354,7 +354,7 @@ def test_level_components_match_oracle():
     rng = random.Random(43)
     for _ in range(20):
         ids, edges = random_connected_graph(rng, rng.randrange(3, 16), rng.randrange(0, 6))
-        g = MetricGraph(ids, edges)
+        g = graph_from_ids(ids, edges)
         adj, dist = adjacency(ids, edges), all_distances(ids, edges)
         for z in range(g.n):
             r = g.dist[z]
@@ -380,7 +380,7 @@ def test_level_components_on_masks():
     # random masks, on the trap graphs of the BFS tests
     rng = random.Random(61)
     for ids, edges in _bfs_trap_graphs(rng):
-        g = MetricGraph(ids, edges, allow_disconnected=True)
+        g = graph_from_ids(ids, edges, allow_disconnected=True)
         n = g.n
         masks = [np.zeros(n, dtype=bool), np.ones(n, dtype=bool)]
         lone = np.zeros(n, dtype=bool)
@@ -391,5 +391,5 @@ def test_level_components_on_masks():
             labels = level_components(g._indptr, g._indices, keep)
             assert labels.shape == (n,)
             kept = set(np.flatnonzero(keep).tolist())
-            rep = induced_components(range(n), g.edge_pairs, kept)
+            rep = induced_components(range(n), g.edge_array().tolist(), kept)
             _same_partition(labels, rep, kept)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtlab import (MetricGraph, all_pairs_distances, bottleneck_constant,
+from qtlab import (MetricGraph, graph_from_ids, bottleneck_constant,
                    cycle_graph, ends_profile, enumerate_geodesics,
                    four_point_defect2, grid_graph, hyperbolicity_delta,
                    is_quasitree, path_graph, star_graph)
@@ -23,23 +23,23 @@ from _oracles import (all_distances, brute_bottleneck, brute_bottleneck_witness,
 
 def test_empty_graph_rejected():
     with pytest.raises(EmptyGraph):
-        MetricGraph([], [])
+        graph_from_ids([], [])
 
 
 def test_duplicate_edge_rejected():
     with pytest.raises(FormatError):
-        MetricGraph(["a", "b"], [("a", "b"), ("b", "a")])
+        graph_from_ids(["a", "b"], [("a", "b"), ("b", "a")])
 
 
 def test_edge_endpoint_must_exist():
     with pytest.raises((FormatError, VertexNotFound)):
-        MetricGraph(["a", "b"], [("a", "c")])
+        graph_from_ids(["a", "b"], [("a", "c")])
 
 
 def test_disconnected_needs_flag():
     with pytest.raises(DisconnectedGraph):
-        MetricGraph(["a", "b", "c"], [("a", "b")])
-    g = MetricGraph(["a", "b", "c"], [("a", "b")], allow_disconnected=True)
+        graph_from_ids(["a", "b", "c"], [("a", "b")])
+    g = graph_from_ids(["a", "b", "c"], [("a", "b")], allow_disconnected=True)
     assert g.dist[g.index("a"), g.index("c")] == -1
     assert not g.connected
 
@@ -181,7 +181,7 @@ def test_bottleneck_witness_path_avoids_ball():
 def test_delta_matches_oracle(seed, n, extra):
     rng = random.Random(seed)
     ids, edges = random_connected_graph(rng, n, extra)
-    g = MetricGraph(ids, edges)
+    g = graph_from_ids(ids, edges)
     rep = hyperbolicity_delta(g)
     dist = all_distances(ids, edges)
     assert rep.two_delta == brute_two_delta(ids, dist)
@@ -194,7 +194,7 @@ def test_delta_matches_oracle(seed, n, extra):
 def test_bottleneck_matches_oracle(seed, n, extra):
     rng = random.Random(seed)
     ids, edges = random_connected_graph(rng, n, extra)
-    g = MetricGraph(ids, edges)
+    g = graph_from_ids(ids, edges)
     rep = bottleneck_constant(g)
     assert rep.constant == brute_bottleneck(ids, edges)
     w = rep.witness
@@ -206,7 +206,7 @@ def test_bottleneck_matches_oracle(seed, n, extra):
 def test_trees_have_delta_and_bottleneck_zero(seed, n):
     rng = random.Random(seed)
     edges = [(str(a), str(b)) for a, b in random_tree_edges(rng, n)]
-    g = MetricGraph([str(i) for i in range(n)], edges)
+    g = graph_from_ids([str(i) for i in range(n)], edges)
     assert g.is_tree()
     assert hyperbolicity_delta(g).two_delta == 0
     assert bottleneck_constant(g).constant == 0
@@ -218,7 +218,7 @@ def test_trees_have_delta_and_bottleneck_zero(seed, n):
 def test_triangle_inequality(seed, n, extra):
     rng = random.Random(seed)
     ids, edges = random_connected_graph(rng, n, extra)
-    g = MetricGraph(ids, edges)
+    g = graph_from_ids(ids, edges)
     D = g.dist
     for i in range(g.n):
         assert (D[i][None, :] <= D[i][:, None] + D).all()
@@ -256,13 +256,13 @@ def test_geodesics_overflow_flag():
 def test_tree_geodesics_unique(seed, n):
     rng = random.Random(seed)
     edges = [(str(a), str(b)) for a, b in random_tree_edges(rng, n)]
-    g = MetricGraph([str(i) for i in range(n)], edges)
+    g = graph_from_ids([str(i) for i in range(n)], edges)
     u, v = str(rng.randrange(n)), str(rng.randrange(n))
     assert enumerate_geodesics(g, u, v).count == 1
 
 
 def test_disconnected_pair_raises_in_geodesics():
-    g = MetricGraph(["a", "b", "c"], [("a", "b")], allow_disconnected=True)
+    g = graph_from_ids(["a", "b", "c"], [("a", "b")], allow_disconnected=True)
     with pytest.raises(DisconnectedGraph):
         enumerate_geodesics(g, "a", "c")
 
@@ -279,7 +279,7 @@ def test_quasitree_threshold():
 def test_ends_profile_matches_oracle(seed, n, extra):
     rng = random.Random(seed)
     ids, edges = random_connected_graph(rng, n, extra)
-    g = MetricGraph(ids, edges)
+    g = graph_from_ids(ids, edges)
     boundary = rng.sample(ids, rng.randrange(1, n + 1))
     center = rng.choice(ids)
     radius = max(all_distances(ids, edges)[center][b] for b in boundary) - 1
@@ -337,18 +337,27 @@ def test_env_cap_must_be_a_non_negative_integer(monkeypatch):
 
 
 def test_index_order_is_id_order():
-    g = MetricGraph(["b", "a", "c"], [("c", "a"), ("b", "a")])
+    g = graph_from_ids(["b", "a", "c"], [("c", "a"), ("b", "a")])
     assert g.vertex_ids == ("a", "b", "c")
     assert [g.index(v) for v in ("a", "b", "c")] == [0, 1, 2]
-    assert g.edge_pairs == ((0, 1), (0, 2))
+    assert g.edge_array().tolist() == [[0, 1], [0, 2]]
     assert g.neighbors("a") == ("b", "c")
     assert g.dist.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
     d = graph_to_dict(g)
     assert d["vertices"] == ["a", "b", "c"]
     assert d["edges"] == [["a", "b"], ["a", "c"]]
     h = graph_from_dict(d)
-    assert h.vertex_ids == g.vertex_ids and h.edge_pairs == g.edge_pairs
+    assert h.vertex_ids == g.vertex_ids and h.edge_array().tolist() == g.edge_array().tolist()
     assert (h.dist == g.dist).all()
+
+
+def test_edges_and_boundary_are_positions_into_the_given_ids():
+    g = MetricGraph(["b", "a", "c"], np.array([[2, 1], [0, 1]]), boundary=[2, 0])
+    assert g.vertex_ids == ("a", "b", "c") and g.boundary == ("c", "b")
+    assert g.edges() == (("a", "b"), ("a", "c"))
+    for edges, boundary in (([[0, 3]], []), ([[0, -1]], []), ([], [3])):
+        with pytest.raises(VertexNotFound):
+            MetricGraph(["b", "a", "c"], edges, boundary=boundary, allow_disconnected=True)
 
 
 def test_shuffled_ids_give_sorted_indices_and_oracle_distances():
@@ -356,7 +365,7 @@ def test_shuffled_ids_give_sorted_indices_and_oracle_distances():
     for _ in range(10):
         ids, edges = random_connected_graph(rng, rng.randrange(2, 25), rng.randrange(0, 6))
         rng.shuffle(ids)
-        g = MetricGraph(ids, edges)
+        g = graph_from_ids(ids, edges)
         assert list(g.vertex_ids) == sorted(ids)
         for i in range(g.n):
             nb = g.neighbor_indices(i).tolist()
@@ -365,8 +374,3 @@ def test_shuffled_ids_give_sorted_indices_and_oracle_distances():
         for u in ids:
             for v in ids:
                 assert g.d(u, v) == oracle[u][v]
-
-
-def test_all_pairs_distances_helper():
-    g = all_pairs_distances(["x", "y", "z"], [("x", "y"), ("y", "z")])
-    assert g.d("x", "z") == 2

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from qtlab import DimensionMismatch, FactorMismatch, FormatError, NormMismatch
 from qtlab.cli import _build_fixture
 from qtlab.constructions import cayley_graph, cycle_graph, grid_graph, path_graph
-from qtlab.group_action import GroupAction, Word, evaluate_word
-from qtlab.metric_graph import MetricGraph
+from qtlab.group_action import Word, action_from_maps, evaluate_word
+from qtlab.metric_graph import graph_from_ids
 from qtlab.products import (
     ProductIsometry,
     ProductSpace,
@@ -58,7 +58,7 @@ def test_skeleton_ids_are_point_ids_on_fixture_products():
 
 def test_skeleton_ids_are_point_ids_on_escaped_characters():
     odd = ['a"b', "c\\d", "\u00e9", "\u221ax", "x,y", "[1]", "tab\t", "\U0001d53d"]
-    g = MetricGraph(odd, list(zip(odd, odd[1:])), boundary=[odd[2]])
+    g = graph_from_ids(odd, list(zip(odd, odd[1:])), boundary=[odd[2]])
     sp = ProductSpace([g, path_graph(3), g])
     _assert_ids_are_point_ids(sp)
     sk = product_skeleton(sp)
@@ -297,7 +297,7 @@ def test_product_action_coordinate_permutation():
 def test_permutation_requires_identical_factors():
     cz = cayley_graph("Z", 4)
     c5 = cycle_graph(5)
-    rot = GroupAction(c5, [("r", {f"v{i}": f"v{(i + 1) % 5}" for i in range(5)})])
+    rot = action_from_maps(c5, [("r", {f"v{i}": f"v{(i + 1) % 5}" for i in range(5)})])
     with pytest.raises(FactorMismatch):
         product_action([cz.action, rot], perm=[1, 0])
     # without a permutation the factors may differ freely
@@ -320,7 +320,7 @@ def test_flat_product_action_has_distortion_one():
 
 def test_trivial_action_has_distortion_zero():
     g = path_graph(3)
-    triv = GroupAction(g, [("e", {v: v for v in g.vertex_ids})])
+    triv = action_from_maps(g, [("e", {v: v for v in g.vertex_ids})])
     dp = distortion_profile(triv, "v0", 4)
     assert dp.raw == [Fraction(0)] * 4
     assert dp.final == Fraction(0)
@@ -328,7 +328,7 @@ def test_trivial_action_has_distortion_zero():
 
 def test_involution_profile_carries_its_last_value():
     g = path_graph(3)
-    refl = GroupAction(g, [("m", {"v0": "v2", "v1": "v1", "v2": "v0"})])
+    refl = action_from_maps(g, [("m", {"v0": "v2", "v1": "v1", "v2": "v0"})])
     dp = distortion_profile(refl, "v0", 4)
     # only depth 1 realizes a new element; later depths repeat it
     assert dp.raw == [Fraction(2)] * 4
@@ -338,6 +338,6 @@ def test_involution_profile_carries_its_last_value():
 
 def test_distortion_rejects_empty_horizon():
     g = path_graph(3)
-    triv = GroupAction(g, [("e", {v: v for v in g.vertex_ids})])
+    triv = action_from_maps(g, [("e", {v: v for v in g.vertex_ids})])
     with pytest.raises(FormatError):
         distortion_profile(triv, "v0", 0)
