@@ -111,9 +111,9 @@ def _load_json_arg(text: str, what: str):
 
 def _point_arg(text: str):
     val = _load_json_arg(text, "point")
-    if not isinstance(val, list):
-        raise FormatError(f"point must be a JSON array of vertex ids, got {val!r}")
-    return tuple(str(v) for v in val)
+    if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
+        raise FormatError(f"point must be a JSON array of vertex id strings, got {val!r}")
+    return tuple(val)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +168,17 @@ def cmd_construct(args):
     if not isinstance(params, dict):
         raise FormatError("--params must be a JSON object")
     name = args.family
+    taken = set()     # every key the family looks up, present or not
+
+    def given(key):
+        taken.add(key)
+        return key in params
 
     def param(key, convert, what):
         """Parameter key read through convert; missing or unconvertible
         values raise FormatError naming the family, the key and what was
         expected."""
-        if key not in params:
+        if not given(key):
             raise FormatError(f"construct {name}: missing parameter {key!r}")
         try:
             return convert(params[key])
@@ -183,65 +188,72 @@ def cmd_construct(args):
 
     def num(key, default=None):
         """Integer parameter, or default when key is missing and default is set."""
-        if key not in params and default is not None:
+        if not given(key) and default is not None:
             return default
         return param(key, _int, "an integer")
 
     base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
     base_action = load_action(args.action) if args.action else None
 
+    # each family reads its parameters here and builds below, once every
+    # key is known to be one it takes
     if name == "path":
-        con = C.Construction(C.path_graph(num("n")), None, None)
+        build = functools.partial(C.path_graph, num("n"))
     elif name == "cycle":
-        con = C.Construction(C.cycle_graph(num("n")), None, None)
+        build = functools.partial(C.cycle_graph, num("n"))
     elif name == "grid":
-        con = C.Construction(C.grid_graph(num("m"), num("n")), None, None)
+        build = functools.partial(C.grid_graph, num("m"), num("n"))
     elif name == "star":
-        con = C.Construction(C.star_graph(num("leaves")), None, None)
+        build = functools.partial(C.star_graph, num("leaves"))
     elif name == "tree":
-        con = C.Construction(C.regular_tree(num("degree"), num("depth")), None, None)
+        build = functools.partial(C.regular_tree, num("degree"), num("depth"))
     elif name == "rips":
         if base is None:
             raise FormatError("construct rips needs --graph for the base")
-        con = C.Construction(C.rips_graph(base, num("r")), None, None)
+        build = functools.partial(C.rips_graph, base, num("r"))
     elif name == "cayley":
-        if "family" not in params:
-            raise FormatError("construct cayley: missing parameter 'family'")
-        family = str(params["family"])
-        gens = params.get("gens")
-        if gens is not None:
+        family = param("family", str, "a string")
+        gens = None
+        if given("gens") and params["gens"] is not None:
             gens = param("gens", lambda v: _as_gen_steps(family, v), "a list of generator steps")
-        con = C.cayley_graph(family, num("radius"), gens=gens)
+        build = functools.partial(C.cayley_graph, family, num("radius"), gens=gens)
     elif name == "farey":
-        con = C.farey_graph(num("Q"), num("P") if "P" in params else None)
+        build = functools.partial(C.farey_graph, num("Q"), num("P") if given("P") else None)
     elif name == "bs12":
-        con = C.bass_serre_tree_bs12(num("radius"))
+        build = functools.partial(C.bass_serre_tree_bs12, num("radius"))
     elif name == "coset":
-        chain = str(params.get("chain", "c30"))
+        chain = str(params["chain"]) if given("chain") else "c30"
         if chain == "c6":
-            table, ch = C.c6_chain()
+            build = functools.partial(C.coset_tree, *C.c6_chain())
         elif chain == "c30":
-            table, ch = C.c30_chain()
+            build = functools.partial(C.coset_tree, *C.c30_chain())
         else:
             raise FormatError(f"unknown chain {chain!r}; have c6, c30")
-        con = C.coset_tree(table, ch)
     elif name == "doubleline":
-        con = C.double_line_graph(num("n"),
+        build = functools.partial(C.double_line_graph, num("n"),
                                   param("swaps", _int_tuple, "a list of integers")
-                                  if "swaps" in params else (0, 3))
+                                  if given("swaps") else (0, 3))
     elif name == "cone":
         if base is None:
             raise FormatError("construct cone needs --graph for the base")
-        con = C.cone_graph(base, base_action, basepoint=params.get("basepoint"))
+        build = functools.partial(C.cone_graph, base, base_action,
+                                  basepoint=params["basepoint"] if given("basepoint") else None)
     elif name == "horoball":
         if base is None:
             raise FormatError("construct horoball needs --graph for the base")
-        con = C.horoball(base, base_action, depth=num("depth", 1),
-                         basepoint=params.get("basepoint"))
+        build = functools.partial(C.horoball, base, base_action, depth=num("depth", 1),
+                                  basepoint=params["basepoint"] if given("basepoint") else None)
     else:
         raise FormatError(
             f"unknown construction {name!r}; have path, cycle, grid, star, tree, "
             "rips, cayley, farey, bs12, coset, doubleline, cone, horoball")
+    unknown = sorted(set(params) - taken)
+    if unknown:
+        raise FormatError(f"construct {name}: unknown parameter(s) {unknown}; "
+                          f"{name} takes {sorted(taken)}")
+    con = build()
+    if not isinstance(con, C.Construction):     # the plain graph families
+        con = C.Construction(con, None, None)
     graph, action = con.graph, con.action
 
     written = {}
@@ -412,10 +424,11 @@ def cmd_product(args):
         mapping = {}
         for entry in pairs:
             if not (isinstance(entry, list) and len(entry) == 2
-                    and all(isinstance(side, list) for side in entry)):
+                    and all(isinstance(side, list) and all(isinstance(v, str) for v in side)
+                            for side in entry)):
                 raise FormatError(f"{args.map}: bad mapping entry {entry!r}; "
-                                  "want [src, dst], each an array of vertex ids")
-            mapping[tuple(map(str, entry[0]))] = tuple(map(str, entry[1]))
+                                  "want [src, dst], each an array of vertex id strings")
+            mapping[tuple(entry[0])] = tuple(entry[1])
         iso = ProductIsometry(space, mapping)
         rep = factor_preservation_check(space, iso)
         results = {

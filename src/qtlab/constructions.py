@@ -7,18 +7,18 @@ emitted in automorphism mode with partial generator maps: a generator is
 simply undefined wherever its image would leave the truncation.
 
 The group-table machinery is deliberately tiny: ordered element names and a
-dense multiplication dict.  It only needs to support the coset-tree and
-finite Cayley constructions, not general group theory.
+dense multiplication table of element positions.  It only needs to support
+the coset-tree and finite Cayley constructions, not general group theory.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import FormatError, InvalidChain, UnknownFamily
-from .metric_graph import MetricGraph, graph_from_ids
-from .group_action import GroupAction, action_from_maps, forward_map
+from .metric_graph import MetricGraph
+from .group_action import GroupAction, forward_map
 
 
 @dataclass
@@ -132,89 +132,83 @@ ASSOC_CHECK_CAP = 60
 
 
 class FiniteGroupTable:
-    """Ordered element names plus a complete multiplication dict.
+    """Ordered element names plus the multiplication as an (n, n) integer
+    table: table[i, j] is the position of elements[i] * elements[j].
 
     Associativity is checked exhaustively up to ASSOC_CHECK_CAP elements
     (216k products at the cap); beyond that the table is trusted.  Identity
     and inverses are always verified.
     """
 
-    def __init__(self, elements: Sequence[str], mult: Dict[Tuple[str, str], str]):
+    def __init__(self, elements: Sequence[str], table):
         self.elements = tuple(str(e) for e in elements)
-        if not self.elements:
+        n = len(self.elements)
+        if not n:
             raise FormatError("group table needs at least one element")
-        if len(set(self.elements)) != len(self.elements):
+        self._pos = {e: i for i, e in enumerate(self.elements)}
+        if len(self._pos) != n:
             raise FormatError("duplicate element names")
-        eset = set(self.elements)
-        self.mult = dict(mult)
-        for a in self.elements:
-            for b in self.elements:
-                c = self.mult.get((a, b))
-                if c is None:
-                    raise FormatError(f"multiplication table missing ({a!r}, {b!r})")
-                if c not in eset:
-                    raise FormatError(f"product {a!r}*{b!r} = {c!r} is not an element")
-        ident = None
-        for e in self.elements:
-            if all(self.mult[(e, a)] == a and self.mult[(a, e)] == a for a in self.elements):
-                ident = e
-                break
-        if ident is None:
+        try:
+            t = np.asarray(table)
+        except ValueError:      # a ragged table
+            t = np.zeros(0)
+        if t.shape != (n, n) or t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n:
+            raise FormatError(f"multiplication table must be an ({n}, {n}) integer array "
+                              f"with entries in range({n})")
+        self.table = t = t.astype(np.int64)
+        self.table.setflags(write=False)
+        at = np.arange(n)
+        ident = np.flatnonzero((t == at).all(axis=1) & (t == at[:, None]).all(axis=0))
+        if not len(ident):
             raise FormatError("table has no identity element")
-        self.identity = ident
-        self._inv = {}
-        for a in self.elements:
-            for b in self.elements:
-                if self.mult[(a, b)] == ident and self.mult[(b, a)] == ident:
-                    self._inv[a] = b
-                    break
-            else:
-                raise FormatError(f"element {a!r} has no inverse")
-        if len(self.elements) <= ASSOC_CHECK_CAP:
-            for a in self.elements:
-                for b in self.elements:
-                    ab = self.mult[(a, b)]
-                    for c in self.elements:
-                        if self.mult[(ab, c)] != self.mult[(a, self.mult[(b, c)])]:
-                            raise FormatError(
-                                f"multiplication is not associative at ({a!r},{b!r},{c!r})")
+        self.identity = self.elements[ident[0]]
+        inverse = (t == ident[0]) & (t.T == ident[0])
+        missing = np.flatnonzero(~inverse.any(axis=1))
+        if len(missing):
+            raise FormatError(f"element {self.elements[missing[0]]!r} has no inverse")
+        self._inv = inverse.argmax(axis=1)
+        if n <= ASSOC_CHECK_CAP:
+            # t[t][a, b, c] = (ab)c and t[:, t][a, b, c] = a(bc)
+            bad = np.argwhere(t[t] != t[:, t])
+            if len(bad):
+                a, b, c = (self.elements[i] for i in bad[0])
+                raise FormatError(f"multiplication is not associative at ({a!r},{b!r},{c!r})")
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def indices(self, names) -> np.ndarray:
+        """Positions of the given element names."""
+        return np.array([self._pos[a] for a in names], dtype=np.int64)
+
     def mul(self, a: str, b: str) -> str:
-        return self.mult[(a, b)]
+        return self.elements[self.table[self._pos[a], self._pos[b]]]
 
     def inv(self, a: str) -> str:
-        return self._inv[a]
+        return self.elements[self._inv[self._pos[a]]]
 
     def is_subgroup(self, subset: Sequence[str]) -> bool:
         s = set(subset)
         if not s or not s.issubset(self.elements) or self.identity not in s:
             return False
-        return all(self.mult[(a, b)] in s for a in s for b in s)
+        at = self.indices(s)
+        return bool(np.isin(self.table[np.ix_(at, at)], at).all())
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroupTable":
         if n < 1:
             raise FormatError("cyclic group needs n >= 1")
-        names = _pad_ids("g", n)
-        mult = {(names[i], names[j]): names[(i + j) % n]
-                for i in range(n) for j in range(n)}
-        return cls(names, mult)
+        i = np.arange(n)
+        return cls(_pad_ids("g", n), (i[:, None] + i) % n)
 
     @classmethod
     def direct_product(cls, a: "FiniteGroupTable", b: "FiniteGroupTable") -> "FiniteGroupTable":
+        """Elements "x|y" in x-major order, so (x, y) has position x * |b| + y."""
         names = [f"{x}|{y}" for x in a.elements for y in b.elements]
-        mult = {}
-        for x1 in a.elements:
-            for y1 in b.elements:
-                for x2 in a.elements:
-                    for y2 in b.elements:
-                        mult[(f"{x1}|{y1}", f"{x2}|{y2}")] = \
-                            f"{a.mul(x1, x2)}|{b.mul(y1, y2)}"
-        return cls(names, mult)
+        nb = b.order
+        table = a.table[:, None, :, None] * nb + b.table[None, :, None, :]
+        return cls(names, table.reshape(len(names), len(names)))
 
 
 def c6_chain() -> Tuple[FiniteGroupTable, Tuple[Tuple[str, ...], ...]]:
@@ -266,6 +260,7 @@ def _validate_chain(table: FiniteGroupTable, chain) -> List[Tuple[str, ...]]:
 def coset_tree(table: FiniteGroupTable, chain) -> Construction:
     """Tree of nested cosets: level-i vertices are the cosets of chain[i],
     with an edge from each coset to the level-(i+1) coset containing it.
+    A coset is named by its least-named element g, "lv{i}_{g}".
 
     When the chain ends at the whole group (and did not stall there), an
     extra apex vertex is attached above the single top coset; it stands in
@@ -276,67 +271,50 @@ def coset_tree(table: FiniteGroupTable, chain) -> Construction:
     """
     chain = _validate_chain(table, chain)
     k = len(chain) - 1
-    full = set(table.elements)
+    t, n, names = table.table, table.order, table.elements
+    order = np.array(sorted(range(n), key=names.__getitem__), dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)     # rank[position] = place in name order
+    rank[order] = np.arange(n)
+    members = [np.unique(table.indices(h)) for h in chain]
 
-    # per level: element -> coset id, plus the ordered coset member lists
-    level_ids: List[List[str]] = []
-    coset_of: List[Dict[str, str]] = []
-    members: List[Dict[str, Tuple[str, ...]]] = []
-    for i, h in enumerate(chain):
-        seen: Dict[str, Tuple[str, ...]] = {}
-        assign: Dict[str, str] = {}
-        for g in table.elements:
-            cos = tuple(sorted(table.mul(g, x) for x in h))
-            rep = cos[0]
-            vid = f"lv{i}_{rep}"
-            seen.setdefault(vid, cos)
-            assign[g] = vid
-        level_ids.append(sorted(seen))
-        coset_of.append(assign)
-        members.append(seen)
+    # per level: the least-named element of each coset, cosets in the order
+    # of those names, and the coset of each element g (the one holding gH)
+    reps, coset_of = [], []
+    for h in members:
+        least, coset = np.unique(rank[t[:, h]].min(axis=1), return_inverse=True)
+        reps.append(order[least])
+        coset_of.append(coset)
+    offset = np.cumsum([0] + [len(r) for r in reps])   # level i starts at offset[i]
+    ids = [f"lv{i}_{names[g]}" for i, r in enumerate(reps) for g in r.tolist()]
+    edges = [np.stack((offset[i] + np.arange(len(reps[i])),
+                       offset[i + 1] + coset_of[i + 1][reps[i]]), axis=1) for i in range(k)]
 
-    edges = []
-    for i in range(k):
-        for vid, cos in members[i].items():
-            edges.append((vid, coset_of[i + 1][cos[0]]))
+    # images[g, p]: the position of g times the coset at position p
+    images = np.concatenate([offset[i] + coset_of[i][t[:, r]] for i, r in enumerate(reps)], axis=1)
 
     apex = None
-    if k >= 1 and set(chain[k]) == full and set(chain[k]) != set(chain[k - 1]):
+    if k >= 1 and len(members[k]) == n and len(members[k]) != len(members[k - 1]):
         apex = "apex"
-        edges.append((level_ids[k][0], apex))
+        edges.append([[offset[k], len(ids)]])
+        images = np.column_stack((images, np.full(n, len(ids))))
+        ids.append(apex)
+    # without an apex each top coset heads its own component
+    graph = MetricGraph(ids, np.concatenate([np.empty((0, 2), dtype=np.int64)] + edges),
+                        allow_disconnected=len(reps[k]) > 1)
+    e = names.index(table.identity)
+    action = _action_on(graph, ids, [(names[g], np.stack((np.arange(len(ids)), images[g]), axis=1))
+                                     for g in range(n) if g != e])
 
-    ids = [vid for lv in level_ids for vid in lv] + ([apex] if apex else [])
-    top_count = len(level_ids[k])
-    graph = graph_from_ids(ids, edges,
-                           allow_disconnected=(apex is None and (top_count > 1 or k == 0 and len(ids) > 1)))
-
-    gens = []
-    for g in table.elements:
-        if g == table.identity:
-            continue
-        fwd = {}
-        for i in range(k + 1):
-            for vid, cos in members[i].items():
-                fwd[vid] = coset_of[i][table.mul(g, cos[0])]
-        if apex:
-            fwd[apex] = apex
-        gens.append((g, fwd))
-    action = action_from_maps(graph, gens, mode="automorphism")
-
-    base_ids = [coset_of[i][table.identity] for i in range(k + 1)]
-    stab_sizes = [sum(1 for g in table.elements
-                      if coset_of[i][table.mul(g, table.identity)] == base_ids[i])
-                  for i in range(k + 1)]
-    valences = [graph.degree(base_ids[i]) for i in range(k + 1)]
-    index_ratios = [len(chain[i]) // len(chain[i - 1]) for i in range(1, k + 1)]
+    base_ids = [ids[offset[i] + coset_of[i][e]] for i in range(k + 1)]
     return Construction(
         graph, action, base_ids[0],
         extras={
-            "levels": level_ids,
+            "levels": [ids[offset[i]:offset[i + 1]] for i in range(k + 1)],
             "apex": apex,
-            "stabilizer_sizes": stab_sizes,
-            "valences": valences,
-            "index_ratios": index_ratios,
+            # the stabilizer of the coset H_i is H_i
+            "stabilizer_sizes": [len(h) for h in members],
+            "valences": [graph.degree(v) for v in base_ids],
+            "index_ratios": [len(chain[i]) // len(chain[i - 1]) for i in range(1, k + 1)],
         })
 
 

@@ -14,7 +14,8 @@ qtlab-action-v1
 Generator maps list forward images only; inverses are derived.  Non-injective
 maps and duplicate edges are rejected.
 Vertex ids are strings; the loaders here turn them into vertex indices, and
-everything past them works on index arrays.
+everything past them works on index arrays.  The savers turn index arrays
+back into ids with one gather each.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from __future__ import annotations
 import json
 import os
 from typing import Optional
+
+import numpy as np
 
 from .errors import FormatError
 from .metric_graph import MetricGraph, graph_from_ids
@@ -34,7 +37,7 @@ def graph_to_dict(g: MetricGraph) -> dict:
     out = {
         "format": GRAPH_FORMAT,
         "vertices": list(g.vertex_ids),
-        "edges": [[a, b] for a, b in g.edges()],
+        "edges": np.array(g.vertex_ids, dtype=object)[g.edge_array()].tolist(),
     }
     if g.boundary:
         out["boundary"] = list(g.boundary)
@@ -90,11 +93,9 @@ def load_graph(path: str, allow_disconnected: bool = False) -> MetricGraph:
 def action_to_dict(action, graph_ref: Optional[str] = None) -> dict:
     """Serialize a GroupAction; graph_ref, when given, replaces the inline
     graph object with a file path reference."""
-    ids = action.space.vertex_ids
-    gens = []
-    for gm in action.generators:
-        src, dst = gm.pairs()
-        gens.append({"name": gm.name, "map": [[ids[s], ids[t]] for s, t in zip(src, dst)]})
+    ids = np.array(action.space.vertex_ids, dtype=object)
+    gens = [{"name": gm.name, "map": ids[np.stack(gm.pairs(), axis=1)].tolist()}
+            for gm in action.generators]
     return {
         "format": ACTION_FORMAT,
         "graph": graph_ref if graph_ref is not None else graph_to_dict(action.space),

@@ -38,9 +38,11 @@ def _frac(x) -> Fraction:
 
 
 def _integer(x) -> int:
-    """A sample direction coordinate: an int or a string of one; floats are
-    refused, as for tau."""
+    """A sample direction coordinate: an int or a string of one; floats and
+    bools are refused, as for tau and the integer --params."""
     try:
+        if isinstance(x, bool):
+            raise TypeError
         return int(x) if isinstance(x, str) else operator.index(x)
     except (TypeError, ValueError):
         raise FormatError(f"direction entry {x!r} is not an integer") from None

@@ -228,11 +228,6 @@ class MetricGraph:
         i = self.index(v)
         return int(self._indptr[i + 1] - self._indptr[i])
 
-    def edges(self):
-        """Edges as id pairs, sorted."""
-        ids = self.vertex_ids
-        return tuple((ids[i], ids[j]) for i, j in self.edge_array().tolist())
-
     def edge_array(self) -> np.ndarray:
         """Edges as a (k, 2) index array with i < j in each row, rows in
         lexicographic order."""

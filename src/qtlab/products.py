@@ -58,7 +58,9 @@ class ProductSpace:
         return out
 
     def check_point(self, x: Sequence[str]) -> Tuple[str, ...]:
-        x = tuple(str(c) for c in x)
+        x = tuple(x)
+        if not all(isinstance(c, str) for c in x):
+            raise FormatError(f"point coordinates must be vertex id strings, got {x!r}")
         if len(x) != len(self.factors):
             raise DimensionMismatch(
                 f"point has {len(x)} coordinates, product has {len(self.factors)}")

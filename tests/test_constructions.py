@@ -30,6 +30,7 @@ from qtlab.constructions import (
     star_graph,
 )
 from qtlab.group_action import Word, evaluate_word, rips_orbit_graph, word_map
+from qtlab.io import graph_to_dict
 
 from _oracles import brute_bs12, brute_farey
 
@@ -112,6 +113,55 @@ def test_direct_product_is_cyclic_of_order_six():
     assert p.order == 6
     assert sorted(element_order(p, e) for e in p.elements) == [1, 2, 3, 3, 6, 6]
     assert p.is_subgroup(set(p.elements))
+
+
+C3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
+
+
+@pytest.mark.parametrize("elements,table,message", [
+    (("a", "b", "c"), [[0, 1, 2], [1, 2, 0], [2, 0, 3]], "range(3)"),
+    (("a", "b", "c"), [[0, 1, 2], [1, 2, 0], [2, 0, -1]], "range(3)"),
+    (("a", "b", "c"), [[0, 1, 2], [1, 2, 0]], "(3, 3)"),
+    (("a", "b", "c"), [[0, 1, 2], [1, 2, 0], [2, 0]], "(3, 3)"),
+    (("a", "b", "c"), [[0.0, 1.0, 2.0], [1.0, 2.0, 0.0], [2.0, 0.0, 1.0]], "integer"),
+    # every product is the right factor: each element is a left identity,
+    # none a right one
+    (("a", "b", "c"), [[0, 1, 2]] * 3, "no identity"),
+    # a magma with identity a where c has no two-sided inverse
+    (("a", "b", "c"), [[0, 1, 2], [1, 0, 0], [2, 1, 1]], "'c' has no inverse"),
+    # a Latin square with identity a and every element its own inverse, but
+    # (bb)c = c while b(bc) = bd = e
+    (("a", "b", "c", "d", "e"),
+     [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]],
+     "not associative at ('b','b','c')"),
+    (("a", "b", "a"), C3, "duplicate element names"),
+    ((), [], "at least one element"),
+])
+def test_group_table_refusals(elements, table, message):
+    with pytest.raises(FormatError) as err:
+        FiniteGroupTable(elements, table)
+    assert message in str(err.value)
+
+
+def test_group_table_is_an_integer_index_table():
+    t = FiniteGroupTable(("a", "b", "c"), C3)
+    assert t.table.tolist() == C3 and t.table.dtype == np.int64
+    assert t.identity == "a" and t.inv("b") == "c" and t.mul("c", "c") == "b"
+    p = FiniteGroupTable.direct_product(t, FiniteGroupTable.cyclic(2))
+    # (x, y) has position 2 x + y: (b, g1) (c, g1) = (a, g0)
+    assert p.elements[3] == "b|g1" and p.elements[5] == "c|g1"
+    assert p.table[3, 5] == 0 and p.mul("b|g1", "c|g1") == "a|g0"
+
+
+def test_c30_table_is_componentwise_addition():
+    # the loop the broadcast direct product replaced: (x, y, z)(x', y', z')
+    # is (x + x' mod 2, y + y' mod 3, z + z' mod 5)
+    table, _ = c30_chain()
+    for a in table.elements:
+        for b in table.elements:
+            want = [(int(x[1:]) + int(y[1:])) % m
+                    for x, y, m in zip(a.split("|"), b.split("|"), (2, 3, 5))]
+            assert table.mul(a, b) == "|".join(f"g{v}" for v in want)
 
 
 def test_is_subgroup_rejects_non_closed_subset():
@@ -317,7 +367,7 @@ def built(con):
     ids = g.vertex_ids
     maps = {gm.name: {ids[s]: ids[d] for s, d in zip(*gm.pairs())}
             for gm in con.action.generators}
-    return list(ids), list(g.edges()), list(g.boundary), maps
+    return list(ids), [tuple(e) for e in graph_to_dict(g)["edges"]], list(g.boundary), maps
 
 
 FAREY_SIZES = sorted({(Q, P) for Q in range(1, 9) for P in (1, 2, Q, None, 3 * Q + 1)},

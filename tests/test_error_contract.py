@@ -1,6 +1,7 @@
 """Fuzzing the error contract of the command line at its input boundaries:
 graph and action files, `lm fit` sample files, `lm obstruction --matrix`
-and `product factor-check --map`.  Whatever the input, a command exits 0,
+and `product factor-check --map`, with pinned cases for product points and
+`construct --params`.  Whatever the input, a command exits 0,
 or exits 2 with exactly one JSON object on stderr and nothing on stdout; it
 never raises."""
 
@@ -190,6 +191,7 @@ GRAPH = {"format": "qtlab-graph-v1", "vertices": ["a", "b"], "edges": [["a", "b"
     (["lm", "fit", "--samples"], {"samples": [[[1, 0], "x"], [[0, 1], 1]]}),
     (["lm", "fit", "--samples"], {"samples": [[[1, 0], "1/0"], [[0, 1], 1]]}),
     (["lm", "fit", "--samples"], {"samples": [[[1.5, 0], 1], [[0, 1], 1]]}),
+    (["lm", "fit", "--samples"], {"samples": [[[True, 0], "1"], [[0, 1], "1"], [[1, 1], "2"]]}),
     (["product", "factor-check", "--map"], {"mapping": 5}),
     (["product", "factor-check", "--map"], {"mapping": [[1, 2]]}),
     (["product", "factor-check", "--map"],
@@ -227,6 +229,58 @@ def test_exponent_tau_is_refused(workdir):
 def test_integer_params_refuse_floats_and_bools(params):
     error = _check_contract(["construct", "farey", "--params", params])
     assert error["type"] == "FormatError" and "'Q'" in error["message"]
+
+
+@pytest.mark.parametrize("family,params", [
+    ("cycle", '{"n": 5, "bogus": 1}'),
+    ("farey", '{"Q": 3, "radisu": 1}'),
+])
+def test_unknown_params_are_refused(family, params):
+    error = _check_contract(["construct", family, "--params", params])
+    assert error["type"] == "FormatError"
+    assert "unknown parameter" in error["message"]
+    assert ("'bogus'" if family == "cycle" else "'radisu'") in error["message"]
+    assert ("['n']" if family == "cycle" else "['P', 'Q']") in error["message"]
+
+
+@pytest.fixture(scope="module")
+def z_ball(tmp_path_factory):
+    """Graph and action files of the Z Cayley ball of radius 1, ids -1, 0, 1."""
+    d = tmp_path_factory.mktemp("zball")
+    assert _run(["construct", "cayley", "--params", '{"family": "Z", "radius": 1}',
+                 "--out", str(d / "z.graph.json"), "--action-out", str(d / "z.action.json")])[0] == 0
+    return str(d / "z.graph.json"), str(d / "z.action.json")
+
+
+@pytest.mark.parametrize("point", ['[1, 0]', '["0", null]'])
+def test_product_x_refuses_non_string_coordinates(z_ball, point):
+    g = z_ball[0]
+    argv = ["product", "distance", "--factors", g, g, "--x", point, "--y", '["0", "0"]']
+    assert _check_contract(argv)["type"] == "FormatError"
+
+
+def test_product_basepoint_refuses_non_string_coordinates(z_ball):
+    a = z_ball[1]
+    argv = ["product", "distortion", "--factors", a, a, "--basepoint", '[0, "0"]',
+            "--horizon", "1"]
+    assert _check_contract(argv)["type"] == "FormatError"
+
+
+def _write(path, payload) -> str:
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def test_factor_check_map_refuses_non_string_coordinates(z_ball, tmp_path):
+    g = z_ball[0]
+    ids = ["-1", "0", "1"]
+    mapping = [[[x, y], [x, y]] for x in ids for y in ids]
+    assert _check_contract(["product", "factor-check", "--factors", g, g, "--map",
+                            _write(tmp_path / "ok.json", {"mapping": mapping})]) is None
+    mapping[4] = [[0, "0"], ["0", "0"]]     # the point (0, 0), one coordinate an int
+    error = _check_contract(["product", "factor-check", "--factors", g, g, "--map",
+                             _write(tmp_path / "bad.json", {"mapping": mapping})])
+    assert error["type"] == "FormatError" and "vertex id strings" in error["message"]
 
 
 @pytest.mark.parametrize("gens", ["[true]", "[1.0]", "[[1, 0], [0, false]]"])

@@ -3,7 +3,9 @@
 The Cayley and fixture digests were taken from the builders before the
 Cayley families shared one ball builder, and the large-truncation digests
 before the Farey and BS(1,2) builders moved to integer arithmetic; a
-refactor of the builders must keep every one of them."""
+refactor of the builders must keep every one of them.  The coset-tree
+digests were taken from the builder that still went through vertex ids,
+before it moved to integer group tables."""
 
 import hashlib
 import json
@@ -11,7 +13,7 @@ import json
 import pytest
 
 from qtlab.cli import FIXTURES, main
-from qtlab.constructions import c6_chain, c30_chain, cayley_graph
+from qtlab.constructions import FiniteGroupTable, c6_chain, c30_chain, cayley_graph, coset_tree
 from qtlab.io import action_to_dict, graph_to_dict
 
 # (family, radius, gens, group table, sha256 of graph + action + basepoint + extras)
@@ -86,17 +88,62 @@ LARGE_TRUNCATIONS = [
 TABLES = {"c6": c6_chain, "c30": c30_chain}
 
 
+def _c6(chain):
+    table = FiniteGroupTable.cyclic(6)
+    return lambda: (table, [table.elements if h is None else h for h in chain])
+
+
+def _trivial_chain(n):
+    table = FiniteGroupTable.cyclic(n)
+    return lambda: (table, [(table.identity,), table.elements])
+
+
+# (name, table and chain, sha256 of graph + action + basepoint + extras); in
+# the c6 chains None stands for the whole group.  "stalled-at-G" ends
+# [.., G, G], so no apex is added; "stalled-below-G" ends [.., H, H] and
+# leaves three components
+COSET_TREES = [
+    ("c6", c6_chain, "b0ec3ff35ad77377bf4818e9d973edbe78f7a451daa57dc5d96256eedf6727a1"),
+    ("c30", c30_chain, "a68e9dcddce54401714e9ba18529935b4c611814701fbe5bc7eb21affd1b7f63"),
+    ("one-level", _c6([("g0",)]),
+     "77a24b953fed892eaf2eddc30466a87338397913bf154ed1ff86b6ddba5b9181"),
+    ("stalled-at-G", _c6([("g0",), ("g0", "g3"), None, None]),
+     "1d14508bdf9700da0b99d2d8faa3cf880b5f8665da8dd9a4a6829bf074bc34cd"),
+    ("stalled-below-G", _c6([("g0",), ("g0", "g3"), ("g0", "g3")]),
+     "02e83920326a4552cfcd657fb0262722b976f8f5ceb1728bd3fcbcad62942f28"),
+] + [(f"c{n}-trivial", _trivial_chain(n), digest) for n, digest in enumerate([
+    "ea9e832c5265505bd3143f04fb6b13eb07954d8d9a4ae6a0fb1bb9a704e45a45",
+    "4a5289fa0117e6f578de85ca2b2d3ac853e0752de2bc26b3d06212277bda80de",
+    "57aee499ae29d4192ad9dc73d5d1a3d6bc265aec2ad249f411fd0435890c6f10",
+    "98f877dccc39b463dff73522ed3184419796e46898a208c679fd37cf0a93fac9",
+    "ffefc03d593f370697411f5362223f0f53571b99a6635983523b3e435336e3c9",
+    "00bb0e142d8b3c8f95945259ba568728e28e8d097758f9b8a039f0d0854793ca",
+    "787ae6156e0868ad71aa300504e74eb7f288e2b9ffc43c7697cf45f151a4a69c",
+    "d169e5bacc1bdaf84c310ee6dcac2dc2329cc2e3a8fa7e695c4ec6c4676ea3d6",
+], start=1)]
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def construction_digest(con) -> str:
+    obj = {"graph": graph_to_dict(con.graph), "action": action_to_dict(con.action),
+           "basepoint": con.basepoint, "extras": con.extras}
+    return sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode())
 
 
 @pytest.mark.parametrize("family,radius,gens,table,digest", CAYLEY)
 def test_cayley_ball_bytes(family, radius, gens, table, digest):
     con = cayley_graph(family, radius, gens=gens,
                        table=TABLES[table]()[0] if table else None)
-    obj = {"graph": graph_to_dict(con.graph), "action": action_to_dict(con.action),
-           "basepoint": con.basepoint, "extras": con.extras}
-    assert sha256(json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()) == digest
+    assert construction_digest(con) == digest
+
+
+@pytest.mark.parametrize("name,table_and_chain,digest", COSET_TREES,
+                         ids=[c[0] for c in COSET_TREES])
+def test_coset_tree_bytes(name, table_and_chain, digest):
+    assert construction_digest(coset_tree(*table_and_chain())) == digest
 
 
 def test_fixture_file_bytes(tmp_path, capsys):

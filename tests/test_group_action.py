@@ -17,7 +17,7 @@ from qtlab.constructions import (bass_serre_tree_bs12, c6_chain, cayley_graph,
                                  farey_graph, horoball, path_graph)
 from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
-from qtlab.io import action_to_dict
+from qtlab.io import action_to_dict, graph_to_dict
 
 from _oracles import (brute_realized_elements, dense_mode_check, index_distances,
                       random_connected_graph)
@@ -126,7 +126,7 @@ def test_mode_check_matches_the_dense_check(mode):
     rng = random.Random(5)
     raised = passed = 0
     for g, mapping in _mode_check_cases(rng):
-        D = index_distances(list(g.vertex_ids), g.edges())
+        D = index_distances(list(g.vertex_ids), graph_to_dict(g)["edges"])
         # generators are index arrays, so the first broken pair is the first
         # in id order, whatever order the map lists its sources in
         src, dst = np.array(sorted((g.index(s), g.index(t)) for s, t in mapping.items())).T

@@ -1,6 +1,7 @@
-"""Every name a module imports at module level is used in that module, and
+"""Every name a module imports at module level is used in that module,
 every import anywhere in the package is of the standard library, numpy or
-the package itself.
+the package itself, and only the file boundary (``io.py``) turns vertex ids
+into indices with ``graph_from_ids`` or ``action_from_maps``.
 
 The scans parse each module of the package with ``ast``; they do not import
 them.  Package ``__init__.py`` files re-export names and are exempt from the
@@ -110,3 +111,36 @@ def test_the_scan_flags_a_function_level_import():
                      "def f():\n    from scipy.optimize import linprog\n"
                      "    import qtlab.cli\n")
     assert list(_foreign_imports(tree)) == [("scipy", 4)]
+
+
+BOUNDARY = ("graph_from_ids", "action_from_maps")
+
+
+def _boundary_calls(tree):
+    """(name, line) of every call of graph_from_ids or action_from_maps, by
+    bare name or as an attribute, in line order."""
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in BOUNDARY:
+                calls.append((name, node.lineno))
+    return sorted(calls, key=lambda c: c[1])
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.rglob("*.py")), ids=lambda p: p.name)
+def test_only_io_turns_ids_into_indices(path):
+    calls = _boundary_calls(ast.parse(path.read_text(), filename=str(path)))
+    if path.name == "io.py":
+        assert {name for name, _ in calls} == set(BOUNDARY)
+    else:
+        assert not calls, f"{path.name} calls {calls}; builders take index arrays"
+
+
+def test_the_scan_flags_a_boundary_call():
+    tree = ast.parse("from .metric_graph import graph_from_ids\n"
+                     "import qtlab.group_action as ga\n"
+                     "def f(ids):\n    g = graph_from_ids(ids, [])\n"
+                     "    return ga.action_from_maps(g, [])\n")
+    assert _boundary_calls(tree) == [("graph_from_ids", 4), ("action_from_maps", 5)]

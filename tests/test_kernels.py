@@ -10,6 +10,7 @@ from qtlab.errors import NotATree
 from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
                             level_components, rows)
 from qtlab.cli import _build_fixture
+from qtlab.io import graph_to_dict
 
 from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
                       brute_level_joined, connected_avoiding, exhaustive_delta_witness,
@@ -22,7 +23,7 @@ def _csr(g):
 
 
 def _ids_edges(g):
-    return list(g.vertex_ids), g.edges()
+    return list(g.vertex_ids), graph_to_dict(g)["edges"]
 
 
 def test_backend_name():
@@ -154,7 +155,7 @@ def test_tree_distances_match_oracle():
     rng = random.Random(17)
     for g in _tree_cases(rng):
         assert g.is_tree()
-        D = index_distances(list(g.vertex_ids), g.edges())
+        D = index_distances(list(g.vertex_ids), graph_to_dict(g)["edges"])
         u = np.repeat(np.arange(g.n), g.n)
         v = np.tile(np.arange(g.n), g.n)
         got = g.tree_distances(u, v)
@@ -170,7 +171,7 @@ def test_tree_distances_refuse_a_non_tree():
 def test_tree_diameter_from_double_sweep():
     rng = random.Random(19)
     for g in _tree_cases(rng):
-        D = index_distances(list(g.vertex_ids), g.edges())
+        D = index_distances(list(g.vertex_ids), graph_to_dict(g)["edges"])
         assert g.diameter() == int(D.max())
         assert g._dist is None
 

@@ -354,7 +354,7 @@ def test_index_order_is_id_order():
 def test_edges_and_boundary_are_positions_into_the_given_ids():
     g = MetricGraph(["b", "a", "c"], np.array([[2, 1], [0, 1]]), boundary=[2, 0])
     assert g.vertex_ids == ("a", "b", "c") and g.boundary == ("c", "b")
-    assert g.edges() == (("a", "b"), ("a", "c"))
+    assert graph_to_dict(g)["edges"] == [["a", "b"], ["a", "c"]]
     for edges, boundary in (([[0, 3]], []), ([[0, -1]], []), ([], [3])):
         with pytest.raises(VertexNotFound):
             MetricGraph(["b", "a", "c"], edges, boundary=boundary, allow_disconnected=True)

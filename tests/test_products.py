@@ -133,6 +133,14 @@ def test_point_validation():
         product_distance(sp, ["v0"], ["v1", "v1"])
 
 
+def test_point_coordinates_must_be_id_strings():
+    sp = ProductSpace([cayley_graph("Z", 2).graph] * 2)
+    assert sp.check_point(["1", "-1"]) == ("1", "-1")
+    for point in ([1, "-1"], ["1", None]):
+        with pytest.raises(FormatError):
+            sp.check_point(point)
+
+
 def test_skeleton_metric_agrees_with_coordinate_sums():
     sp = ProductSpace([path_graph(4), path_graph(3), path_graph(2)])
     sk = product_skeleton(sp)
