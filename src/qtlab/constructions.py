@@ -560,8 +560,8 @@ def cone_graph(base: MetricGraph, base_action: Optional[GroupAction] = None,
         action = _action_on(graph, base_action.space.vertex_ids + ("apex",), [
             (gm.name, np.append(np.stack(gm.pairs(), axis=1), [[apex, apex]], axis=0))
             for gm in base_action.generators])
-    if basepoint is None:
-        basepoint = min(base.vertex_ids)
+    basepoint = min(base.vertex_ids) if basepoint is None else basepoint
+    graph.checked_index(basepoint, "basepoint")
     return Construction(graph, action, basepoint, extras={"apex": "apex"})
 
 
@@ -626,6 +626,6 @@ def horoball(base: MetricGraph, base_action: Optional[GroupAction] = None,
             (gm.name, np.concatenate([np.stack(gm.pairs(), axis=1) + j * len(ids_act)
                                       for j in range(depth + 1)]))
             for gm in base_action.generators])
-    if basepoint is None:
-        basepoint = f"{ids_base[0]}|0"
+    basepoint = f"{ids_base[0]}|0" if basepoint is None else basepoint
+    graph.checked_index(basepoint, "basepoint")
     return Construction(graph, action, basepoint, extras={"depth": depth})

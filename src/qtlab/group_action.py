@@ -698,21 +698,18 @@ def busemann_homomorphism(a: GroupAction, ray: Sequence[str], w: Word) -> int:
     positive when g moves the basepoint away from the end.  EndNotInvariant
     when the differences do not stabilize over the last three points of the
     ray."""
-    ray = [str(v) for v in ray]
+    ray = list(ray)
     if len(ray) < 3:
         raise EndNotInvariant("ray too short to certify an end")
-    r0 = a.space.index(ray[0])
-    r0row = a.space.rows([r0])[0]
-    prev = r0
+    r0row = a.space.rows([a.space.checked_index(ray[0], "ray vertex")])[0]
     ridx = []
     for k, v in enumerate(ray):
-        vi = a.space.index(v)
-        if k > 0 and not a.space.adjacent(prev, vi):
+        vi = a.space.checked_index(v, "ray vertex")
+        if ridx and not a.space.adjacent(ridx[-1], vi):
             raise FormatError(f"ray is not a path at position {k}")
         if int(r0row[vi]) != k:
             raise FormatError(f"ray is not geodesic at position {k}")
         ridx.append(vi)
-        prev = vi
     ridx = np.array(ridx, dtype=np.int64)
     # The difference below stabilizes on trees even for a g sending the ray
     # toward a different end, so stabilization alone certifies nothing.  g

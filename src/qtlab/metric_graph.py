@@ -141,6 +141,12 @@ class MetricGraph:
     def index(self, v: str) -> int:
         return _lookup(self._index, (v,), "no vertex {!r}")[0]
 
+    def checked_index(self, v, what: str) -> int:
+        """index(v), and a FormatError naming what if v is not a string."""
+        if not isinstance(v, str):
+            raise FormatError(f"{what} must be a vertex id string, got {v!r}")
+        return self.index(v)
+
     def indices(self, ids) -> np.ndarray:
         """Index array of the given vertex ids."""
         return np.array(_lookup(self._index, ids, "no vertex {!r}"), dtype=np.int64)
@@ -433,6 +439,27 @@ class GeodesicsResult:
         return len(self.sequences)
 
 
+def _geodesic_paths(g: MetricGraph, u: str, v: str, cap: int):
+    """The index paths of enumerate_geodesics as the rows of an array, in
+    the same order, and whether the cap cut them off."""
+    ui, vi = g.index(u), g.index(v)
+    target = g.rows([vi])[0]
+    if target[ui] < 0:
+        raise DisconnectedGraph(u, v)
+    out, stack = [], [[ui]]
+    while stack and len(out) <= cap:
+        path = stack.pop()
+        if path[-1] == vi:
+            out.append(path)
+        else:
+            # neighbors come in id order; push in reverse so the smallest pops first
+            nbrs = g.neighbor_indices(path[-1])
+            closer = nbrs[target[nbrs] == target[path[-1]] - 1]
+            stack.extend(path + [w] for w in closer[::-1].tolist())
+    kept = out[:cap]
+    return np.array(kept, dtype=np.int64).reshape(len(kept), int(target[ui]) + 1), len(out) > cap
+
+
 def enumerate_geodesics(g: MetricGraph, u: str, v: str, cap: int = GEODESIC_DEFAULT_CAP) -> GeodesicsResult:
     """All geodesic vertex sequences from u to v in lexicographic id order.
 
@@ -440,26 +467,9 @@ def enumerate_geodesics(g: MetricGraph, u: str, v: str, cap: int = GEODESIC_DEFA
     output order is the lexicographic order on sequences.  Stops after cap
     sequences and flags overflow.
     """
-    ui, vi = g.index(u), g.index(v)
-    target = g.rows([vi])[0]
-    if target[ui] < 0:
-        raise DisconnectedGraph(u, v)
-    out = []
-    overflow = False
-    stack = [(ui, [ui])]
-    while stack:
-        node, path = stack.pop()
-        if node == vi:
-            if len(out) >= cap:
-                overflow = True
-                break
-            out.append(tuple(g.vertex_ids[i] for i in path))
-            continue
-        # neighbors come in id order; push in reverse so the smallest pops first
-        for w in reversed(g.neighbor_indices(node)):
-            if target[w] == target[node] - 1:
-                stack.append((int(w), path + [int(w)]))
-    return GeodesicsResult(tuple(out), overflow)
+    paths, overflow = _geodesic_paths(g, u, v, cap)
+    return GeodesicsResult(tuple(tuple(g.vertex_ids[i] for i in path) for path in paths.tolist()),
+                           overflow)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@
 geodesic uniqueness, factor-preserving isometries, componentwise actions and
 orbit-map distortion profiles.
 
-Product points are tuples of vertex ids, one per factor.  Where a point has
-to become a graph vertex id (in the skeleton) it is serialized as a JSON
-list, so '["0","2"]' is the point (0, 2); that keeps ids unambiguous even
-when factor ids contain commas.
+Inside this module a product point is its grid position: the row-major
+position of its tuple of factor indices, which is its place in points().
+Tuples of vertex ids appear only where points come in (check_point, the map
+given to a ProductIsometry) and in reports.  JSON point ids exist only as
+skeleton vertex ids and in reports: '["0","2"]' is the point (0, 2), which
+keeps ids unambiguous even when factor ids contain commas.
 
 l2 is handled through exact squared distances only.  l2 geodesics cut
 corners off the 1-skeleton, so nothing here enumerates them; l1 is the norm
@@ -15,7 +17,6 @@ with combinatorial content.
 import itertools
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import (DimensionMismatch, FactorMismatch, FormatError,
                      NormMismatch, SizeLimitExceeded)
-from .metric_graph import MetricGraph, enumerate_geodesics, resolve_cap
+from .metric_graph import MetricGraph, _geodesic_paths, resolve_cap
 from .group_action import GroupAction, forward_map, realized_elements
 
 NORMS = ("l1", "l2", "linf")
@@ -51,22 +52,27 @@ class ProductSpace:
         self.norm = norm
 
     @property
+    def shape(self) -> Tuple[int, ...]:
+        return tuple(f.n for f in self.factors)
+
+    @property
     def n_points(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.n
-        return out
+        return math.prod(self.shape)
 
     def check_point(self, x: Sequence[str]) -> Tuple[str, ...]:
+        x = tuple(x)
+        self._position(x)
+        return x
+
+    def _position(self, x: Sequence[str]) -> int:
+        """Grid position of the point x, refusing what check_point refuses."""
         x = tuple(x)
         if not all(isinstance(c, str) for c in x):
             raise FormatError(f"point coordinates must be vertex id strings, got {x!r}")
         if len(x) != len(self.factors):
             raise DimensionMismatch(
                 f"point has {len(x)} coordinates, product has {len(self.factors)}")
-        for c, f in zip(x, self.factors):
-            f.index(c)
-        return x
+        return int(np.ravel_multi_index([f.index(c) for f, c in zip(self.factors, x)], self.shape))
 
     def factor_distances(self, x, y) -> Tuple[int, ...]:
         x, y = self.check_point(x), self.check_point(y)
@@ -107,9 +113,27 @@ def _point_ids(p: ProductSpace) -> List[str]:
 
 
 def _point_grid(p: ProductSpace) -> np.ndarray:
-    """Array of shape (n_1, ..., n_k): the points() position of each tuple
-    of factor indices."""
-    return np.arange(p.n_points).reshape([f.n for f in p.factors])
+    """Array of shape (n_1, ..., n_k): the grid position of each tuple of factor indices."""
+    return np.arange(p.n_points).reshape(p.shape)
+
+
+def _point_at(p: ProductSpace, pos) -> Tuple[str, ...]:
+    """The vertex-id tuple of the point at grid position pos."""
+    return tuple(f.vertex_ids[c] for f, c in zip(p.factors, np.unravel_index(pos, p.shape)))
+
+
+def _check_size(p: ProductSpace, default: int, what: str):
+    cap = resolve_cap(None, default)
+    if p.n_points > cap:
+        raise SizeLimitExceeded(p.n_points, cap, what)
+
+
+def _skeleton_rank(p: ProductSpace) -> np.ndarray:
+    """Skeleton index of each grid position.  A point id joins the JSON
+    encodings of its coordinates, and no JSON string is a prefix of another,
+    so point ids sort as the tuples of the ranks of those encodings."""
+    ranks = [np.argsort(np.argsort([json.dumps(v) for v in f.vertex_ids])) for f in p.factors]
+    return _point_grid(p)[np.ix_(*ranks)].ravel()
 
 
 def _coordinate_moves(grid: np.ndarray, i: int, src: np.ndarray, dst: np.ndarray):
@@ -122,9 +146,7 @@ def _coordinate_moves(grid: np.ndarray, i: int, src: np.ndarray, dst: np.ndarray
 def product_skeleton(p: ProductSpace) -> MetricGraph:
     """1-skeleton of the product: move along one factor edge at a time.
     BFS distance in it is the l1 product distance."""
-    cap = resolve_cap(None, SKELETON_DEFAULT_CAP)
-    if p.n_points > cap:
-        raise SizeLimitExceeded(p.n_points, cap, "product_skeleton")
+    _check_size(p, SKELETON_DEFAULT_CAP, "product_skeleton")
     grid = _point_grid(p)
     edges = [np.stack(_coordinate_moves(grid, i, *f.edge_array().T), axis=1)
              for i, f in enumerate(p.factors)]
@@ -158,27 +180,21 @@ def l1_geodesic_uniqueness(p: ProductSpace, x, y,
     x, y = p.check_point(x), p.check_point(y)
     if skeleton is None:
         skeleton = product_skeleton(p)
-    res = enumerate_geodesics(skeleton, point_id(x), point_id(y), cap=cap)
-    paths = [tuple(point_of(v) for v in seq) for seq in res.sequences]
+    paths, overflow = _geodesic_paths(skeleton, point_id(x), point_id(y), cap)
+    paths = np.argsort(_skeleton_rank(p))[paths]           # grid positions along each path
     differing = tuple(i for i, (a, b) in enumerate(zip(x, y)) if a != b)
 
     witness = None
     if len(differing) <= 1:
-        moving = differing[0] if differing else None
-        for path in paths:
-            for i in range(len(x)):
-                if i == moving:
-                    continue
-                if any(pt[i] != x[i] for pt in path):
-                    witness = path
-                    break
-            if witness:
-                break
-        passed = witness is None
-    else:
-        passed = len(paths) >= 2
-    return GeodesicUniquenessReport(
-        x, y, differing, len(paths), passed, paths[:2], witness, res.overflow)
+        # per coordinate and path: does the path leave x's value, the moving coordinate aside
+        walks = np.array(np.unravel_index(paths, p.shape))
+        strays = (walks != walks[:, :, :1]).any(axis=2)
+        strays[list(differing)] = False
+        bad = np.flatnonzero(strays.any(axis=0))
+        witness = tuple(_point_at(p, a) for a in paths[bad[0]]) if len(bad) else None
+    passed = witness is None if len(differing) <= 1 else len(paths) >= 2
+    examples = [tuple(_point_at(p, a) for a in path) for path in paths[:2]]
+    return GeodesicUniquenessReport(x, y, differing, len(paths), passed, examples, witness, overflow)
 
 
 # ---------------------------------------------------------------------------
@@ -186,63 +202,54 @@ def l1_geodesic_uniqueness(p: ProductSpace, x, y,
 # ---------------------------------------------------------------------------
 
 
+def _distances(p: ProductSpace, pos: np.ndarray) -> np.ndarray:
+    """Product distance matrix (squared for l2) of the points at positions pos."""
+    out = 0
+    for f, c in zip(p.factors, np.unravel_index(pos, p.shape)):
+        d = f.dist[np.ix_(c, c)].astype(np.int64)
+        out = np.maximum(out, d) if p.norm == "linf" else out + (d * d if p.norm == "l2" else d)
+    return out
+
+
 class ProductIsometry:
     """A vertex bijection of a product space, verified distance-preserving
-    for the chosen norm on every pair at construction time."""
+    for the chosen norm on every pair at construction time.  image[a] is the
+    grid position of the image of grid position a."""
 
     def __init__(self, space: ProductSpace, mapping: Dict[Tuple[str, ...], Tuple[str, ...]]):
-        self.space = space
-        cap = resolve_cap(None, 2000)
-        if space.n_points > cap:
-            raise SizeLimitExceeded(space.n_points, cap, "ProductIsometry")
-        pts = space.points()
-        mapping = {space.check_point(k): space.check_point(v) for k, v in mapping.items()}
-        if set(mapping) != set(pts):
+        _check_size(space, 2000, "ProductIsometry")
+        src, dst = np.array([(space._position(k), space._position(v)) for k, v in mapping.items()],
+                            dtype=np.int64).reshape(-1, 2).T
+        if np.unique(src).size != space.n_points:
             raise FormatError("mapping domain is not the full product vertex set")
-        if set(mapping.values()) != set(pts):
+        if np.unique(dst).size != space.n_points:
             raise FormatError("mapping is not a bijection of product vertices")
-        self.mapping = mapping
+        self._verify(space, dst[np.argsort(src)])     # src is a permutation of the positions
 
-        # compare the full distance matrix with its image, factor by factor;
-        # coordinate fi of pts[k] is the fi-th factor index of position k
-        m = len(pts)
-        coords = np.indices([f.n for f in space.factors]).reshape(len(space.factors), m)
-        src = np.zeros((m, m), dtype=np.int64)
-        dst = np.zeros((m, m), dtype=np.int64)
-        for fi, f in enumerate(space.factors):
-            ax = coords[fi]
-            bx = f.indices([mapping[x][fi] for x in pts])
-            da = f.dist[np.ix_(ax, ax)].astype(np.int64)
-            db = f.dist[np.ix_(bx, bx)].astype(np.int64)
-            if space.norm == "l1":
-                src += da
-                dst += db
-            elif space.norm == "l2":
-                src += da * da
-                dst += db * db
-            else:
-                src = np.maximum(src, da)
-                dst = np.maximum(dst, db)
+    def _verify(self, space: ProductSpace, image: np.ndarray) -> "ProductIsometry":
+        """Compare the full distance matrix with its image, then keep image."""
+        src, dst = _distances(space, np.arange(space.n_points)), _distances(space, image)
         bad = np.argwhere(src != dst)
         if len(bad):
             i, j = bad[0]
-            raise FormatError(
-                f"not an isometry: d{pts[i], pts[j]} = {src[i, j]} but images give {dst[i, j]}")
-        self.verified = True
+            raise FormatError(f"not an isometry: d{_point_at(space, i), _point_at(space, j)} = "
+                              f"{src[i, j]} but images give {dst[i, j]}")
+        self.space, self.image, self.verified = space, image, True
+        return self
 
     def apply(self, x) -> Tuple[str, ...]:
-        return self.mapping[self.space.check_point(x)]
+        return _point_at(self.space, self.image[self.space._position(x)])
 
     def compose(self, other: "ProductIsometry") -> "ProductIsometry":
         """self after other."""
         if other.space is not self.space and other.space.factors != self.space.factors:
             raise FactorMismatch("composition needs isometries of the same product")
-        return ProductIsometry(
-            self.space, {x: self.mapping[y] for x, y in other.mapping.items()})
+        return ProductIsometry.__new__(ProductIsometry)._verify(self.space, self.image[other.image])
 
     @classmethod
     def identity(cls, space: ProductSpace) -> "ProductIsometry":
-        return cls(space, {x: x for x in space.points()})
+        _check_size(space, 2000, "ProductIsometry")
+        return cls.__new__(cls)._verify(space, np.arange(space.n_points))
 
 
 @dataclass
@@ -254,40 +261,41 @@ class FactorPreservationReport:
 
 
 def factor_preservation_check(p: ProductSpace, f: ProductIsometry) -> FactorPreservationReport:
-    """Walk every skeleton edge (a single-coordinate move) and see which
+    """Take every skeleton edge (a single-coordinate move) and see which
     coordinates its image moves in.  A factor-preserving isometry moves
     exactly one, always the same one per source factor, inducing a factor
-    permutation; the first multi-coordinate or inconsistent image is
-    returned as a witness pair."""
+    permutation; otherwise the witness is the first failing move in the order
+    of source point, then factor, then target point."""
     k = len(p.factors)
-    perm: List[Optional[int]] = [None] * k
-    for x in p.points():
-        for i, g in enumerate(p.factors):
-            for nb in g.neighbors(x[i]):
-                if nb <= x[i]:
-                    continue
-                y = x[:i] + (nb,) + x[i + 1:]
-                fx, fy = f.mapping[x], f.mapping[y]
-                moved = tuple(j for j in range(k) if fx[j] != fy[j])
-                if len(moved) != 1 or (perm[i] is not None and perm[i] != moved[0]):
-                    return FactorPreservationReport(False, None, (x, y), None)
-                perm[i] = moved[0]
-    out = tuple(j if j is not None else i for i, j in enumerate(perm))
+    image = np.array(np.unravel_index(f.image, p.shape))    # factor indices of each image
+    moves = []    # every skeleton edge as a move (source, factor, target)
+    for i, g in enumerate(p.factors):
+        a, b = _coordinate_moves(_point_grid(p), i, *g.edge_array().T)
+        moves.append(np.stack((a, np.full(len(a), i), b), axis=1))
+    src, factor, dst = np.unique(np.concatenate(moves), axis=0).T     # in walk order
+    moved = image[:, src] != image[:, dst]
+    onto = moved.argmax(axis=0)
+    # the first move of each factor fixes the coordinate it has to map onto
+    factors, first = np.unique(factor, return_index=True)
+    perm = np.arange(k)
+    perm[factors] = onto[first]
+    bad = (moved.sum(axis=0) != 1) | (onto != perm[factor])
+    if bad.any():
+        t = bad.argmax()
+        return FactorPreservationReport(False, None, (_point_at(p, src[t]), _point_at(p, dst[t])),
+                                        None)
+    out = tuple(perm.tolist())
     if sorted(out) != list(range(k)):
         return FactorPreservationReport(False, None, None, None)
 
     # the coordinate maps: factor i -> factor perm[i], when independent of
     # the remaining coordinates
-    maps: Optional[List[Dict[str, str]]] = []
-    for i in range(k):
-        m: Dict[str, str] = {}
-        ok = True
-        for x in p.points():
-            img = f.mapping[x][out[i]]
-            if m.setdefault(x[i], img) != img:
-                ok = False
-                break
-        maps.append(m if ok else None)
+    maps: List[Optional[Dict[str, str]]] = []
+    for i, j in enumerate(out):
+        table = np.moveaxis(image[j].reshape(p.shape), i, 0).reshape(p.shape[i], -1)
+        onto_ids = np.array(p.factors[j].vertex_ids, dtype=object)[table[:, 0]]
+        maps.append(dict(zip(p.factors[i].vertex_ids, onto_ids)) if (table == table[:, :1]).all()
+                    else None)
     return FactorPreservationReport(True, out, None, maps)
 
 
@@ -314,14 +322,13 @@ def product_action(actions: Sequence[GroupAction],
         raise FormatError("need at least one action")
     space = ProductSpace([a.space for a in actions], "l1")
     skeleton = product_skeleton(space)
-    rank = skeleton.indices(_point_ids(space))     # skeleton index of each position
+    rank = _skeleton_rank(space)
     grid = _point_grid(space)
-    n = skeleton.n
     gens = []
     for i, a in enumerate(actions):
         for gm in a.generators:
             src, dst = _coordinate_moves(grid, i, *gm.pairs())
-            gens.append((f"f{i}_{gm.name}", forward_map(n, rank[src], rank[dst])))
+            gens.append((f"f{i}_{gm.name}", forward_map(skeleton.n, rank[src], rank[dst])))
     if perm is not None:
         perm = tuple(perm)
         k = len(space.factors)
@@ -334,7 +341,7 @@ def product_action(actions: Sequence[GroupAction],
                     f"perm sends factor {i} to factor {j} but they differ as labeled graphs")
         # coordinate i of x becomes coordinate perm[i] of its image
         image = np.transpose(grid, perm).ravel()
-        gens.append(("perm", forward_map(n, rank, rank[image])))
+        gens.append(("perm", forward_map(skeleton.n, rank, rank[image])))
     action = GroupAction(skeleton, gens, mode="automorphism")
     return ProductActionResult(space, skeleton, action)
 
@@ -361,33 +368,18 @@ def distortion_profile(a: GroupAction, x0: str, N: int) -> DistortionProfile:
     identity and moves nothing)."""
     if N < 1:
         raise FormatError("horizon must be >= 1")
-    x0 = str(x0)
-    xi = a.space.index(x0)
+    xi = a.space.checked_index(x0, "basepoint")
     drow = a.space.rows([xi])[0]
-    per_depth = defaultdict(list)
+    best = {}    # word length -> least d(w x0, x0) / n there, and the first word attaining it
     for el in realized_elements(a, N):
-        per_depth[el.depth].append(el)
-    raw: List[Fraction] = []
-    wits: List[Optional[str]] = []
-    last: Optional[Fraction] = None
+        img = int(el.image[xi])
+        if el.depth >= 1 and img >= 0:
+            val = Fraction(int(drow[img]), el.depth)
+            if el.depth not in best or val < best[el.depth][0]:
+                best[el.depth] = (val, el.word)
+    raw, wits = [], []
     for n in range(1, N + 1):
-        best = None
-        wit = None
-        for el in per_depth.get(n, ()):
-            img = int(el.image[xi])
-            if img < 0:
-                continue
-            val = Fraction(int(drow[img]), n)
-            if best is None or val < best:
-                best, wit = val, el.word.display()
-        if best is None:
-            best, wit = (last if last is not None else Fraction(0)), None
-        raw.append(best)
-        wits.append(wit)
-        last = best
-    env = []
-    cur = None
-    for v in raw:
-        cur = v if cur is None else min(cur, v)
-        env.append(cur)
-    return DistortionProfile(x0, N, raw, env, wits)
+        val, word = best.get(n, (raw[-1] if raw else Fraction(0), None))
+        raw.append(val)
+        wits.append(None if word is None else word.display())
+    return DistortionProfile(x0, N, raw, list(itertools.accumulate(raw, min)), wits)

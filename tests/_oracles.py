@@ -435,3 +435,38 @@ def brute_chebyshev(samples):
             vertices.append((Fraction(E, d * L), Fraction(X, d * L), Fraction(Y, d * L)))
     eps = min(v[0] for v in vertices)
     return eps, min((x, y) for e, x, y in vertices if e == eps)
+
+
+def brute_factor_check(factors, mapping):
+    """The factor-preservation walk on id tuples.  factors is a list of
+    (ids, edges) and mapping a dict from every point tuple to its image.
+    Visits every point in itertools.product order, then every factor, then
+    every neighbour above the point's coordinate in id order; the first move
+    whose image changes other than exactly one coordinate, or a different
+    one than the factor's earlier moves did, is the witness.  Returns
+    (preserves, perm, witness, coordinate_maps)."""
+    k = len(factors)
+    adj = [adjacency(ids, edges) for ids, edges in factors]
+    perm = [None] * k
+    for x in product(*(sorted(ids) for ids, _ in factors)):
+        for i in range(k):
+            for nb in sorted(adj[i][x[i]]):
+                if nb <= x[i]:
+                    continue
+                y = x[:i] + (nb,) + x[i + 1:]
+                fx, fy = mapping[x], mapping[y]
+                moved = [j for j in range(k) if fx[j] != fy[j]]
+                if len(moved) != 1 or perm[i] not in (None, moved[0]):
+                    return False, None, (x, y), None
+                perm[i] = moved[0]
+    out = tuple(i if j is None else j for i, j in enumerate(perm))
+    if sorted(out) != list(range(k)):
+        return False, None, None, None
+    maps = []
+    for i in range(k):
+        m = {}
+        for x, fx in mapping.items():
+            m.setdefault(x[i], set()).add(fx[out[i]])
+        maps.append({a: b.pop() for a, b in sorted(m.items())}
+                    if all(len(b) == 1 for b in m.values()) else None)
+    return True, out, None, maps

@@ -312,3 +312,13 @@ def test_help_still_exits_0():
     with pytest.raises(SystemExit) as exc:
         _run(["lm", "--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("family", ["cone", "horoball"])
+@pytest.mark.parametrize("basepoint,error", [("5", "FormatError"), ('"nope"', "VertexNotFound")])
+def test_cone_and_horoball_check_their_basepoint(tmp_path, family, basepoint, error):
+    c5 = str(tmp_path / "c5.json")
+    assert _run(["construct", "cycle", "--params", '{"n": 5}', "--out", c5])[0] == 0
+    found = _check_contract(["construct", family, "--graph", c5,
+                             "--params", f'{{"basepoint": {basepoint}}}'])
+    assert found is not None and found["type"] == error

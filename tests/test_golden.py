@@ -8,6 +8,7 @@ digests were taken from the builder that still went through vertex ids,
 before it moved to integer group tables."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -162,3 +163,115 @@ def test_large_truncation_file_bytes(tmp_path, capsys, family, params, graph_dig
                  "--out", str(g), "--action-out", str(a)]) == 0
     capsys.readouterr()
     assert (sha256(g.read_bytes()), sha256(a.read_bytes())) == (graph_digest, action_digest)
+
+
+# product reports: stdout of `product factor-check`, `geodesics` and
+# `distortion`, and stderr of the refused maps, taken before product points
+# became grid positions inside products.py.  The commands run in the
+# directory of their input files, so the reports name them by relative path.
+
+
+def _gray(i):
+    """The 4-cycle vertex vi as a two-bit word, neighbours one bit apart."""
+    return ((i >> 1) & 1, (i ^ (i >> 1)) & 1)
+
+
+def _cube_bits_swap(x):
+    """c4 x c4 is the 4-cube; swapping its bits 1 and 2 is an isometry that
+    mixes the factors."""
+    bits = _gray(int(x[0][1:])) + _gray(int(x[1][1:]))
+    b = (bits[0], bits[2], bits[1], bits[3])
+    return tuple(f"v{[0, 1, 3, 2][2 * b[k] + b[k + 1]]}" for k in (0, 2))
+
+
+def _ids(n):
+    """Vertex ids of the n-vertex path or cycle."""
+    return [f"v{i:0{len(str(n - 1))}d}" for i in range(n)]
+
+
+def _map_file(path, factor_sizes, fn, drop=0):
+    points = list(itertools.product(*map(_ids, factor_sizes)))
+    mapping = [[list(x), list(fn(x))] for x in points]
+    path.write_text(json.dumps({"mapping": mapping[drop:]}))
+
+
+@pytest.fixture(scope="module")
+def product_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("products")
+    graphs = [("path", n) for n in (2, 3, 7, 9)] + [("cycle", n) for n in (4, 12)]
+    for family, n in graphs:
+        assert main(["construct", family, "--params", json.dumps({"n": n}),
+                     "--out", str(d / f"{family[0]}{n}.json")]) == 0
+    assert main(["construct", "cayley", "--params", '{"family": "Z", "radius": 3}',
+                 "--out", str(d / "z3.graph.json"), "--action-out", str(d / "z3.action.json")]) == 0
+    assert main(["construct", "cayley", "--params", '{"family": "F2", "radius": 2}',
+                 "--out", str(d / "f2.graph.json"), "--action-out", str(d / "f2.action.json")]) == 0
+    rev3 = {"v0": "v2", "v1": "v1", "v2": "v0"}
+    _map_file(d / "c12-identity.json", (12, 12), lambda x: x)
+    _map_file(d / "c12-swap.json", (12, 12), lambda x: (x[1], x[0]))
+    _map_file(d / "p3c4p3.json", (3, 4, 3),
+              lambda x: (rev3[x[2]], f"v{(int(x[1][1:]) + 1) % 4}", x[0]))
+    _map_file(d / "cube.json", (4, 4), _cube_bits_swap)
+    _map_file(d / "p3-swap.json", (3, 3), lambda x: (x[1], x[0]))
+    _map_file(d / "p3-collapse.json", (3, 3), lambda x: ("v0", "v0"))
+    _map_file(d / "p3-short.json", (3, 3), lambda x: x, drop=1)
+    _map_file(d / "p3-transposed.json", (3, 3),
+              lambda x: {("v0", "v1"): ("v1", "v0"), ("v1", "v0"): ("v0", "v1")}.get(x, x))
+    return d
+
+
+def _fc(factors, map_file, norm="l1"):
+    return ["product", "factor-check", "--factors", *factors, "--map", map_file, "--norm", norm]
+
+
+def _geo(factors, x, y):
+    return ["product", "geodesics", "--factors", *factors, "--x", json.dumps(x),
+            "--y", json.dumps(y)]
+
+
+# (argv, exit code, sha256 of stdout, sha256 of stderr)
+EMPTY = sha256(b"")
+PRODUCT_REPORTS = [
+    (_fc(["c12.json", "c12.json"], "c12-identity.json"),
+     0, "aa181e43376fe4c98c41108e3e43b9a030945c631ba80af18f29aff48e853f8b", EMPTY),
+    (_fc(["c12.json", "c12.json"], "c12-swap.json"),
+     0, "205b40509957558ca41f773d9c9a6cc40a3e3d79fcd3c1b9c843c3512fccb3bc", EMPTY),
+    (_fc(["p3.json", "c4.json", "p3.json"], "p3c4p3.json"),
+     0, "2ed3f9f94b98da5b785b46c3834a7e0e06db5a1bdc3324624f4ffa5bb284346a", EMPTY),
+    (_fc(["c4.json", "c4.json"], "cube.json"),
+     0, "0f00719ec2c6a3329741668e8e30b00b5397cfc7c1230faeb9ae87439e65ca53", EMPTY),
+    (_fc(["p3.json", "p3.json"], "p3-swap.json", "linf"),
+     0, "86399ec23a7732cba7fdc2266d67dde314544fce2e181432a28f11d4baf4c5a7", EMPTY),
+    (_fc(["p3.json", "p3.json"], "p3-collapse.json"),
+     2, EMPTY, "5809442a26393328ffe132d2aa3d3415c9bb34b08c293a09e28cf94b091e0bb5"),
+    (_fc(["p3.json", "p3.json"], "p3-transposed.json"),
+     2, EMPTY, "38255a54398dd545e2ce78d37357d58ccd4314985ae0821457fec0ac0f250ea6"),
+    (_fc(["p3.json", "p3.json"], "p3-short.json"),
+     2, EMPTY, "f72758d235fccb21323236aed61d375420cec326adc51381d6573cea306da332"),
+    (_geo(["p7.json", "p9.json"], ["v2", "v5"], ["v2", "v5"]),
+     0, "f2f78684135eed5ea16728c63e372a5a0d960d76d58f20d125032214363d2e13", EMPTY),
+    (_geo(["p7.json", "p9.json"], ["v2", "v5"], ["v2", "v0"]),
+     0, "98ec320ee5fe4ed6ae6c545fd5fec0846174760e77a19cef4e6e63e93a615036", EMPTY),
+    (_geo(["p7.json", "p9.json"], ["v1", "v2"], ["v4", "v6"]),
+     0, "89f9c95d3c9c3df617aaf56ef0a255b7af6536c3d65fdffbf6f5e9f167ff146e", EMPTY),
+    (_geo(["p7.json", "p9.json"], ["v0", "v0"], ["v6", "v8"]),
+     0, "0cf187a59425e14bf14579c6929f598cfed32f7d59f75c58355f5bd51bcfeaa0", EMPTY),
+    (_geo(["c12.json", "c4.json", "p2.json"], ["v00", "v1", "v0"], ["v06", "v1", "v0"]),
+     0, "b3ae1f42266c8917d204c5cc3ed472aae99a8272fa846492742fdedcff7de4eb", EMPTY),
+    (["product", "distortion", "--factors", "z3.action.json", "z3.action.json",
+      "--horizon", "4"],
+     0, "30f2f172f1081812f7fb61165352b32340621ff5b1ffb9d54614a588f148433e", EMPTY),
+    (["product", "distortion", "--factors", "z3.action.json", "f2.action.json",
+      "--basepoint", '["1", "xy"]', "--horizon", "3"],
+     0, "b8ebe503057843c48f92ebce7ff28be30fbe57a78da4194e123a4ce1257ba4f0", EMPTY),
+]
+
+
+@pytest.mark.parametrize("argv,code,out_digest,err_digest", PRODUCT_REPORTS,
+                         ids=[f"{r[0][1]}-{k}" for k, r in enumerate(PRODUCT_REPORTS)])
+def test_product_report_bytes(product_dir, monkeypatch, capsys, argv, code, out_digest,
+                              err_digest):
+    monkeypatch.chdir(product_dir)
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (sha256(out.encode()), sha256(err.encode())) == (out_digest, err_digest)

@@ -606,3 +606,10 @@ def test_realized_elements_match_the_dict_reference():
         assert [(el.word.letters, el.depth) for el in got] == [(w, d) for w, d, _ in want]
         for el, (_, _, img) in zip(got, want):
             assert {ids[i]: ids[t] for i, t in enumerate(el.image) if t >= 0} == img
+
+
+def test_busemann_refuses_non_string_ray_vertices():
+    # "0", "1", "2" is a geodesic ray of the Z ball; the integer 1 is not read as "1"
+    z = cayley_graph("Z", 3)
+    with pytest.raises(FormatError, match="ray vertex must be a vertex id string"):
+        busemann_homomorphism(z.action, ["0", 1, "2"], Word.parse("s"))

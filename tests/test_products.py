@@ -3,9 +3,10 @@
 import math
 import unittest
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from qtlab import DimensionMismatch, FactorMismatch, FormatError, NormMismatch
 from qtlab.cli import _build_fixture
 from qtlab.constructions import cayley_graph, cycle_graph, grid_graph, path_graph
 from qtlab.group_action import Word, action_from_maps, evaluate_word
-from qtlab.metric_graph import graph_from_ids
+from qtlab.metric_graph import MetricGraph, graph_from_ids
 from qtlab.products import (
     ProductIsometry,
     ProductSpace,
@@ -25,7 +26,10 @@ from qtlab.products import (
     product_action,
     product_distance,
     product_skeleton,
+    _skeleton_rank,
 )
+
+from _oracles import brute_factor_check
 
 
 @given(st.lists(st.text(min_size=1, max_size=8), min_size=1, max_size=4))
@@ -64,6 +68,17 @@ def test_skeleton_ids_are_point_ids_on_escaped_characters():
     sk = product_skeleton(sp)
     assert sk.boundary == tuple(point_id(x) for x in sp.points()
                                 if odd[2] in (x[0], x[2]))
+
+
+@given(st.lists(st.lists(st.text(max_size=3), min_size=1, max_size=4, unique=True),
+                min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_skeleton_rank_is_the_skeleton_index_of_each_point(id_lists):
+    # ids such as "a" and "a b" sort one way raw and the other way JSON-encoded
+    factors = [MetricGraph(ids, [(k, k + 1) for k in range(len(ids) - 1)]) for ids in id_lists]
+    sp = ProductSpace(factors)
+    sk = product_skeleton(sp)
+    assert _skeleton_rank(sp).tolist() == sk.indices([point_id(x) for x in sp.points()]).tolist()
 
 
 def test_product_action_generators_use_point_ids():
@@ -267,14 +282,80 @@ def test_identity_factor_check_reports_coordinate_maps():
 def test_factor_check_flags_a_diagonal_transposition():
     # swapping two off-diagonal points is a self-map that moves both
     # coordinates along one skeleton edge, so no factor structure survives
+    # (v0, v1) and (v1, v0) sit at grid positions 1 and 3
     sq = ProductSpace([path_graph(3), path_graph(3)])
-    m = {x: x for x in sq.points()}
-    m[("v0", "v1")] = ("v1", "v0")
-    m[("v1", "v0")] = ("v0", "v1")
-    rep = factor_preservation_check(sq, SimpleNamespace(mapping=m))
+    image = np.arange(9)
+    image[[1, 3]] = [3, 1]
+    rep = factor_preservation_check(sq, SimpleNamespace(image=image))
     assert not rep.preserves
     assert rep.witness is not None
     assert rep.perm is None
+
+
+@pytest.mark.parametrize("shape", [("p", 3, "p", 3), ("c", 4, "c", 4), ("p", 1, "c", 4, "p", 3),
+                                   ("p", 2, "p", 3, "p", 2), ("e", 2, "p", 2)],
+                         ids=lambda shape: "".join(map(str, shape)))
+def test_factor_check_matches_the_walk(shape):
+    """The array check against the walk over id tuples in tests/_oracles.py,
+    on seeded maps of four kinds: any permutation of the points, one
+    transposition of two points, a product map that may swap equal-sized
+    factors, and such a product map spoiled by a transposition.  An edgeless
+    factor ("e") has no moves of its own, so its coordinate can be claimed
+    by another factor or its coordinate map can depend on the others."""
+    build = {"p": path_graph, "c": cycle_graph,
+             "e": lambda n: MetricGraph([f"v{i}" for i in range(n)], [], allow_disconnected=True)}
+    graphs = [build[kind](n) for kind, n in zip(shape[::2], shape[1::2])]
+    sp = ProductSpace(graphs)
+    factors = [(list(g.vertex_ids), [(g.vertex_ids[a], g.vertex_ids[b])
+                                     for a, b in g.edge_array().tolist()]) for g in graphs]
+    grid = np.arange(sp.n_points).reshape(sp.shape)
+    rng = np.random.default_rng(20)
+    for kind in ("shuffle", "transposition", "product", "spoiled") * 40:
+        image = np.arange(sp.n_points)
+        if kind == "shuffle":
+            image = rng.permutation(sp.n_points)
+        if kind in ("product", "spoiled"):
+            # factor i moves onto slot sigma[i] of the same size, through a
+            # random vertex permutation
+            sigma = list(range(len(graphs)))
+            for i, j in combinations(range(len(graphs)), 2):
+                if graphs[i].n == graphs[j].n and rng.random() < 0.5:
+                    sigma[i], sigma[j] = sigma[j], sigma[i]
+            moved = np.transpose(grid, np.argsort(sigma))
+            image = moved[np.ix_(*[rng.permutation(n) for n in moved.shape])].ravel()
+        if kind in ("transposition", "spoiled") and sp.n_points > 1:
+            a, b = rng.choice(sp.n_points, 2, replace=False)
+            image[[a, b]] = image[[b, a]]
+        points = sp.points()
+        mapping = {x: points[image[a]] for a, x in enumerate(points)}
+        rep = factor_preservation_check(sp, SimpleNamespace(image=image))
+        want = brute_factor_check(factors, mapping)
+        assert (rep.preserves, rep.perm, rep.witness, rep.coordinate_maps) == want, kind
+
+
+def test_factor_check_agrees_on_verified_isometries():
+    # the 4-cycle is the square, so c4 x c4 is the 4-cube: every permutation
+    # of its four bits is an isometry, and most of them mix the factors
+    c4 = cycle_graph(4)
+    sp = ProductSpace([c4, c4])
+    bits = {"v0": (0, 0), "v1": (0, 1), "v2": (1, 1), "v3": (1, 0)}
+    vertex = {b: v for v, b in bits.items()}
+    factors = [(list(c4.vertex_ids), [tuple(c4.vertex_ids[i] for i in e)
+                                      for e in c4.edge_array().tolist()])] * 2
+    seen = set()
+    for order in permutations(range(4)):
+        def f(x):
+            b = bits[x[0]] + bits[x[1]]
+            b = tuple(b[i] for i in order)
+            return vertex[b[:2]], vertex[b[2:]]
+        mapping = {x: f(x) for x in sp.points()}
+        iso = ProductIsometry(sp, mapping)
+        rep = factor_preservation_check(sp, iso)
+        assert (rep.preserves, rep.perm, rep.witness, rep.coordinate_maps) == \
+            brute_factor_check(factors, mapping)
+        assert all(iso.apply(x) == y for x, y in mapping.items())
+        seen.add(rep.preserves)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -349,3 +430,9 @@ def test_distortion_rejects_empty_horizon():
     triv = action_from_maps(g, [("e", {v: v for v in g.vertex_ids})])
     with pytest.raises(FormatError):
         distortion_profile(triv, "v0", 0)
+
+
+def test_distortion_refuses_a_non_string_basepoint():
+    # the vertex "0" exists; the integer 0 is not read as it
+    with pytest.raises(FormatError, match="basepoint must be a vertex id string"):
+        distortion_profile(cayley_graph("Z", 2).action, 0, 1)
