@@ -428,7 +428,10 @@ def cmd_product(args):
                             for side in entry)):
                 raise FormatError(f"{args.map}: bad mapping entry {entry!r}; "
                                   "want [src, dst], each an array of vertex id strings")
-            mapping[tuple(entry[0])] = tuple(entry[1])
+            src = tuple(entry[0])
+            if src in mapping:
+                raise FormatError(f"{args.map}: source point {entry[0]!r} is mapped twice")
+            mapping[src] = tuple(entry[1])
         iso = ProductIsometry(space, mapping)
         rep = factor_preservation_check(space, iso)
         results = {

@@ -1,7 +1,10 @@
 """Partial group actions on finite graph truncations.
 
 Generators are injective partial maps of the vertex set (inverses derived),
-stored as index arrays with -1 where a map is undefined.
+stored as index arrays with -1 where a map is undefined.  Inside this
+module a vertex is its index: ids come in as basepoints, rays and x0
+arguments and leave only in result fields.  Orbits and power orbits are
+walked over index arrays, and fixed sets and ping-pong quadrants are masks.
 Everything downstream treats the truncation as a window onto an infinite
 action: orbit computations stay honest about frontier escapes, translation
 lengths come as upper bounds with certificates, and classification verdicts
@@ -13,6 +16,7 @@ left to right, so evaluating [s, t] at v yields t(s(v)).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -291,41 +295,59 @@ class OrbitResult:
         return len(self.vertices)
 
 
+def _orbit_walk(a: GroupAction, xi: int, horizon: int):
+    """BFS of the orbit of index xi under every letter, up to word length
+    horizon, over index arrays.  At each depth the (frontier x letter) image
+    table is read in row-major order, letters as in a.letters(), and the
+    first hit on each unseen vertex is kept: the order in which a loop over
+    frontier vertices, then letters, discovers them.
+
+    Returns (order, parent, letter, depth, complete, exhausted): order[k] is
+    the k-th vertex found, parent[k] the position in order of the vertex it
+    was reached from (-1 for xi), letter[k] the letter's position in
+    a.letters() (-1 for xi) and depth[k] its word length.  complete is False
+    once some letter is undefined on the frontier; exhausted is True when
+    the walk closed before the horizon cut it off."""
+    n = a.space.n
+    maps = np.array([a.letter_map(name, sign) for name, sign in a.letters()],
+                    dtype=np.int64).reshape(-1, n)
+    seen = np.zeros(n, dtype=bool)
+    seen[xi] = True
+    frontier = np.array([xi], dtype=np.int64)
+    order, parent, letter = [frontier], [np.array([-1])], [np.array([-1])]
+    start = 0              # position in order of frontier[0]
+    complete = True
+    while len(frontier) and len(order) <= horizon:
+        table = maps[:, frontier].T.ravel()
+        defined = table >= 0
+        complete = complete and bool(defined.all())
+        hits = np.flatnonzero(defined)
+        hits = hits[~seen[table[hits]]]
+        _, first = np.unique(table[hits], return_index=True)
+        hits = hits[np.sort(first)]
+        parent.append(start + hits // len(maps))
+        letter.append(hits % len(maps))
+        start += len(frontier)
+        frontier = table[hits]
+        seen[frontier] = True
+        order.append(frontier)
+    depth = np.repeat(np.arange(len(order)), [len(o) for o in order])
+    return (np.concatenate(order), np.concatenate(parent), np.concatenate(letter), depth,
+            complete, not len(frontier))
+
+
 def orbit(a: GroupAction, x0: str, horizon: int) -> OrbitResult:
     """BFS orbit of x0 under all generators and inverses, up to word length
     `horizon`.  Expansion order is generator index ascending, +1 before -1,
     which makes witness words the lexicographically-first shortest ones."""
-    start = a.space.index(x0)
+    order, parent, letter, _, complete, exhausted = _orbit_walk(a, a.space.index(x0), horizon)
     letters = a.letters()
-    witnesses = {start: Word()}
-    order = [start]
-    frontier = [start]
-    complete = True
-    depth = 0
-    exhausted = False
-    while frontier and depth < horizon:
-        nxt = []
-        for i in frontier:
-            for name, sign in letters:
-                j = a.apply_letter(name, sign, i)
-                if j is None:
-                    complete = False
-                    continue
-                if j not in witnesses:
-                    witnesses[j] = witnesses[i] * Word([(name, sign)])
-                    order.append(j)
-                    nxt.append(j)
-        frontier = nxt
-        depth += 1
-    if not frontier:
-        exhausted = True
-    ids = a.space.vertex_ids
-    return OrbitResult(
-        x0, horizon,
-        tuple(ids[i] for i in order),
-        {ids[i]: w for i, w in witnesses.items()},
-        complete, exhausted,
-    )
+    words = [()]
+    for p, k in zip(parent[1:].tolist(), letter[1:].tolist()):
+        words.append(words[p] + (letters[k],))
+    ids = [a.space.vertex_ids[i] for i in order.tolist()]
+    return OrbitResult(x0, horizon, tuple(ids),
+                       {v: Word(w) for v, w in zip(ids, words)}, complete, exhausted)
 
 
 @dataclass(frozen=True)
@@ -348,13 +370,14 @@ def check_locally_finite_orbit(a: GroupAction, x0: str, rho_max: int, horizon: i
     One walk to the larger horizon serves both: a point is in the orbit at
     horizon h exactly when its witness word has length at most h."""
     half = max(1, horizon // 2)
-    res = orbit(a, x0, max(horizon, half))
-    drow = a.space.rows([a.space.index(x0)])[0]
+    xi = a.space.index(x0)
+    order, _, _, depth, _, _ = _orbit_walk(a, xi, max(horizon, half))
+    dist = a.space.rows([xi])[0][order]
 
     def ball_counts(h):
-        ds = [int(drow[a.space.index(v)]) for v in res.vertices
-              if len(res.witnesses[v]) <= h]
-        return tuple(sum(1 for d in ds if 0 <= d <= rho) for rho in range(rho_max + 1))
+        # unreachable points sit at distance -1 and stay uncounted
+        ds = np.sort(dist[(depth <= h) & (dist >= 0)])
+        return tuple(np.searchsorted(ds, np.arange(rho_max + 1), side="right").tolist())
 
     cf = ball_counts(horizon)
     ch = ball_counts(half)
@@ -427,27 +450,34 @@ class TauEstimate:
         return self.running_min[-1] if self.running_min else None
 
 
+def _power_orbit(img: np.ndarray, xi: int, horizon: int) -> np.ndarray:
+    """Indices g^k x for k = 1, 2, ... up to horizon, where img is the map of
+    g and x is index xi.  The walk stops where g is undefined, or back at xi:
+    g is injective, so only xi can close a cycle, and past it the points
+    repeat."""
+    pts = []
+    cur = xi
+    while len(pts) < horizon:
+        cur = int(img[cur])
+        if cur < 0:
+            break
+        pts.append(cur)
+        if cur == xi:
+            break
+    return np.array(pts, dtype=np.int64)
+
+
 def stable_translation_length(a: GroupAction, w: Word, x0: str, horizon: int) -> TauEstimate:
     """Sequence d(g^n x0, x0)/n with its running minimum.  The limit is the
     infimum, so the final running minimum is an upper bound for tau."""
     xi = a.space.index(x0)
-    drow = a.space.rows([xi])[0]
-    img = word_map(a, w)
-    seq: List[Fraction] = []
-    cur = xi
-    n = 0
-    truncated = False
-    while n < horizon:
-        cur = int(img[cur])
-        if cur < 0:
-            truncated = True
-            break
-        n += 1
-        seq.append(Fraction(int(drow[cur]), n))
-    running = []
-    for q in seq:
-        running.append(q if not running else min(running[-1], q))
-    return TauEstimate(w, x0, horizon, n, tuple(seq), tuple(running), truncated)
+    pts = _power_orbit(word_map(a, w), xi, horizon)
+    if len(pts) and pts[-1] == xi:
+        pts = np.resize(pts, horizon)
+    dists = a.space.rows([xi])[0][pts].tolist()
+    seq = tuple(Fraction(d, k) for k, d in enumerate(dists, 1))
+    return TauEstimate(w, x0, horizon, len(seq), seq, tuple(itertools.accumulate(seq, min)),
+                       len(seq) < horizon)
 
 
 def _require_tree(g: MetricGraph):
@@ -456,7 +486,7 @@ def _require_tree(g: MetricGraph):
 
 
 def _tree_classify(a: GroupAction, w: Word):
-    """(tau, kind, vertex) for a word acting on a tree truncation.
+    """(tau, kind, vertex index) for a word acting on a tree truncation.
 
     kind is 'fixed-vertex', 'inverted-edge' or 'axis'; vertex attains the
     minimal displacement.  Exact for trees: min displacement is tau except
@@ -470,21 +500,18 @@ def _tree_classify(a: GroupAction, w: Word):
     disp = a.space.tree_distances(defined, img[defined])
     m = int(disp.min())
     at = defined[disp == m]    # ascending index, so ascending id
-    vid = a.space.vertex_ids[int(at[0])]
     if m == 0:
-        return 0, "fixed-vertex", vid
+        return 0, "fixed-vertex", int(at[0])
     if m == 1:
-        for v in at:
-            v = int(v)
-            ffv = int(img[img[v]])
-            if ffv >= 0:
-                if ffv == v:
-                    return 0, "inverted-edge", a.space.vertex_ids[v]
-                if int(a.space.tree_distances([v], [ffv])[0]) == 2:
-                    return 1, "axis", a.space.vertex_ids[v]
-        # cannot see g^2 anywhere at the minimum; report the displacement
-        return 1, "axis", vid
-    return m, "axis", vid
+        # g v is a neighbour of v, and g^2 v a neighbour of g v other than
+        # itself: v again (an inverted edge) or, in a tree, at distance 2
+        ffv = img[img[at]]
+        seen = np.flatnonzero(ffv >= 0)
+        if len(seen):
+            v = int(at[seen[0]])
+            return (0, "inverted-edge", v) if ffv[seen[0]] == v else (1, "axis", v)
+    # cannot see g^2 anywhere at the minimum; report the displacement
+    return m, "axis", int(at[0])
 
 
 def tree_translation_length(a: GroupAction, w: Word) -> int:
@@ -547,34 +574,17 @@ def classify_isometry(
     notes: List[str] = []
     xi = a.space.index(x0)
     ids = a.space.vertex_ids
-    img = word_map(a, w)
-    points = [xi]
-    truncated = False
-    seen = {xi: 0}
-    cycle = None
-    cur = xi
-    for k in range(1, horizon + 1):
-        cur = int(img[cur])
-        if cur < 0:
-            truncated = True
-            break
-        if cur in seen:
-            cycle = (seen[cur], k)
-            points.append(cur)
-            break
-        seen[cur] = k
-        points.append(cur)
-
-    if cycle is not None:
-        j, k = cycle
+    pts = _power_orbit(word_map(a, w), xi, horizon)
+    if len(pts) and pts[-1] == xi:
         return IsometryReport(
             w, "Elliptic", "certified", "power-orbit-cycle", Fraction(0), Fraction(0),
-            {"cycle_start": j, "period": k - j, "vertex": ids[points[j]]},
-            truncated, tuple(notes))
+            {"cycle_start": 0, "period": len(pts), "vertex": ids[xi]}, False, tuple(notes))
+    truncated = len(pts) < horizon
 
     if a.space.is_tree():
         try:
             tau, kind, vertex = _tree_classify(a, w)
+            vertex = ids[vertex]
         except OutOfTruncation:
             tau, kind, vertex = None, None, None
             notes.append("tree method saw no defined vertex")
@@ -589,14 +599,14 @@ def classify_isometry(
                 Fraction(0), Fraction(0),
                 {"kind": kind, "vertex": vertex}, truncated, tuple(notes))
 
-    n_reached = len(points) - 1
+    n_reached = len(pts)
     if n_reached < 2:
         notes.append("power orbit too short for heuristics")
         return IsometryReport(w, "Unknown", "heuristic", "insufficient-data",
                               None, None, {}, truncated, tuple(notes))
 
     drow = a.space.rows([xi])[0]
-    dists = [int(drow[p]) for p in points]
+    dists = [0] + drow[pts].tolist()
     tau_upper = min(Fraction(dists[k], k) for k in range(1, n_reached + 1))
 
     slack, note = _ambient_slack(a.space)
@@ -672,15 +682,13 @@ def serre_elliptic_test(a: GroupAction, words: Optional[Sequence[Word]] = None) 
         tau, kind, vertex = _tree_classify(a, w)
         if tau > 0:
             return SerreResult(False, None, w, tuple(v.display() for v in to_check), ())
-    common: Optional[set] = None
+    common = np.ones(a.space.n, dtype=bool)
     for w in words:
-        img = word_map(a, w)
-        fixed = {i for i in range(a.space.n) if img[i] == i}
-        common = fixed if common is None else (common & fixed)
-    if not common:
+        common &= word_map(a, w) == np.arange(a.space.n)
+    if not words or not common.any():
         notes.append("all words elliptic but no common fixed vertex inside the truncation")
         return SerreResult(True, None, None, tuple(v.display() for v in to_check), tuple(notes))
-    best = a.space.vertex_ids[min(common)]
+    best = a.space.vertex_ids[int(np.argmax(common))]
     return SerreResult(True, best, None, tuple(v.display() for v in to_check), ())
 
 
@@ -915,8 +923,7 @@ def orbit_quasiconvexity(
             raise NotAQuasitree("bottleneck constant must be >= 0")
     M = connectivity_radius(a, x0)
     K = C + (M + 1) // 2
-    res = orbit(a, x0, horizon)
-    oi = np.sort(a.space.indices(res.vertices))
+    oi = np.sort(_orbit_walk(a, a.space.index(x0), horizon)[0])
     R = a.space.rows(oi)       # R[k, v] = d(oi[k], v)
     min_orb = R.min(axis=0)
     DOO = R[:, oi]
@@ -970,59 +977,35 @@ def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, x0row, horizon: in
     """Farthest vertex reached along the power orbit of w from x0; the
     lex-first id among the points attaining the maximum.  None when the
     orbit never leaves x0.  x0row is the distance row of x0."""
-    img = word_map(a, w)
-    cur = x0i
-    pts = []
-    for _ in range(horizon):
-        cur = int(img[cur])
-        if cur < 0:
-            break
-        pts.append(cur)
-    if not pts:
+    pts = _power_orbit(word_map(a, w), x0i, horizon)
+    d = x0row[pts]
+    if not len(pts) or d.max() == 0:
         return None
-    dmax = max(int(x0row[p]) for p in pts)
-    if dmax == 0:
-        return None
-    return min(p for p in pts if int(x0row[p]) == dmax)
+    return int(pts[d == d.max()].min())
 
 
 def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
-                          reps, orbit_idx, gromov2) -> Optional[dict]:
+                          in_orbit: np.ndarray, gromov2: np.ndarray) -> Optional[dict]:
     """Checks a ping-pong schedule for w1^2, w2^2 on the orbit.
 
     Quadrants are orbit points with Gromov product >= 1 against each of the
-    four direction fingerprints; gromov2(v, rep) is twice the Gromov product
-    (v . rep) at x0.  Requires pairwise disjoint quadrants, basepoint
-    outside all of them, and each signed square mapping every defined orbit
-    point outside its repelling quadrant into its attracting one."""
-    quads = []
-    for rep in reps:
-        quads.append({v for v in orbit_idx if gromov2(v, rep) >= 2})
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if quads[i] & quads[j]:
-                return None
-    if any(x0i in q for q in quads):
+    four direction fingerprints; gromov2[k, v] is twice the Gromov product
+    (v . rep_k) at x0, and in_orbit masks the orbit points.  Requires
+    pairwise disjoint quadrants, basepoint outside all of them, and each
+    signed square mapping every defined orbit point outside its repelling
+    quadrant into its attracting one."""
+    quads = in_orbit & (gromov2 >= 2)
+    if (quads.sum(axis=0) > 1).any() or quads[:, x0i].any():
         return None
-    moves = [
-        (w1.power(2), quads[1], quads[0]),
-        (w1.power(-2), quads[0], quads[1]),
-        (w2.power(2), quads[3], quads[2]),
-        (w2.power(-2), quads[2], quads[3]),
-    ]
+    moves = [(w1.power(2), 1, 0), (w1.power(-2), 0, 1),
+             (w2.power(2), 3, 2), (w2.power(-2), 2, 3)]
     checked = 0
     for wp, repelling, attracting in moves:
         img = word_map(a, wp)
-        any_defined = False
-        for v in orbit_idx:
-            if v in repelling or img[v] < 0:
-                continue
-            any_defined = True
-            if int(img[v]) not in attracting:
-                return None
-            checked += 1
-        if not any_defined:
+        moved = img[in_orbit & ~quads[repelling] & (img >= 0)]
+        if not len(moved) or not quads[attracting, moved].all():
             return None
+        checked += len(moved)
     return {
         "powers": (f"{w1.display()}^2", f"{w2.display()}^2"),
         "checks": checked,
@@ -1051,10 +1034,10 @@ def classify_action_type(
     displacement margin over the quadrant threshold 1) certify General."""
     x0i = a.space.index(x0)
     ids = a.space.vertex_ids
-    orb = orbit(a, x0, max(horizon, 4))
-    if orb.exhausted and orb.complete:
+    orbit_idx, _, _, _, complete, exhausted = _orbit_walk(a, x0i, max(horizon, 4))
+    if exhausted and complete:
         return ActionTypeReport("Bounded", "certified",
-                                {"orbit_size": orb.size, "horizon": orb.horizon}, ())
+                                {"orbit_size": len(orbit_idx), "horizon": max(horizon, 4)}, ())
 
     words = _reduced_words(a.letters(), 2)
     quasitree = space_is_quasitree
@@ -1071,14 +1054,14 @@ def classify_action_type(
             parabolic_flag = True
 
     if not lox:
-        if not orb.exhausted or not orb.complete:
+        if not exhausted or not complete:
             verdict = "ParabolicCandidate"
             if quasitree and not parabolic_flag:
                 verdict = "Undetermined"
             return ActionTypeReport(
                 verdict, "heuristic",
-                {"words_scanned": len(words), "orbit_exhausted": orb.exhausted,
-                 "orbit_complete": orb.complete}, ())
+                {"words_scanned": len(words), "orbit_exhausted": exhausted,
+                 "orbit_complete": complete}, ())
         return ActionTypeReport("Undetermined", "heuristic",
                                 {"words_scanned": len(words)}, ())
 
@@ -1097,13 +1080,11 @@ def classify_action_type(
                                 tuple(w.display() for w, _ in lox))
 
     reps = sorted({p for _, p, m in dirs} | {m for _, p, m in dirs})
-    rep_rows = dict(zip(reps, a.space.rows(reps)))
+    # gromov2[k, v] is twice the Gromov product (v . reps[k]) at x0
+    gromov2 = x0row + x0row[reps][:, None] - a.space.rows(reps)
+    at = {r: k for k, r in enumerate(reps)}
 
-    def gromov2(v, rep):
-        """Twice the Gromov product (v . rep) at x0, rep a fingerprint."""
-        return int(x0row[v]) + int(x0row[rep]) - int(rep_rows[rep][v])
-
-    radius = max(int(x0row[r]) for r in reps)
+    radius = int(x0row[reps].max())
     sep_threshold = max(1, radius // 2)
     # union-find clustering by Gromov product
     cls = {r: r for r in reps}
@@ -1116,7 +1097,7 @@ def classify_action_type(
 
     for i, r1 in enumerate(reps):
         for r2 in reps[i + 1:]:
-            if gromov2(r1, r2) >= 2 * sep_threshold:
+            if gromov2[at[r2], r1] >= 2 * sep_threshold:
                 a_, b_ = find(r1), find(r2)
                 if a_ != b_:
                     cls[a_] = b_
@@ -1141,7 +1122,8 @@ def classify_action_type(
             evidence["opposite_directions"] = sorted(ids[o] for o in others)
             return ActionTypeReport("QuasiParabolic", "heuristic", evidence, lox_words)
 
-    orbit_idx = a.space.indices(orb.vertices).tolist()
+    in_orbit = np.zeros(a.space.n, dtype=bool)
+    in_orbit[orbit_idx] = True
     for i in range(len(dirs)):
         for j in range(i + 1, len(dirs)):
             w1, p1, m1 = dirs[i]
@@ -1150,7 +1132,8 @@ def classify_action_type(
             labels = {find(r) for r in four}
             if len(labels) != 4:
                 continue
-            cert = _pingpong_certificate(a, x0i, w1, w2, four, orbit_idx, gromov2)
+            cert = _pingpong_certificate(a, x0i, w1, w2, in_orbit,
+                                         gromov2[[at[r] for r in four]])
             if cert is not None:
                 evidence["pingpong"] = cert
                 return ActionTypeReport("General", "certified", evidence, lox_words)

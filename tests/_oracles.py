@@ -285,6 +285,39 @@ def brute_realized_elements(ids, gens, horizon):
     return elements
 
 
+def brute_orbit(gens, x0, horizon):
+    """The orbit BFS as a loop over frontier vertices, then letters, on id
+    dicts.  gens is a list of (name, {source id: image id}); letters are
+    taken generator by generator, +1 before -1.  Returns (vertices in
+    discovery order, {vertex: letters of its witness word}, complete,
+    exhausted): complete is False once a letter is undefined on the
+    frontier, exhausted True when the BFS closed before the horizon."""
+    letters = []
+    for name, fwd in gens:
+        letters.append(((name, 1), fwd))
+        letters.append(((name, -1), {t: s for s, t in fwd.items()}))
+    witnesses = {x0: ()}
+    order = [x0]
+    frontier = [x0]
+    complete = True
+    depth = 0
+    while frontier and depth < horizon:
+        nxt = []
+        for v in frontier:
+            for letter, m in letters:
+                if v not in m:
+                    complete = False
+                    continue
+                t = m[v]
+                if t not in witnesses:
+                    witnesses[t] = witnesses[v] + (letter,)
+                    order.append(t)
+                    nxt.append(t)
+        frontier = nxt
+        depth += 1
+    return order, witnesses, complete, not frontier
+
+
 def index_distances(ids, edges):
     """Distance matrix over sorted(ids) by BFS, -1 where unreachable."""
     order = sorted(ids)

@@ -283,6 +283,21 @@ def test_factor_check_map_refuses_non_string_coordinates(z_ball, tmp_path):
     assert error["type"] == "FormatError" and "vertex id strings" in error["message"]
 
 
+def test_factor_check_map_refuses_a_repeated_source_point(tmp_path):
+    """The identity on p2 x p2 followed by the coordinate swap names every
+    point twice; the second entry must not silently replace the first."""
+    p2 = str(tmp_path / "p2.json")
+    assert _run(["construct", "path", "--params", '{"n": 2}', "--out", p2])[0] == 0
+    points = [[x, y] for x in ("v0", "v1") for y in ("v0", "v1")]
+    mapping = [[x, x] for x in points] + [[x, x[::-1]] for x in points]
+    argv = ["product", "factor-check", "--factors", p2, p2, "--map"]
+    assert _check_contract(argv + [_write(tmp_path / "once.json",
+                                          {"mapping": mapping[:4]})]) is None
+    error = _check_contract(argv + [_write(tmp_path / "twice.json", {"mapping": mapping})])
+    assert error == {"type": "FormatError", "message":
+                     f"{tmp_path / 'twice.json'}: source point ['v0', 'v0'] is mapped twice"}
+
+
 @pytest.mark.parametrize("gens", ["[true]", "[1.0]", "[[1, 0], [0, false]]"])
 def test_integer_gens_refuse_floats_and_bools(gens):
     family = "Z2" if gens.startswith("[[") else "Z"

@@ -15,7 +15,9 @@ import pytest
 
 from qtlab.cli import FIXTURES, main
 from qtlab.constructions import FiniteGroupTable, c6_chain, c30_chain, cayley_graph, coset_tree
-from qtlab.io import action_to_dict, graph_to_dict
+from qtlab.group_action import (Word, orbit, orbit_quasiconvexity, serre_elliptic_test,
+                                stable_translation_length, tree_translation_length)
+from qtlab.io import action_to_dict, graph_to_dict, load_action
 
 # (family, radius, gens, group table, sha256 of graph + action + basepoint + extras)
 CAYLEY = [
@@ -275,3 +277,317 @@ def test_product_report_bytes(product_dir, monkeypatch, capsys, argv, code, out_
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert (sha256(out.encode()), sha256(err.encode())) == (out_digest, err_digest)
+
+
+# action reports: stdout of `orbit`, `rips-orbit`, `classify` and
+# `properness` on every fixture, and of `classify --word` on words that
+# reach each method of classify_isometry, taken while group_action.py still
+# walked orbits vertex by vertex over ids.  The commands run in the
+# directory of the fixture files, so the reports name them by relative path.
+
+BASEPOINTS = {"bs12-r8": "m0:0/1", "cone-z-r10": "0", "coset-c30": "lv0_g0|g0|g0",
+              "doubleline-n16": "(0,1)", "f2-r5": "e", "farey-Q20": "inf",
+              "horoball-line-d7": "0|0"}
+
+
+@pytest.fixture(scope="module")
+def action_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("actions")
+    for name in FIXTURES:
+        assert main(["fixtures", name, "--out", str(d)]) == 0
+    # the reflection of a 4-vertex path inverts its middle edge
+    assert main(["construct", "path", "--params", '{"n": 4}', "--out", str(d / "p4.json")]) == 0
+    (d / "p4-flip.action.json").write_text(json.dumps({
+        "format": "qtlab-action-v1", "graph": "p4.json", "mode": "automorphism",
+        "generators": [{"name": "r", "map": [["v0", "v3"], ["v1", "v2"], ["v2", "v1"],
+                                             ["v3", "v0"]]}]}))
+    return d
+
+
+def _action_argvs():
+    """(name, argv) of every pinned action report, in a fixed order."""
+    out = []
+    for name, bp in BASEPOINTS.items():
+        act = ["--action", f"{name}.action.json", "--basepoint", bp]
+        for h in (0, 1, 6):
+            out.append((f"orbit-{name}-h{h}", ["orbit", *act, "--horizon", str(h)]))
+        out.append((f"rips-orbit-{name}", ["rips-orbit", *act, "--r", "2", "--horizon", "4"]))
+        out.append((f"classify-{name}", ["classify", *act, "--horizon", "8"]))
+        out.append((f"properness-{name}", ["properness", "--action", f"{name}.action.json",
+                                           "--horizon", "3"]))
+    words = [("power-orbit-cycle", "bs12-r8", "a", 8),
+             ("tree-axis", "bs12-r8", "t", 8),
+             ("power-orbit-cycle-period-15", "coset-c30", "g0|g1|g1", 16),
+             ("tree-fixed-vertex", "coset-c30", "g0|g1|g1", 8),
+             ("displacement-doubling", "doubleline-n16", "s", 8),
+             ("doubling-truncated", "doubleline-n16", "s", 32),
+             ("decay-gate", "cone-z-r10", "s", 2),
+             ("decay-gate-horoball", "horoball-line-d7", "s", 64),
+             ("inconclusive-truncated", "farey-Q20", "S T", 8),
+             ("insufficient-data", "farey-Q20", "S", 2)]
+    for method, name, word, h in words:
+        out.append((f"word-{method}", ["classify", "--action", f"{name}.action.json",
+                                       "--basepoint", BASEPOINTS[name], "--word", word,
+                                       "--horizon", str(h)]))
+    out.append(("word-inverted-edge", ["classify", "--action", "p4-flip.action.json",
+                                       "--basepoint", "v0", "--word", "r", "--horizon", "1"]))
+    return out
+
+
+ACTION_REPORTS = {
+    "orbit-bs12-r8-h0":
+        "ee63aa8c6ac65d029ad9d3153dfab48977adc7a95ccced617bb73dc1323a230a",
+    "orbit-bs12-r8-h1":
+        "00721535da8070c4f361c66c4dbc1d3fde1c811bda91985300f38c1cac69beb4",
+    "orbit-bs12-r8-h6":
+        "cde294fb00a548c3f6b998d7de9d6d4f3ff3b8e345dbbf514965bcd919a26da4",
+    "rips-orbit-bs12-r8":
+        "faf9b6c013a9d699be36186f2e0dc8b7848dc625b85e7fbd195a5c75c16e0ad8",
+    "classify-bs12-r8":
+        "567d6263affecc0d7469efe27a1732d9dfcb8d88a72f2a5298482b4dc6eeab0e",
+    "properness-bs12-r8":
+        "f074fa68d8dad1661e7b71017833ac81a22648a3bbfb129f64b4ed341dce27c4",
+    "orbit-cone-z-r10-h0":
+        "e4545689800931c3e612f77c5c92909b861430a2557497e17109268705f9aea1",
+    "orbit-cone-z-r10-h1":
+        "21f9290f3bacf76f5fc2c754c3eadf06fa30e1cae71b241e7764128d9ec2911f",
+    "orbit-cone-z-r10-h6":
+        "45edfc5f4232d6adc5e83ec314c167c23a3582ec5f7028b28ef039f7f14041ac",
+    "rips-orbit-cone-z-r10":
+        "62ef03361be802a205fdecc3e450fbe0ed1d87ec78f4b3c1f0aca5f78a667aca",
+    "classify-cone-z-r10":
+        "4896b987e5f31aa610a8e4812509884a6d1a349290a5713d4acb697421b57cb7",
+    "properness-cone-z-r10":
+        "2efc1299e186e4a3aa231fb52dc65567fc4ad80ab2a1637c7f4880ff1c65959d",
+    "orbit-coset-c30-h0":
+        "6ede94c00da9c51a003bee11cf9c16876cca919cf0802d1c414691ed793ba423",
+    "orbit-coset-c30-h1":
+        "0826e9f78361b1e3da97976a2e678280ad0f0e9f29f6c2d34a25be2c6e386c4b",
+    "orbit-coset-c30-h6":
+        "d7fcdc6b162ac8015f2ee5a721956840b6c3450e6797f8933fe2f03b922ba75f",
+    "rips-orbit-coset-c30":
+        "2519ba09231e4b333a83b471002ecbfb40831f9b7c7451499c3e8a3f8519360d",
+    "classify-coset-c30":
+        "15cdccf179bb550e273e4ee8eecebc74920908995650ed02e1924d8dd5823b17",
+    "properness-coset-c30":
+        "1673bb8c336e8f63dccf7c9d41f65ede7f74233b41eb94e2c30e30f27246635e",
+    "orbit-doubleline-n16-h0":
+        "3805a1bdf8b8a1d172b8c3b5376500c824762fab557ba72f996485e939e8cf21",
+    "orbit-doubleline-n16-h1":
+        "9a962586048cc9873fd7894f599723da8b69550fa7e47ac1afb922af1d116843",
+    "orbit-doubleline-n16-h6":
+        "52123632f23557a2e68e0bfd44fb61d1549a9e424b1bb012aeed6779c19793df",
+    "rips-orbit-doubleline-n16":
+        "05193f23cc535d108fe0792846e4a2040ee601ad58fd34371495f5ed72b78626",
+    "classify-doubleline-n16":
+        "5b06655b22c9df14b422d05186ba09b877c85c900d57e179577ea371b88bf33c",
+    "properness-doubleline-n16":
+        "b157119caa96d353fa290b4f4f0d01ff0b5bca62aeec3c2e4f747a4a78d78110",
+    "orbit-f2-r5-h0":
+        "2a256c873d2dc7652a77ed8ac3ecb89f7336befe99128572f92f217fa89021d8",
+    "orbit-f2-r5-h1":
+        "6acb6c6ced8d5eedd8900ee7e443da446d2c62c84dbfa3aed6959199fb23dd21",
+    "orbit-f2-r5-h6":
+        "87d1ccc434a141ae9c273709e9e496b88c314a3828e22c8dcb843d6b58da7db7",
+    "rips-orbit-f2-r5":
+        "2666dda8686a09993ed9088fb1f8c970ab5a85d828647b2263b869c788124dfc",
+    "classify-f2-r5":
+        "6c2605750a3b236f2a274ce889f33ecbcf048d13607c96b041c70eded472021d",
+    "properness-f2-r5":
+        "e42f9a04e9b0370be88fa299caed18aa4cb61176ee2c16b8a55dd4143fc65cc9",
+    "orbit-farey-Q20-h0":
+        "d0ed53ef828318c913797289cf9aa3ee1bfa67777aeb4d033a2f20413ac023e7",
+    "orbit-farey-Q20-h1":
+        "61f186b4fa976c53d23b43f85365937191e828a3424711478e210bc01b2f8dc5",
+    "orbit-farey-Q20-h6":
+        "736ddfe245769c7bb0f2d8f45126bbe27ab5528a18d7df9b4dfaeb2a835f5bbc",
+    "rips-orbit-farey-Q20":
+        "65e5ba55def9c6771af899a30b171418e7604f3c9b5561377aab1631f730e819",
+    "classify-farey-Q20":
+        "350ca3533b088e28e1cdf13735e940bda001f56a2bf2726e969463735b41504f",
+    "properness-farey-Q20":
+        "4d981a80abd407dc675bfeaa30567531290903732825b1fe5146b025bde15542",
+    "orbit-horoball-line-d7-h0":
+        "e6da1494d74c21fe3cb09806ec99436de053ae9dece2dfa10838b4249ac11df9",
+    "orbit-horoball-line-d7-h1":
+        "69cac0fa4f28993f3aa0522086f542fe0b5640ba0a5bce0b4358201061b99957",
+    "orbit-horoball-line-d7-h6":
+        "8365b86dc8d54dc4d7299f4801260ba9e6e19ccd82bbaa437b6c5bc8b704bd23",
+    "rips-orbit-horoball-line-d7":
+        "d79a1207bbfd907ff84b7a39366102dc15817b97c9c2924f19343be552a435d8",
+    "classify-horoball-line-d7":
+        "7787bc5dc862eb4b5eda5b01844c98a48a2b0a415e9b1fbb16a8c0ff208bc735",
+    "properness-horoball-line-d7":
+        "5e8b0fb336dc7fe6266d5acd88418d576fc3bb9cd28c54ac9501cfd8a19b1251",
+    "word-power-orbit-cycle":
+        "ea6581b26c88141700d24bd9cfb1f657afc7047d56e5c7e2cd5607f962d15d9f",
+    "word-tree-axis":
+        "a3a302b0321dcd4480f559b3c7dabded8613dbb8ae9f155c1730abdec218e018",
+    "word-power-orbit-cycle-period-15":
+        "413f443ef772dc52d308c23ac3d3aed33fcc194942d796f3ab6b0c1a4e2f8595",
+    "word-tree-fixed-vertex":
+        "7580fbdcdd62b0a03cb926947fe3d42fdfd86a8379d1a7785a3e1dcc5227e40a",
+    "word-displacement-doubling":
+        "3d6d25e190705f004fad6b9d3da6922c3dd6fcad077b669e1bd1e13f029b0a10",
+    "word-doubling-truncated":
+        "660b1710407fe69d7e956d870f3c60f75ebf981472e09466baf0b83ae41422ff",
+    "word-decay-gate":
+        "10fab802535d1b77610aba8c908af91a0cde6ed390997b092c1bcae444c580b3",
+    "word-decay-gate-horoball":
+        "58be22a6e5d147ee3f7ab2e3de64a1968d014cc75430574451610ce2611fc827",
+    "word-inconclusive-truncated":
+        "3827ef845f2aa7a066652ca4d1b834bc8d5bb633955f3b449bed6534648bc53f",
+    "word-insufficient-data":
+        "cfef6aa14d6e8213ebf24c3da075e59da5b6ed3aa32b67d7889363b989a0b522",
+    "word-inverted-edge":
+        "1f1fecd01a582c332796aea88d996bec646abe6d03f5fa818d6fb46b94e4d485",
+}
+
+
+@pytest.mark.parametrize("name,argv", _action_argvs(), ids=[r[0] for r in _action_argvs()])
+def test_action_report_bytes(action_dir, monkeypatch, capsys, name, argv):
+    monkeypatch.chdir(action_dir)
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (sha256(out.encode()), err) == (ACTION_REPORTS[name], "")
+
+
+def _library_results(directory):
+    """name -> JSON data of the library results that reach no command:
+    orbit witnesses, the d(g^n x0, x0)/n sequence, Serre's test and orbit
+    quasiconvexity, on the fixtures in directory."""
+    acts = {name: load_action(str(directory / f"{name}.action.json"), allow_disconnected=True)
+            for name in BASEPOINTS}
+    out = {}
+    for name, bp in BASEPOINTS.items():
+        for h in (0, 3, 5):
+            res = orbit(acts[name], bp, h)
+            out[f"orbit-{name}-h{h}"] = [
+                res.vertices, [[v, w.display()] for v, w in res.witnesses.items()],
+                res.complete, res.exhausted]
+    for name, word, h in (("bs12-r8", "t", 8), ("bs12-r8", "a t", 8), ("bs12-r8", "a", 4),
+                          ("f2-r5", "x y", 6), ("doubleline-n16", "s", 20),
+                          ("cone-z-r10", "s", 16), ("farey-Q20", "T", 12),
+                          ("horoball-line-d7", "s", 40), ("coset-c30", "g0|g1|g1", 0)):
+        est = stable_translation_length(acts[name], Word.parse(word), BASEPOINTS[name], h)
+        out[f"tau-{name}-{word}-h{h}"] = [
+            est.n_reached, [str(q) for q in est.sequence],
+            [str(q) for q in est.running_min], est.truncated, str(est.tau_upper)]
+    for name, words in (("bs12-r8", None), ("bs12-r8", ["a", "t a t^-1"]),
+                        ("bs12-r8", ["a", "a^2"]), ("coset-c30", None),
+                        ("coset-c30", ["g0|g0|g1", "g0|g1|g0"]), ("f2-r5", None),
+                        ("f2-r5", ["x y x^-1 y^-1"])):
+        a = acts[name]
+        ws = None if words is None else [Word.parse(w) for w in words]
+        res = serre_elliptic_test(a, ws)
+        taus = [tree_translation_length(a, w)
+                for w in (ws or [Word([(g.name, 1)]) for g in a.generators])]
+        out[f"serre-{name}-{words}"] = [
+            res.all_elliptic, res.fixed_vertex,
+            None if res.culprit is None else res.culprit.display(),
+            res.checked, res.notes, taus]
+    for name, C, h in (("bs12-r8", 0, 6), ("f2-r5", 0, 3), ("coset-c30", 0, 4),
+                       ("farey-Q20", 1, 4), ("doubleline-n16", 0, 6),
+                       ("doubleline-n16", 2, 6), ("cone-z-r10", 1, 5)):
+        rep = orbit_quasiconvexity(acts[name], BASEPOINTS[name], C, horizon=h)
+        out[f"quasiconvex-{name}-C{C}-h{h}"] = [
+            rep.passed, rep.K, rep.C, rep.M, rep.orbit_size, rep.violations]
+    return out
+
+
+LIBRARY_RESULTS = {
+    "orbit-bs12-r8-h0":
+        "5257de98988ecb7ec056f539d793ea4dd1bb01e45f9f9c363fa42f2961f02fdc",
+    "orbit-bs12-r8-h3":
+        "f38569e984b077fc0669c46cae80ba846e8bc2aa1afbc931cbc747b82bdfd629",
+    "orbit-bs12-r8-h5":
+        "db7861a9fdbac3bcb7668d1c56919bcef59055e130f33d3b446a95e95b64bc75",
+    "orbit-cone-z-r10-h0":
+        "7e64043969d98d70700ad4bc7f3f09ade257925e756fed501ae3456cee0c1c69",
+    "orbit-cone-z-r10-h3":
+        "522543a0610ca802ce772cc852669df111414f6348dc8d86f2232a21fd5a537a",
+    "orbit-cone-z-r10-h5":
+        "523940389a7f3620f2342915b3e00223d1eae91040acab2d78fef349b2ecc3e6",
+    "orbit-coset-c30-h0":
+        "31b87159b5d1cd24564c167c36f4f33450289d4ffa9968aebc9bd6ec6b8ecd8f",
+    "orbit-coset-c30-h3":
+        "c625fa80a91e68b528bbcbfba1f9418dc9bf9812633f4e28546ab1803ed6c6ab",
+    "orbit-coset-c30-h5":
+        "c625fa80a91e68b528bbcbfba1f9418dc9bf9812633f4e28546ab1803ed6c6ab",
+    "orbit-doubleline-n16-h0":
+        "0a93961e29b3822b3e94cf7118c0a8cc3985335936d127e834b84e98ce1ba58e",
+    "orbit-doubleline-n16-h3":
+        "b0ed574e7bbaf2769b52bd2c9e63dce3be9ade338596e12a3147fa2e46bf84de",
+    "orbit-doubleline-n16-h5":
+        "aa17a0068311f68f33e84fad6ed7b2f54bb8ca01e9d246f1d11c6af77409a9a6",
+    "orbit-f2-r5-h0":
+        "85cd6fc0fa308a7fd584356213477593f0b571fce2040fd0cd885296c440e1d8",
+    "orbit-f2-r5-h3":
+        "9df13f5741821ca7a091d874f0237c950d81cc8c25734953997b155cc5b78868",
+    "orbit-f2-r5-h5":
+        "a45924fb771b09dbcf507798dfe89067b57f35fa7a73cfe810c917cc872cb3ec",
+    "orbit-farey-Q20-h0":
+        "91e1040110a3392f21c82e5a278956044b029cae467e7da44012260b8d43a6c1",
+    "orbit-farey-Q20-h3":
+        "d70cffad00a21438ccbc95920b628f45b3096c34dab469344609d6d2f7fe901f",
+    "orbit-farey-Q20-h5":
+        "cc9b1d76086595b8d8f5b3d5f8533a4fa2f207e16b22914667cc48ffba4b12c2",
+    "orbit-horoball-line-d7-h0":
+        "e826f4cb7dc84186af26181e7ac22b82e5caeaa0add1193b9c7374bfe84e2f4f",
+    "orbit-horoball-line-d7-h3":
+        "d8c91b32be0cbf73cdc99e55421197b39f79efa742f7ab6afa7e8b6793640687",
+    "orbit-horoball-line-d7-h5":
+        "f45922411cf4f1b8b6c689e63ae7e276490e0e173596bfbfe6f7aafc6ba135ba",
+    "tau-bs12-r8-t-h8":
+        "5bd75f18cc9b96a45eade239f44cfcbc37a7a899a3041a7426ca53cef5bb795f",
+    "tau-bs12-r8-a t-h8":
+        "5bd75f18cc9b96a45eade239f44cfcbc37a7a899a3041a7426ca53cef5bb795f",
+    "tau-bs12-r8-a-h4":
+        "3668cf5ce02c2e7a498a3747fd3d36cafcbfd2dc14d38d532c1801bc705287be",
+    "tau-f2-r5-x y-h6":
+        "e2dfd56738070ae317f4466afedcf394b162b84046ffe24f867f32c279997381",
+    "tau-doubleline-n16-s-h20":
+        "fc7233d734a34812741d94ffe46d5f959e5294c6bf7b46758f24dff1267f1cd1",
+    "tau-cone-z-r10-s-h16":
+        "2b09f4add2ffca932ac2adf88dafa43efdd40ae82ee106ab97aa9d6426a426fd",
+    "tau-farey-Q20-T-h12":
+        "dcdb0281fd959ed75498c40b5ece68f3a2610924e702d9b1db47bf26345c3b9d",
+    "tau-horoball-line-d7-s-h40":
+        "219b85f6cbaecec3565f225be03943a9e611b2a676329e544bc5823db65611ea",
+    "tau-coset-c30-g0|g1|g1-h0":
+        "35bf7c02cb8d1db1c621982d72f41bb61df6ff77f45dc0f2621248f4c124863e",
+    "serre-bs12-r8-None":
+        "e3ba96c2c4869c78fb0efa75cc53d5e56fd2b691289a841453d5712b3884cf04",
+    "serre-bs12-r8-['a', 't a t^-1']":
+        "33454453953d73ad77fd273172b0d630dd810f8b6f936fba2b52d74e9fc0ea4f",
+    "serre-bs12-r8-['a', 'a^2']":
+        "9c35de8b0f302799e5111c1622900ca057d207e03e4a21580d7e58a830308111",
+    "serre-coset-c30-None":
+        "f3fd67d887a28f67c9cf747fac401e49a2730993e0047da535c9bc74dcb94455",
+    "serre-coset-c30-['g0|g0|g1', 'g0|g1|g0']":
+        "f5e3f9f5dd80954ad2dd58df08bf2d34f7b91edf56c733db76e0f5824a5775b6",
+    "serre-f2-r5-None":
+        "78929c63164030818538bb8f69391992364ee7db975fcb716d678f0a755b3bd4",
+    "serre-f2-r5-['x y x^-1 y^-1']":
+        "4272da11bef8eee62caef96854430d5c3782e3f263beabd16a58d656bb00eff1",
+    "quasiconvex-bs12-r8-C0-h6":
+        "504cfff74bafdfc9e72f071c76f74fc8a94ebd8a83c6e5c23c35ab77aefeb234",
+    "quasiconvex-f2-r5-C0-h3":
+        "8281c98c0ea1650443093767cfd93720b5757c1d38365e556d700389864b216c",
+    "quasiconvex-coset-c30-C0-h4":
+        "0b57e06658ef5e7b005fedbb0c36f7e16e2ab8da28cef6be5a7178f73e38782c",
+    "quasiconvex-farey-Q20-C1-h4":
+        "e9dff0fcad765217de457cac9f75db2de0a920b71fd29b567760c00b009e7650",
+    "quasiconvex-doubleline-n16-C0-h6":
+        "96e65dd5164f03af1f714e1ff82205147f44512d41d38d38dc18e69863116547",
+    "quasiconvex-doubleline-n16-C2-h6":
+        "24cead3c58e6d6cd99c0819cd16342c3ecce62d68e12c330cdb5ae44a162db18",
+    "quasiconvex-cone-z-r10-C1-h5":
+        "4304e00c1fbf3d4217bd35dc5e13ffe8d5eac93fa9f0fff61e4b6b0f49d272e1",
+}
+
+
+def test_library_result_bytes(action_dir):
+    got = {name: sha256(json.dumps(data, separators=(",", ":")).encode())
+           for name, data in _library_results(action_dir).items()}
+    assert got == LIBRARY_RESULTS

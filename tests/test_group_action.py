@@ -12,15 +12,15 @@ from qtlab import (GroupAction, Word, action_from_maps, graph_from_ids, busemann
                    realized_elements, rips_orbit_graph, serre_elliptic_test,
                    stable_translation_length, tree_translation_length,
                    word_map)
-from qtlab.constructions import (bass_serre_tree_bs12, c6_chain, cayley_graph,
-                                 coset_tree, cycle_graph, double_line_graph,
+from qtlab.constructions import (FiniteGroupTable, bass_serre_tree_bs12, c6_chain,
+                                 cayley_graph, coset_tree, cycle_graph, double_line_graph,
                                  farey_graph, horoball, path_graph)
 from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
 from qtlab.io import action_to_dict, graph_to_dict
 
-from _oracles import (brute_realized_elements, dense_mode_check, index_distances,
-                      random_connected_graph)
+from _oracles import (brute_orbit, brute_realized_elements, dense_mode_check,
+                      index_distances, random_connected_graph)
 
 
 def rotation_action(n):
@@ -213,21 +213,70 @@ def test_letters_run_by_generator_then_sign():
         ("s", 1), ("s", -1), ("sigma0", 1), ("sigma0", -1), ("sigma3", 1), ("sigma3", -1)]
 
 
+def _orbit_matches(a, x0, horizon):
+    gens = [(g["name"], dict(map(tuple, g["map"])))
+            for g in action_to_dict(a)["generators"]]
+    vertices, witnesses, complete, exhausted = brute_orbit(gens, x0, horizon)
+    res = orbit(a, x0, horizon)
+    assert res.vertices == tuple(vertices)
+    assert {v: w.letters for v, w in res.witnesses.items()} == witnesses
+    assert list(res.witnesses) == vertices
+    assert (res.complete, res.exhausted) == (complete, exhausted)
+
+
+def test_orbit_matches_the_loop_on_partial_maps_of_a_complete_graph():
+    """Every injective partial map of K_n is an automorphism-mode generator,
+    so seeded random ones cover orbits that stop, escape and close."""
+    rng = random.Random(21)
+    for _ in range(60):
+        n = rng.randrange(1, 9)
+        ids = [f"v{i}" for i in range(n)]
+        g = graph_from_ids(ids, [(u, v) for k, u in enumerate(ids) for v in ids[k + 1:]])
+        gens = []
+        for k in range(rng.randrange(0, 4)):
+            src = rng.sample(ids, rng.randrange(0, n + 1))
+            gens.append((f"g{k}", dict(zip(src, rng.sample(ids, len(src))))))
+        a = action_from_maps(g, gens)
+        for horizon in (0, 1, 2, 3, 6):
+            _orbit_matches(a, rng.choice(ids), horizon)
+
+
+def test_orbit_with_no_generators_or_no_horizon():
+    """The coset tree of the trivial group has no generators: the orbit is
+    the basepoint, closed at once.  At horizon 0 no letter is applied."""
+    table = FiniteGroupTable.cyclic(1)
+    trivial = coset_tree(table, [(table.identity,), table.elements]).action
+    assert trivial.generators == ()
+    for horizon in (0, 1, 4):
+        _orbit_matches(trivial, trivial.space.vertex_ids[0], horizon)
+        res = orbit(trivial, trivial.space.vertex_ids[0], horizon)
+        assert (res.size, res.complete, res.exhausted) == (1, True, horizon > 0)
+    for a, x0 in ((cayley_graph("F2", 2).action, "e"), (farey_graph(4).action, "inf"),
+                  (rotation_action(5), "v0")):
+        _orbit_matches(a, x0, 0)
+        assert orbit(a, x0, 0).vertices == (x0,)
+
+
 def test_local_finiteness_walks_the_orbit_once(monkeypatch):
     """Both count tuples come from one walk and equal the counts of separate
     orbits at the full and the half horizon."""
     import qtlab.group_action as ga
 
+    # the swap of two disjoint edges takes a into the other component, at
+    # distance -1, which no ball counts
+    two_edges = graph_from_ids(list("abcd"), [("a", "b"), ("c", "d")], allow_disconnected=True)
     cases = [(cayley_graph("Z", 12).action, "0"), (cayley_graph("F2", 3).action, "e"),
              (farey_graph(4).action, "inf"), (double_line_graph(5).action, "(0,1)"),
-             (bass_serre_tree_bs12(4).action, "m0:0/1")]
+             (bass_serre_tree_bs12(4).action, "m0:0/1"),
+             (action_from_maps(two_edges, [("s", dict(zip("abcd", "cdab")))]), "a")]
     walks = []
+    walk = ga._orbit_walk
 
     def counted(*args):
         walks.append(args)
-        return orbit(*args)
+        return walk(*args)
 
-    monkeypatch.setattr(ga, "orbit", counted)
+    monkeypatch.setattr(ga, "_orbit_walk", counted)
     for a, x0 in cases:
         drow = a.space.rows([a.space.index(x0)])[0]
         for horizon in range(7):
