@@ -41,23 +41,15 @@ def backend() -> str:
 # distance, which is ORed into bit-planes of the distances (plane b holds
 # bit b of every distance) and read out once at the end.
 #
-# Which vertices a level expands follows the frontier (Beamer, Asanovic &
-# Patterson, SC 2012).  A dense level reduces every CSR row, O(m) words
-# however small the frontier; while the frontier's CSR entries are fewer
-# than 1/SPARSE of all entries, a sparse level expands only those entries
-# and ORs them by target.  Long diameters (paths, cycles, double lines) keep
-# a frontier of a few vertices for many levels.  On graphs whose entries
-# times words are below SPARSE_MIN every level is dense, which is cheaper
-# there than the sparse level's extra numpy calls.
+# Every level reduces every CSR row once: O(m) words per level, however
+# small the frontier, and a fixed number of numpy calls per level.
 #
-# A block holds about ROW_BLOCK entries of the result, and a dense level
-# gathers at most ROW_BLOCK bytes, but never fewer than one word of sources.
+# A block holds about ROW_BLOCK entries of the result, and a level gathers
+# at most ROW_BLOCK bytes, but never fewer than one word of sources.
 # apsp() is rows() from every source, the full matrix.
 # ---------------------------------------------------------------------------
 
 ROW_BLOCK = 1 << 21
-SPARSE = 8
-SPARSE_MIN = 1 << 12
 
 
 def rows(indptr, indices, n, sources):
@@ -89,67 +81,27 @@ def _bfs_block(indptr, indices, deg, src, out):
         unseen[:, -1] &= np.uint64((1 << (k % 64)) - 1)
     nz = np.flatnonzero(deg)
     starts = indptr[nz]
-    total = len(indices)
-    front = np.unique(src)
-    vals = F[front]
-    fe = int(deg[front].sum())     # CSR entries of the frontier
-    sparse_ok = total * words >= SPARSE_MIN
-    sparse = sparse_ok and fe * SPARSE < total
     planes = []
     d = 0
-    while fe:
+    while True:
         d += 1
-        if sparse:
-            # the frontier's entries, grouped by target and ORed
-            cnt = deg[front]
-            ent = np.repeat(indptr[front] - (np.cumsum(cnt) - cnt), cnt) + np.arange(fe)
-            tgt = indices[ent]
-            order = np.argsort(tgt)
-            tgt = tgt[order]
-            first = np.flatnonzero(np.concatenate(([True], tgt[1:] != tgt[:-1])))
-            front = tgt[first]
-            new = np.bitwise_or.reduceat(np.repeat(vals, cnt, axis=0)[order], first, axis=0)
-            new &= unseen[front]
-            live = new.any(axis=1)
-            if not live.all():
-                front, new = front[live], new[live]
-            if not len(front):
-                break
-            unseen[front] ^= new
+        # reduceat over the rows with neighbours only, since an empty
+        # segment would yield its next entry instead of 0
+        if len(nz) < n:
+            new = np.zeros((n, words), dtype=np.uint64)
+            new[nz] = np.bitwise_or.reduceat(F[indices], starts, axis=0)
         else:
-            # every row: reduceat over the rows with neighbours only, since
-            # an empty segment would yield its next entry instead of 0
-            if len(nz) < n:
-                new = np.zeros((n, words), dtype=np.uint64)
-                new[nz] = np.bitwise_or.reduceat(F[indices], starts, axis=0)
-            else:
-                new = np.bitwise_or.reduceat(F[indices], starts, axis=0)
-            new &= unseen
-            if not new.any():
-                break
-            unseen ^= new
-            F = new
+            new = np.bitwise_or.reduceat(F[indices], starts, axis=0)
+        new &= unseen
+        if not new.any():
+            break
+        unseen ^= new
+        F = new
         for b in range(d.bit_length()):
             if b == len(planes):
                 planes.append(np.zeros((n, words), dtype=np.uint64))
             if (d >> b) & 1:
-                if sparse:
-                    planes[b][front] |= new
-                else:
-                    planes[b] |= new
-        if sparse:
-            vals = new
-            fe = int(deg[front].sum())
-            if fe * SPARSE >= total:
-                sparse = False
-                F = np.zeros((n, words), dtype=np.uint64)
-                F[front] = new
-        elif sparse_ok:
-            front = np.flatnonzero(new.any(axis=1))
-            fe = int(deg[front].sum())
-            if fe * SPARSE < total:
-                sparse = True
-                vals = new[front]
+                planes[b] |= new
     acc = np.zeros((n, k), dtype=np.uint8 if len(planes) <= 8 else np.int32)
     for b, plane in enumerate(planes):
         acc |= _unpack(plane, k).astype(acc.dtype, copy=False) << b

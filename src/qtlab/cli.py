@@ -43,9 +43,6 @@ from .leary_minasyan import (conjugation_exponents, fit_translation_homomorphism
 
 MANIFEST_FORMAT = "qtlab-manifest-v1"
 
-FIXTURES = ("bs12-r8", "cone-z-r10", "coset-c30", "doubleline-n16",
-            "f2-r5", "farey-Q20", "horoball-line-d7")
-
 
 def _plain(x):
     """Recursively convert report values to JSON-encodable data."""
@@ -337,29 +334,11 @@ def cmd_classify(args):
     _require_nonnegative(args, "horizon")
     a = load_action(args.action, allow_disconnected=True)
     if args.word:
-        w = Word.parse(args.word)
-        rep = classify_isometry(a, w, args.basepoint, horizon=args.horizon)
-        results = {
-            "kind": "isometry",
-            "word": w,
-            "verdict": rep.verdict,
-            "confidence": rep.confidence,
-            "method": rep.method,
-            "tau_upper": rep.tau_upper,
-            "tau_lower": rep.tau_lower,
-            "certificate": rep.certificate,
-            "truncated": rep.truncated,
-            "notes": rep.notes,
-        }
+        rep = classify_isometry(a, Word.parse(args.word), args.basepoint, horizon=args.horizon)
+        results = {"kind": "isometry", **_plain(rep)}
     else:
         rep = classify_action_type(a, args.basepoint, horizon=args.horizon)
-        results = {
-            "kind": "action",
-            "verdict": rep.verdict,
-            "confidence": rep.confidence,
-            "evidence": rep.evidence,
-            "loxodromics": rep.loxodromics,
-        }
+        results = {"kind": "action", **_plain(rep)}
     return _report("classify", {"action": args.action, "basepoint": args.basepoint,
                                 "word": args.word, "horizon": args.horizon},
                    results, args.seed), None
@@ -370,22 +349,13 @@ def cmd_properness(args):
     a = load_action(args.action, allow_disconnected=True)
     rep = properness_profiles(a, epsilons=(0, 1, 2), radii=(2, 4, 8),
                               rs=(0, 1, 2), horizon=args.horizon)
-    results = {
-        "horizon": rep.horizon,
-        "n_elements": rep.n_elements,
-        "acylindricity": rep.acylindricity,
-        "uniform": rep.uniform,
-        "max_stabilizer": rep.max_stabilizer,
-        "stabilizer_growth_warning": rep.stabilizer_growth_warning,
-        "no_pair_flags": rep.no_pair_flags,
-    }
     rows = [("table", "epsilon_or_r", "R", "count")]
     for eps, R, N in rep.acylindricity:
         rows.append(("acylindricity", eps, R, N))
     for r, N in rep.uniform:
         rows.append(("uniform", r, "", N))
     return _report("properness", {"action": args.action, "horizon": args.horizon},
-                   results, args.seed), rows
+                   rep, args.seed), rows
 
 
 def _load_factors(paths):
@@ -399,9 +369,7 @@ def cmd_product(args):
     if sub == "distance":
         space = ProductSpace(_load_factors(args.factors), args.norm)
         x, y = _point_arg(args.x), _point_arg(args.y)
-        d = product_distance(space, x, y)
-        results = {"norm": d.norm, "exact": d.exact, "squared": d.squared,
-                   "approx": d.approx, "x": x, "y": y}
+        results = {**_plain(product_distance(space, x, y)), "x": x, "y": y}
     elif sub == "geodesics":
         space = ProductSpace(_load_factors(args.factors), args.norm)
         x, y = _point_arg(args.x), _point_arg(args.y)
@@ -446,14 +414,7 @@ def cmd_product(args):
         x0 = point_id(_point_arg(args.basepoint)) if args.basepoint else (
             point_id(tuple(a.space.vertex_ids[0] for a in actions)))
         prof = distortion_profile(built.action, x0, args.horizon)
-        results = {
-            "basepoint": prof.basepoint,
-            "horizon": prof.horizon,
-            "raw": prof.raw,
-            "envelope": prof.envelope,
-            "witnesses": prof.witnesses,
-            "final": prof.final,
-        }
+        results = {**_plain(prof), "final": prof.final}
         rows = [("n", "raw", "envelope", "witness")]
         for k in range(prof.horizon):
             rows.append((k + 1, str(prof.raw[k]), str(prof.envelope[k]),
@@ -490,16 +451,9 @@ def cmd_lm(args):
         if kmax < 1:
             raise FormatError(f"--k-max must be >= 1, got {kmax}")
         override = _load_json_arg(args.matrix, "--matrix") if args.matrix else None
-        failures = []
-        reports = []
-        for k in range(1, kmax + 1):
-            rep = lm_obstruction_check(k, matrix_override=override)
-            reports.append({"k": k, "det_plus": rep.det_plus,
-                            "det_minus": rep.det_minus,
-                            "obstructed": rep.obstructed,
-                            "witness": rep.witness})
-            if not rep.obstructed:
-                failures.append(k)
+        reports = [lm_obstruction_check(k, matrix_override=override)
+                   for k in range(1, kmax + 1)]
+        failures = [rep.k for rep in reports if not rep.obstructed]
         results = {
             "k_max": kmax,
             "all_obstructed": not failures,
@@ -509,21 +463,8 @@ def cmd_lm(args):
         inputs = {"sub": sub, "k_max": kmax, "matrix": args.matrix}
     elif sub == "fit":
         samples = parse_samples(load_json(args.samples))
-        fit = fit_translation_homomorphism(samples)
-        audit = seminorm_audit(samples)
-        results = {
-            "x": fit.x, "y": fit.y,
-            "residual": fit.residual,
-            "method": fit.method,
-            "n_samples": fit.n_samples,
-            "audit": {
-                "passed": audit.passed,
-                "homogeneity_violations": audit.homogeneity_violations,
-                "subadditivity_violations": audit.subadditivity_violations,
-                "checked_homogeneity": audit.checked_homogeneity,
-                "checked_subadditivity": audit.checked_subadditivity,
-            },
-        }
+        results = {**_plain(fit_translation_homomorphism(samples)),
+                   "audit": seminorm_audit(samples)}
         inputs = {"sub": sub, "samples": args.samples}
     else:
         raise FormatError(f"unknown lm subcommand {sub!r}")
@@ -535,25 +476,29 @@ def cmd_lm(args):
 # ---------------------------------------------------------------------------
 
 
+def _over_z(radius, build, **kw):
+    """build(graph, action, **kw) over the Cayley graph of Z of this radius."""
+    base = C.cayley_graph("Z", radius)
+    return build(base.graph, base.action, **kw)
+
+
+# name -> builder of the fixture's Construction, in the order `fixtures list`
+# names them
+FIXTURES = {
+    "bs12-r8": lambda: C.bass_serre_tree_bs12(8),
+    "cone-z-r10": lambda: _over_z(10, C.cone_graph, basepoint="0"),
+    "coset-c30": lambda: C.coset_tree(*C.c30_chain()),
+    "doubleline-n16": lambda: C.double_line_graph(16),
+    "f2-r5": lambda: C.cayley_graph("F2", 5),
+    "farey-Q20": lambda: C.farey_graph(20),
+    "horoball-line-d7": lambda: _over_z(64, C.horoball, depth=7, basepoint="0|0"),
+}
+
+
 def _build_fixture(name: str):
-    if name == "farey-Q20":
-        return C.farey_graph(20)
-    if name == "bs12-r8":
-        return C.bass_serre_tree_bs12(8)
-    if name == "coset-c30":
-        table, chain = C.c30_chain()
-        return C.coset_tree(table, chain)
-    if name == "horoball-line-d7":
-        base = C.cayley_graph("Z", 64)
-        return C.horoball(base.graph, base.action, depth=7, basepoint="0|0")
-    if name == "doubleline-n16":
-        return C.double_line_graph(16)
-    if name == "cone-z-r10":
-        base = C.cayley_graph("Z", 10)
-        return C.cone_graph(base.graph, base.action, basepoint="0")
-    if name == "f2-r5":
-        return C.cayley_graph("F2", 5)
-    raise UnknownFixture(f"no fixture {name!r}; have {', '.join(FIXTURES)}")
+    if name not in FIXTURES:
+        raise UnknownFixture(f"no fixture {name!r}; have {', '.join(FIXTURES)}")
+    return FIXTURES[name]()
 
 
 def cmd_fixtures(args):

@@ -49,10 +49,13 @@ class Word:
     __slots__ = ("letters",)
 
     def __init__(self, letters: Sequence[Tuple[str, int]] = ()):
-        letters = tuple((str(n), int(s)) for n, s in letters)
-        for n, s in letters:
-            if s not in (1, -1):
-                raise FormatError(f"letter sign must be +-1, got {s}")
+        letters = tuple(letters)
+        for letter in letters:
+            # a bool is an int, and 1.0 == 1: both are refused, not taken as 1
+            if (type(letter) is not tuple or len(letter) != 2 or not isinstance(letter[0], str)
+                    or type(letter[1]) is not int or letter[1] not in (1, -1)):
+                raise FormatError(f"a letter must be a (name, sign) tuple of a str and "
+                                  f"the int 1 or -1, got {letter!r}")
         self.letters = letters
 
     @classmethod

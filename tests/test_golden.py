@@ -591,3 +591,144 @@ def test_library_result_bytes(action_dir):
     got = {name: sha256(json.dumps(data, separators=(",", ":")).encode())
            for name, data in _library_results(action_dir).items()}
     assert got == LIBRARY_RESULTS
+
+
+# the other command reports: stdout of `lm`, `analyze`, `construct`,
+# `product distance`, the csv tables and `fixtures list`, and stderr of
+# three refusals, taken before cli.py built its reports from the result
+# objects.  The commands run in the directory of their input files, so the
+# reports name them by relative path.
+
+def _write_cli_inputs(d):
+    """The graphs, actions and sample files the pinned commands read."""
+    for family, params, out in (("tree", '{"degree": 3, "depth": 3}', "tree.json"),
+                                ("grid", '{"m": 3, "n": 4}', "grid.json"),
+                                ("path", '{"n": 5}', "p5.json"),
+                                ("cycle", '{"n": 6}', "c6.json")):
+        assert main(["construct", family, "--params", params, "--out", str(d / out)]) == 0
+    for family, radius in (("Z", 3), ("F2", 2)):
+        assert main(["construct", "cayley", "--params",
+                     json.dumps({"family": family, "radius": radius}),
+                     "--out", str(d / f"{family}.graph.json"),
+                     "--action-out", str(d / f"{family}.action.json")]) == 0
+    # two samples interpolate every other one exactly; no pair of the noisy
+    # samples does, so their fit takes the Chebyshev branch
+    (d / "exact.json").write_text(json.dumps(
+        {"samples": [[[1, 0], "3/2"], [[0, 1], "2"], [[1, 1], "7/2"], [[2, 1], "5"]]}))
+    (d / "noisy.json").write_text(json.dumps(
+        {"samples": [[[1, 0], 1], [[2, 0], 4], [[0, 1], 0], [[1, 1], "5/3"]]}))
+
+
+def _cli_argvs():
+    """(name, argv) of every pinned command report, in a fixed order."""
+    out = [(f"lm-exponents-n{n}", ["lm", "exponents", "--n", str(n)]) for n in (0, 1, 3, 17)]
+    out += [(f"lm-obstruction-k{k}", ["lm", "obstruction", "--k-max", str(k)])
+            for k in (1, 7, 30)]
+    out.append(("lm-obstruction-scalar", ["lm", "obstruction", "--k-max", "3",
+                                          "--matrix", "[[5,0],[0,5]]"]))
+    out += [(f"lm-fit-{s}", ["lm", "fit", "--samples", f"{s}.json"]) for s in ("exact", "noisy")]
+    out += [(f"analyze-{g}", ["analyze", "--graph", f"{g}.json"]) for g in ("tree", "grid")]
+    out += [("construct-star", ["construct", "star", "--params", '{"leaves": 4}']),
+            ("construct-doubleline", ["construct", "doubleline", "--params", '{"n": 5}',
+                                      "--out", "dl.json", "--action-out", "dl.action.json"])]
+    out += [(f"product-distance-{norm}",
+             ["product", "distance", "--factors", "p5.json", "c6.json", "--norm", norm,
+              "--x", '["v0", "v1"]', "--y", '["v4", "v4"]']) for norm in ("l1", "l2", "linf")]
+    out += [("properness-csv", ["properness", "--action", "F2.action.json", "--horizon", "3",
+                                "--format", "csv"]),
+            ("product-distortion-csv", ["product", "distortion", "--factors", "Z.action.json",
+                                        "F2.action.json", "--horizon", "3", "--format", "csv"]),
+            ("fixtures-list", ["fixtures", "list"]),
+            ("unknown-fixture", ["fixtures", "nope"]),
+            ("unknown-construction", ["construct", "zzz"]),
+            ("refused-csv", ["analyze", "--graph", "grid.json", "--format", "csv"])]
+    return out
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("cli")
+    _write_cli_inputs(d)
+    return d
+
+
+# name -> (exit code, sha256 of stdout, sha256 of stderr)
+CLI_REPORTS = {
+    "lm-exponents-n0":
+        (0, "c777b7e8277779594e7007752a00dfcf5206cd45b4e051655325570f88039b92",
+         EMPTY),
+    "lm-exponents-n1":
+        (0, "40e72a72ecf1188a51a207080129e73404b7ee45501ffe72abc9b4e7ed4f038a",
+         EMPTY),
+    "lm-exponents-n3":
+        (0, "ffef5352a81c0d84ca47602ff500134005b7f80ec1b6d7a7e677905be9b2b433",
+         EMPTY),
+    "lm-exponents-n17":
+        (0, "2268a952e33740cd6325c7e5a723eed1a92bc4ce1bfd15dedf7874fbddcd6303",
+         EMPTY),
+    "lm-obstruction-k1":
+        (0, "f44bea74893aeebb462a2bf48063c030f3b43037f94d077d3ad63c0c72aaa27d",
+         EMPTY),
+    "lm-obstruction-k7":
+        (0, "206ab6a2453c9951dce2d287e3c90866ce4ec57183a3d39522287b71b420973f",
+         EMPTY),
+    "lm-obstruction-k30":
+        (0, "285ef0972bd8f81021c8a90df1d745f1448556caf40cd5ef5145c9b3f7bc1d72",
+         EMPTY),
+    "lm-obstruction-scalar":
+        (0, "e218cca3667f6cf9f4159f841910c5d07b5e53252787c2ba400752e5dd0e4dbe",
+         EMPTY),
+    "lm-fit-exact":
+        (0, "eb91a87648232c37a236720f25f7bb8d8311ff37aa24385576f304474d69ff09",
+         EMPTY),
+    "lm-fit-noisy":
+        (0, "46b802905f5cd2bed124befa44b58db54f6570d7a40259ec3a5abe3925be2987",
+         EMPTY),
+    "analyze-tree":
+        (0, "1e796bedb872935262f032a025f3e171d93c4e2def84b51817fb682483b76930",
+         EMPTY),
+    "analyze-grid":
+        (0, "4a4c4e59516d6570ddb42034c8a295545c4d4056784aeb520561cebdc6ee2edc",
+         EMPTY),
+    "construct-star":
+        (0, "73a2d70a43b3667cc1caa8da527326b3cbdba863db001d3ae27e6e7ce3eba66b",
+         EMPTY),
+    "construct-doubleline":
+        (0, "dc95917d17b99ca0d0ffb5c9901f55fb27f8e995ddb379e327af98da94276abe",
+         EMPTY),
+    "product-distance-l1":
+        (0, "e74362bd922384ffd64985f939f43479e6b5601f2748c77d27509160ab0c2966",
+         EMPTY),
+    "product-distance-l2":
+        (0, "21c72d7c7db31620c535a21ee27ee7fd77a465728898f7f83db6329dd5dc4ee9",
+         EMPTY),
+    "product-distance-linf":
+        (0, "c90f272e92c558381cff9144e872f3368e3387e2569859e0a777c3405eb52ec7",
+         EMPTY),
+    "properness-csv":
+        (0, "7f91a06b1315eb5102ef156f6741bfdf2e450bf24d32b79cc9d45d84e21943df",
+         EMPTY),
+    "product-distortion-csv":
+        (0, "a6a366dade5f1c770514eecb4cb674a5cff4b4b910b0ad153f074cec57f0c006",
+         EMPTY),
+    "fixtures-list":
+        (0, "b090309259d73cc402e83e3a47d09ea0c5b28767e9a0a289b304a32b8cc0b437",
+         EMPTY),
+    "unknown-fixture":
+        (2, EMPTY,
+         "aa042a211f49693369e25a36c900481bc93d85615b9e91e85a5ede587d52a4f6"),
+    "unknown-construction":
+        (2, EMPTY,
+         "0f98872af373dfd51682a85589c63c7611e2e241929dc3bc121bb076a0eeaf3a"),
+    "refused-csv":
+        (2, EMPTY,
+         "10f79f881adf0849e6ec49bbd73be6b08e582a21dd5747d94494fbc90ffbac01"),
+}
+
+
+@pytest.mark.parametrize("name,argv", _cli_argvs(), ids=[r[0] for r in _cli_argvs()])
+def test_cli_report_bytes(cli_dir, monkeypatch, capsys, name, argv):
+    monkeypatch.chdir(cli_dir)
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, sha256(out.encode()), sha256(err.encode())) == CLI_REPORTS[name]

@@ -60,6 +60,20 @@ def test_word_round_trip_any(letters):
     assert w.inverse().inverse() == w
 
 
+@pytest.mark.parametrize("letter", [(1, 1), ("a", True), ("a", 1.0), ("a", 2), ["a", 1],
+                                    ("a",), ("a", 1, 1)])
+def test_word_refuses_malformed_letters(letter):
+    # a name that is not a str, a sign that is a bool, a float or not +-1,
+    # and a letter that is not a pair tuple are refused, not converted
+    with pytest.raises(FormatError, match="letter must be"):
+        Word([("b", -1), letter])
+
+
+def test_word_keeps_its_letter_tuples():
+    letters = [("a", 1), ("b", -1)]
+    assert all(x is y for x, y in zip(Word(letters).letters, letters))
+
+
 # --- actions and evaluation ------------------------------------------------
 
 

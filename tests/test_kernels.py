@@ -117,17 +117,7 @@ def _bfs_trap_graphs(rng):
     return cases
 
 
-# (SPARSE_MIN, SPARSE): the defaults; every graph allowed sparse levels, so
-# levels switch between the two kinds; sparse levels only
-BFS_MODES = {"default": (kernels.SPARSE_MIN, kernels.SPARSE), "switching": (0, kernels.SPARSE),
-             "sparse": (0, 0)}
-
-
-@pytest.mark.parametrize("mode", sorted(BFS_MODES))
-def test_rows_match_oracle_on_trap_graphs(monkeypatch, mode):
-    sparse_min, sparse = BFS_MODES[mode]
-    monkeypatch.setattr(kernels, "SPARSE_MIN", sparse_min)
-    monkeypatch.setattr(kernels, "SPARSE", sparse)
+def test_rows_match_oracle_on_trap_graphs():
     rng = random.Random(59)
     for ids, edges in _bfs_trap_graphs(rng):
         g = graph_from_ids(ids, edges, allow_disconnected=True)
