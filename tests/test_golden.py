@@ -732,3 +732,211 @@ def test_cli_report_bytes(cli_dir, monkeypatch, capsys, name, argv):
     code = main(argv)
     out, err = capsys.readouterr()
     assert (code, sha256(out.encode()), sha256(err.encode())) == CLI_REPORTS[name]
+
+
+# `construct` dispatch: stdout, stderr and exit code of every family on its
+# valid parameters, on `{}`, with an unknown key, and with each key set to
+# each bad value (alone and with an unknown key), plus the cases where two
+# faults meet and the first one checked must be the one reported.  Taken
+# while cmd_construct still read each family's keys in its own branch.
+
+# family -> (valid parameters in read order, base options)
+CONSTRUCT_FAMILIES = {
+    "path": ({"n": 3}, []),
+    "cycle": ({"n": 4}, []),
+    "grid": ({"m": 2, "n": 3}, []),
+    "star": ({"leaves": 3}, []),
+    "tree": ({"degree": 3, "depth": 2}, []),
+    "rips": ({"r": 2}, ["--graph", "p5.json"]),
+    "cayley": ({"family": "Z2", "gens": [[1, 0], [1, 1]], "radius": 2}, []),
+    "farey": ({"Q": 3, "P": 4}, []),
+    "bs12": ({"radius": 2}, []),
+    "coset": ({"chain": "c6"}, []),
+    "doubleline": ({"n": 3, "swaps": [1]}, []),
+    "cone": ({"basepoint": "1"}, ["--graph", "Z.graph.json", "--action", "Z.action.json"]),
+    "horoball": ({"depth": 2, "basepoint": "1|0"},
+                 ["--graph", "Z.graph.json", "--action", "Z.action.json"]),
+}
+BAD_VALUES = (1.5, True, None, "x", [1])
+
+
+def _construct_family_argvs(family):
+    """Every argv of the family's sweep, in a fixed order."""
+    valid, base = CONSTRUCT_FAMILIES[family]
+    cases = [valid, {}, {**valid, "zz": 1}]
+    for key in valid:
+        for bad in BAD_VALUES:
+            cases += [{**valid, key: bad}, {**valid, key: bad, "zz": 1}]
+    return [["construct", family, "--params", json.dumps(p), *base] for p in cases]
+
+
+_CAYLEY = ["construct", "cayley", "--params"]
+_ON_Z = ["--graph", "Z.graph.json", "--action", "Z.action.json"]
+CONSTRUCT_CASES = {
+    "cayley-Z-gens": _CAYLEY + ['{"family": "Z", "gens": [2, "3"], "radius": 2}'],
+    "cayley-Z-gens-empty": _CAYLEY + ['{"family": "Z", "gens": [], "radius": 2}'],
+    "cayley-Z-gens-zero": _CAYLEY + ['{"family": "Z", "gens": [0], "radius": 2}'],
+    "cayley-Z-gens-float": _CAYLEY + ['{"family": "Z", "gens": [1.5], "radius": 2}'],
+    "cayley-Z-gens-bool": _CAYLEY + ['{"family": "Z", "gens": [true], "radius": 2}'],
+    "cayley-Z2-gens-flat": _CAYLEY + ['{"family": "Z2", "gens": [1], "radius": 2}'],
+    "cayley-Z2-gens-null": _CAYLEY + ['{"family": "Z2", "gens": null, "radius": 2}'],
+    "cayley-F2": _CAYLEY + ['{"family": "F2", "radius": 1}'],
+    "cayley-F2-gens": _CAYLEY + ['{"family": "F2", "gens": ["x"], "radius": 1}'],
+    "cayley-finite": _CAYLEY + ['{"family": "finite", "gens": ["g1"], "radius": 1}'],
+    "cayley-unknown-family": _CAYLEY + ['{"family": "Q", "radius": 1}'],
+    "cayley-bad-gens-before-missing-radius": _CAYLEY + ['{"family": "Z", "gens": "x"}'],
+    "coset-default": ["construct", "coset"],
+    "coset-c30": ["construct", "coset", "--params", '{"chain": "c30"}'],
+    "coset-c7": ["construct", "coset", "--params", '{"chain": "c7"}'],
+    "coset-c7-unknown-key": ["construct", "coset", "--params", '{"chain": "c7", "zz": 1}'],
+    "coset-6": ["construct", "coset", "--params", '{"chain": 6}'],
+    "path-string-int": ["construct", "path", "--params", '{"n": "3"}'],
+    "path-ignores-graph": ["construct", "path", "--params", '{"n": 2}', "--graph", "p5.json"],
+    "farey-no-P": ["construct", "farey", "--params", '{"Q": 2}'],
+    "doubleline-no-swaps": ["construct", "doubleline", "--params", '{"n": 3}'],
+    "doubleline-swap-outside": ["construct", "doubleline", "--params",
+                                '{"n": 3, "swaps": [4]}'],
+    "rips-ignores-action": ["construct", "rips", "--params", '{"r": 1}', *_ON_Z],
+    "rips-no-graph": ["construct", "rips", "--params", "{}"],
+    "cone-no-graph": ["construct", "cone", "--params", '{"basepoint": 1.5}'],
+    "horoball-no-graph": ["construct", "horoball", "--params", '{"zz": 1}'],
+    "cone-no-action": ["construct", "cone", "--graph", "Z.graph.json"],
+    "cone-missing-action": ["construct", "cone", "--graph", "Z.graph.json",
+                            "--action", "missing.json"],
+    "cone-no-vertex": ["construct", "cone", "--params", '{"basepoint": "nope"}', *_ON_Z],
+    "horoball-defaults": ["construct", "horoball", *_ON_Z],
+    "horoball-depth-0": ["construct", "horoball", "--params", '{"depth": 0}', *_ON_Z],
+    "horoball-bad-depth-before-basepoint": ["construct", "horoball", "--params",
+                                            '{"depth": "x", "basepoint": 1}', *_ON_Z],
+    "unknown-family-missing-graph": ["construct", "zzz", "--graph", "missing.json"],
+    "unknown-family-missing-action": ["construct", "zzz", "--action", "missing.json"],
+    "unknown-family-bad-params": ["construct", "zzz", "--params", "[1]",
+                                  "--graph", "missing.json"],
+    "params-not-json": ["construct", "path", "--params", "{"],
+    "params-null": ["construct", "path", "--params", "null"],
+}
+
+# family or case -> sha256 over the exit code, stdout and stderr of each argv
+CONSTRUCT_REPORTS = {
+    "path":
+        "29772af503e8528d84df8feb353fadb319f20c853a24788c8689236402030fd9",
+    "cycle":
+        "3fae5cca11e1c6ce725ce6ee5af486ecb855cc182434b60dde26ea7fb9e5265e",
+    "grid":
+        "4b12012cfd40851b564ed4f723bf640ef403620dfccdd075acf59414c5d0779e",
+    "star":
+        "50f284c28d75835f25f8e6ae692b42ae9d164f2719820bb61e322bdbe83bea82",
+    "tree":
+        "4819441a7ca86661d3a89756fd30877669d048080f3963553ceaa4b61327f7c8",
+    "rips":
+        "20165b73e8d54f2aacfb7b79d588fcb7405988d5f252705603994aa235868d2e",
+    "cayley":
+        "83c897ab70db8ddcc8e70ade3d80db64b17688752e1136d315b3870241c1ac8d",
+    "farey":
+        "57e6c0b5a179000042e70a1acc3d5ee1d9889b9536abbdabeba3a7ec24837585",
+    "bs12":
+        "22b74f0d42204f28d43a1427ca5c44d7eb62c9e8a2ad81f47450e781b24b9a1b",
+    "coset":
+        "e6f27561cede9efeb2734e7d44c0920a61f181750eea2e9b0becba62eba8bb8a",
+    "doubleline":
+        "c75bfde43d7d0708cbe3b576608f93726f4a791db0ec845433c1b434b04aa047",
+    "cone":
+        "759fd5a35b6b9d67ebe8ef0d083174ee9ccb5e5b1626fd0157a69daa67f7cbfa",
+    "horoball":
+        "d21097f6a75d98c4fe5539c3ee4c01c863f2af845f63a5dd3cc32649af054105",
+    "cayley-Z-gens":
+        "d6038beea6a7bec1285e668e6252de81abca1ab714c9d9a76357e8be35100321",
+    "cayley-Z-gens-empty":
+        "4fcd665d31969fd881c58aac87a0eec4da43b33e683253592084772507a486ce",
+    "cayley-Z-gens-zero":
+        "dc0e1b1b2cd28497771a99bbcd15ac21ab7d9cee9efc692d9966effac7e7fe6f",
+    "cayley-Z-gens-float":
+        "b53006729f8d09893f8c8fcbe2a0eeae71b9a80ebbb476d0c8b8190fdf7e516b",
+    "cayley-Z-gens-bool":
+        "45dd76730c97b30142c09fa172877658dbfe9443b3f6b5e1320c5a14de646c84",
+    "cayley-Z2-gens-flat":
+        "6ec713c223115f733a4c36e27a51e61e23f2775b9e11d2980c229cc1b012b435",
+    "cayley-Z2-gens-null":
+        "66b0a075954a1d549158cc4fb4facc6d56e1ebf0cfd586051318402203586af2",
+    "cayley-F2":
+        "473e3cd223ce6952e91e8146187de97fabd71649aaeab021697fd9d3a9905a39",
+    "cayley-F2-gens":
+        "fb9e6f9aabbe4764bd8e02a23df8201ab62b00167bf935416b76972a70b45bfe",
+    "cayley-finite":
+        "71fb6111e0461bf72e6db0eb614f941f4e1b84941f59995ebd17d9fa16deb78a",
+    "cayley-unknown-family":
+        "d06f1bec58105d119d5a0be78e1ca129e6548f8d4618ce4879c35219b79e1432",
+    "cayley-bad-gens-before-missing-radius":
+        "9ec83dfcd2476bc7a87e4791d85f45608055ddd8de5d1f8fd1c74e985cc5a1ad",
+    "coset-default":
+        "27f753efe9be414b87798d0cf8c8e4c5541139ef5e86f3e693585d0e4d95f777",
+    "coset-c30":
+        "60d79dc029e74bca6bb1df1ac2e7c6885c84128e2fab4224c145428f9a41ae6a",
+    "coset-c7":
+        "866b79a632b1a374310638be1ee550446acfd98c0437aa4a2cf6c66ecad5b4ac",
+    "coset-c7-unknown-key":
+        "866b79a632b1a374310638be1ee550446acfd98c0437aa4a2cf6c66ecad5b4ac",
+    "coset-6":
+        "1c2c2fc1ccd5762c30a4d7160c878e702937864b10c67c9e8eeae2850d8bdc60",
+    "path-string-int":
+        "663addbda3c0b746f6a48cb4b5ba694038c625a037248200d9d7e24496fafb2c",
+    "path-ignores-graph":
+        "f09b73622bc3c6dca5d5561d0a66b4a036808ef1a8b513b5e581a24395bb2b1f",
+    "farey-no-P":
+        "602acf0053d1dc041117164038fd3b5a668b567574713237bc0e1b1c49e8a80e",
+    "doubleline-no-swaps":
+        "38c714adf001e857b25901ad58c5e12c9ef852986ac8ad7105b9b39953f5d43b",
+    "doubleline-swap-outside":
+        "793ba2219527fcb629af1af7b597b12726d72c0aa8d3bba95eea8bc1248d5883",
+    "rips-ignores-action":
+        "a32068f76a710721d9768cab514b21618c6ab05deb96757d2f3bca44664d78d9",
+    "rips-no-graph":
+        "1ec4203da34be8840ec9cf787482aa4383af9a131730b83c419d9f0454a22fa6",
+    "cone-no-graph":
+        "b0fbbbf83fc1bfb0fbb5fc74801fa4038dd79b54da52ec6d2a9c2645c706b049",
+    "horoball-no-graph":
+        "097e8b253dc902d959af0dee19085eaf9ec8f906c92b04a72847770b999e5512",
+    "cone-no-action":
+        "4b0add3bebb1fd3b0db83a599a2846c0b674f1822dac0e1e58074f31abd57a64",
+    "cone-missing-action":
+        "364e16b944ae731dc5d0583ea1d7d95b76f72860d991cbc124ac9b69016a020f",
+    "cone-no-vertex":
+        "6677698740bdce30f4eaf35d0d4e162423c4e7c9d90a449fdb0adc43de9ffef0",
+    "horoball-defaults":
+        "82b3f456ba65458dba7bebb0fbfedd452177bf883851562686a9f9558a5bc7fc",
+    "horoball-depth-0":
+        "670a6ff6cc0108bef11ce867284386f84391cd455109fb9de2a816274505c2fb",
+    "horoball-bad-depth-before-basepoint":
+        "c5e82ead96ae0f7818ffa79dc622fb07bc8770d4c43bb5ad5b97dca05cc87067",
+    "unknown-family-missing-graph":
+        "364e16b944ae731dc5d0583ea1d7d95b76f72860d991cbc124ac9b69016a020f",
+    "unknown-family-missing-action":
+        "364e16b944ae731dc5d0583ea1d7d95b76f72860d991cbc124ac9b69016a020f",
+    "unknown-family-bad-params":
+        "57dda7999afa7867f2c3474097de4ae6fd51b1d70c341eee90473285c02964c4",
+    "params-not-json":
+        "0dff3bc64f86b35da55289062ca9225f62e28217e0ccc4a8889a67aac84b15f4",
+    "params-null":
+        "57dda7999afa7867f2c3474097de4ae6fd51b1d70c341eee90473285c02964c4",
+}
+
+
+def _run_digest(argvs, capsys):
+    lines = []
+    for argv in argvs:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        lines.append(f"{code} {sha256(out.encode())} {sha256(err.encode())}")
+    return sha256("\n".join(lines).encode())
+
+
+@pytest.mark.parametrize("family", list(CONSTRUCT_FAMILIES))
+def test_construct_family_bytes(cli_dir, monkeypatch, capsys, family):
+    monkeypatch.chdir(cli_dir)
+    assert _run_digest(_construct_family_argvs(family), capsys) == CONSTRUCT_REPORTS[family]
+
+
+@pytest.mark.parametrize("name", list(CONSTRUCT_CASES))
+def test_construct_case_bytes(cli_dir, monkeypatch, capsys, name):
+    monkeypatch.chdir(cli_dir)
+    assert _run_digest([CONSTRUCT_CASES[name]], capsys) == CONSTRUCT_REPORTS[name]
