@@ -17,7 +17,6 @@ import csv
 import functools
 import io as _stringio
 import json
-import operator
 import os
 import sys
 from dataclasses import asdict, is_dataclass
@@ -26,12 +25,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture
+from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture, as_int
 from .io import (ACTION_FORMAT, GRAPH_FORMAT, load_action, load_graph,
                  load_json, save_action, save_graph, save_json)
 from .metric_graph import bottleneck_constant, hyperbolicity_delta
 from .group_action import (Word, check_locally_finite_orbit, classify_action_type,
-                           classify_isometry, connectivity_radius, orbit,
+                           classify_isometry, connectivity_radius,
                            properness_profiles, rips_orbit_graph)
 from . import constructions as C
 from .products import (ProductIsometry, ProductSpace, distortion_profile,
@@ -136,21 +135,17 @@ def cmd_analyze(args):
     return _report("analyze", {"graph": args.graph}, results, args.seed), None
 
 
-def _int(value) -> int:
-    """An int or a string of one; a float or a bool is a TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return int(value) if isinstance(value, str) else operator.index(value)
-
-
 def _int_tuple(value):
     """Tuple of ints from a JSON list; TypeError or ValueError otherwise."""
     if not isinstance(value, list):
         raise TypeError(f"expected a list, got {value!r}")
-    return tuple(_int(v) for v in value)
+    return tuple(as_int(v) for v in value)
 
 
-def _as_gen_steps(family: str, gens):
+def _gen_steps(family: str, gens):
+    """cayley's gens as its family reads them; None keeps the default."""
+    if gens is None:
+        return None
     if not isinstance(gens, list):
         raise TypeError(f"expected a list, got {gens!r}")
     if family == "Z":
@@ -160,95 +155,91 @@ def _as_gen_steps(family: str, gens):
     return tuple(str(v) for v in gens)
 
 
+def _builder(name):
+    """constructions.<name>, looked up when it is called, so that a wrapper
+    put on the module after import (the benchmark's tracing) sees the call."""
+    return lambda *args, **kw: getattr(C, name)(*args, **kw)
+
+
+_CHAINS = {"c6": _builder("c6_chain"), "c30": _builder("c30_chain")}
+
+
+def _chain(value):
+    name = str(value)
+    if name not in _CHAINS:
+        raise FormatError(f"unknown chain {name!r}; have {', '.join(_CHAINS)}")
+    return _CHAINS[name]
+
+
+def _coset(chain=_CHAINS["c30"]):
+    return C.coset_tree(*chain())
+
+
+# --params key -> the conversion of its JSON value (a TypeError or ValueError
+# when it cannot) and what the conversion expects; every other key is an
+# integer.  A key means the same in every family that takes it.
+_CONVERSIONS = {
+    "family": (str, "a string"),
+    "gens": (_gen_steps, "a list of generator steps"),
+    "chain": (_chain, "a chain name"),
+    "swaps": (_int_tuple, "a list of integers"),
+    "basepoint": (lambda value: value, "a vertex id"),     # checked by the builder
+}
+
+# family -> (builder, how many of the bases --graph and --action it takes,
+# its --params keys in the order they are read), in the order that
+# `unknown construction` names them.  A key ending in "?" may be absent, and
+# then the builder keeps its default; each key is passed by name.
+CONSTRUCTIONS = {
+    "path": (_builder("path_graph"), 0, ("n",)),
+    "cycle": (_builder("cycle_graph"), 0, ("n",)),
+    "grid": (_builder("grid_graph"), 0, ("m", "n")),
+    "star": (_builder("star_graph"), 0, ("leaves",)),
+    "tree": (_builder("regular_tree"), 0, ("degree", "depth")),
+    "rips": (_builder("rips_graph"), 1, ("r",)),
+    "cayley": (_builder("cayley_graph"), 0, ("family", "gens?", "radius")),
+    "farey": (_builder("farey_graph"), 0, ("Q", "P?")),
+    "bs12": (_builder("bass_serre_tree_bs12"), 0, ("radius",)),
+    "coset": (_coset, 0, ("chain?",)),
+    "doubleline": (_builder("double_line_graph"), 0, ("n", "swaps?")),
+    "cone": (_builder("cone_graph"), 2, ("basepoint?",)),
+    "horoball": (_builder("horoball"), 2, ("depth?", "basepoint?")),
+}
+
+
 def cmd_construct(args):
     params = _load_json_arg(args.params or "{}", "--params")
     if not isinstance(params, dict):
         raise FormatError("--params must be a JSON object")
     name = args.family
-    taken = set()     # every key the family looks up, present or not
-
-    def given(key):
-        taken.add(key)
-        return key in params
-
-    def param(key, convert, what):
-        """Parameter key read through convert; missing or unconvertible
-        values raise FormatError naming the family, the key and what was
-        expected."""
-        if not given(key):
-            raise FormatError(f"construct {name}: missing parameter {key!r}")
+    bases = (load_graph(args.graph, allow_disconnected=True) if args.graph else None,
+             load_action(args.action) if args.action else None)
+    if name not in CONSTRUCTIONS:
+        raise FormatError(f"unknown construction {name!r}; have {', '.join(CONSTRUCTIONS)}")
+    build, n_bases, keys = CONSTRUCTIONS[name]
+    if n_bases and bases[0] is None:
+        raise FormatError(f"construct {name} needs --graph for the base")
+    kw = {}
+    for spec in keys:
+        key = spec.rstrip("?")
+        if key not in params:
+            if key == spec:
+                raise FormatError(f"construct {name}: missing parameter {key!r}")
+            continue
+        convert, what = _CONVERSIONS.get(key, (as_int, "an integer"))
+        if key == "gens":       # cayley's steps are read by its family
+            convert = functools.partial(convert, kw["family"])
         try:
-            return convert(params[key])
+            kw[key] = convert(params[key])
         except (TypeError, ValueError, OverflowError):
             raise FormatError(f"construct {name}: parameter {key!r} must be {what}, "
                               f"got {params[key]!r}") from None
-
-    def num(key, default=None):
-        """Integer parameter, or default when key is missing and default is set."""
-        if not given(key) and default is not None:
-            return default
-        return param(key, _int, "an integer")
-
-    base = load_graph(args.graph, allow_disconnected=True) if args.graph else None
-    base_action = load_action(args.action) if args.action else None
-
-    # each family reads its parameters here and builds below, once every
-    # key is known to be one it takes
-    if name == "path":
-        build = functools.partial(C.path_graph, num("n"))
-    elif name == "cycle":
-        build = functools.partial(C.cycle_graph, num("n"))
-    elif name == "grid":
-        build = functools.partial(C.grid_graph, num("m"), num("n"))
-    elif name == "star":
-        build = functools.partial(C.star_graph, num("leaves"))
-    elif name == "tree":
-        build = functools.partial(C.regular_tree, num("degree"), num("depth"))
-    elif name == "rips":
-        if base is None:
-            raise FormatError("construct rips needs --graph for the base")
-        build = functools.partial(C.rips_graph, base, num("r"))
-    elif name == "cayley":
-        family = param("family", str, "a string")
-        gens = None
-        if given("gens") and params["gens"] is not None:
-            gens = param("gens", lambda v: _as_gen_steps(family, v), "a list of generator steps")
-        build = functools.partial(C.cayley_graph, family, num("radius"), gens=gens)
-    elif name == "farey":
-        build = functools.partial(C.farey_graph, num("Q"), num("P") if given("P") else None)
-    elif name == "bs12":
-        build = functools.partial(C.bass_serre_tree_bs12, num("radius"))
-    elif name == "coset":
-        chain = str(params["chain"]) if given("chain") else "c30"
-        if chain == "c6":
-            build = functools.partial(C.coset_tree, *C.c6_chain())
-        elif chain == "c30":
-            build = functools.partial(C.coset_tree, *C.c30_chain())
-        else:
-            raise FormatError(f"unknown chain {chain!r}; have c6, c30")
-    elif name == "doubleline":
-        build = functools.partial(C.double_line_graph, num("n"),
-                                  param("swaps", _int_tuple, "a list of integers")
-                                  if given("swaps") else (0, 3))
-    elif name == "cone":
-        if base is None:
-            raise FormatError("construct cone needs --graph for the base")
-        build = functools.partial(C.cone_graph, base, base_action,
-                                  basepoint=params["basepoint"] if given("basepoint") else None)
-    elif name == "horoball":
-        if base is None:
-            raise FormatError("construct horoball needs --graph for the base")
-        build = functools.partial(C.horoball, base, base_action, depth=num("depth", 1),
-                                  basepoint=params["basepoint"] if given("basepoint") else None)
-    else:
-        raise FormatError(
-            f"unknown construction {name!r}; have path, cycle, grid, star, tree, "
-            "rips, cayley, farey, bs12, coset, doubleline, cone, horoball")
-    unknown = sorted(set(params) - taken)
+    taken = sorted(spec.rstrip("?") for spec in keys)
+    unknown = sorted(set(params) - set(taken))
     if unknown:
         raise FormatError(f"construct {name}: unknown parameter(s) {unknown}; "
-                          f"{name} takes {sorted(taken)}")
-    con = build()
+                          f"{name} takes {taken}")
+    con = build(*bases[:n_bases], **kw)
     if not isinstance(con, C.Construction):     # the plain graph families
         con = C.Construction(con, None, None)
     graph, action = con.graph, con.action
@@ -288,9 +279,9 @@ def cmd_orbit(args):
     _require_nonnegative(args, "horizon", "radius")
     a = load_action(args.action, allow_disconnected=True)
     horizon = args.horizon
-    res = orbit(a, args.basepoint, horizon)
     rho_max = args.radius if args.radius is not None else horizon
     fin = check_locally_finite_orbit(a, args.basepoint, rho_max, horizon)
+    res = fin.orbit
     results = {
         "basepoint": res.basepoint,
         "horizon": horizon,
@@ -423,8 +414,6 @@ def cmd_product(args):
                                    "basepoint": args.basepoint,
                                    "horizon": args.horizon},
                        results, args.seed), rows
-    else:
-        raise FormatError(f"unknown product subcommand {sub!r}")
     inputs = {"sub": sub, "factors": args.factors, "norm": args.norm}
     for key in ("x", "y", "map"):
         if getattr(args, key, None) is not None:
@@ -466,8 +455,6 @@ def cmd_lm(args):
         results = {**_plain(fit_translation_homomorphism(samples)),
                    "audit": seminorm_audit(samples)}
         inputs = {"sub": sub, "samples": args.samples}
-    else:
-        raise FormatError(f"unknown lm subcommand {sub!r}")
     return _report("lm", inputs, results, args.seed), None
 
 

@@ -1,8 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integer rule that
+every integer input follows.
 
 Everything raised on bad input or refused work derives from QtlabError so the
 CLI can map validation failures to exit code 2 and size-cap refusals to 3.
 """
+
+import operator
+
+
+def as_int(value) -> int:
+    """An int or a string of one, as integer `--params` and the `lm fit`
+    sample directions take them; a bool or a float is a TypeError and an
+    unreadable string a ValueError."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return int(value) if isinstance(value, str) else operator.index(value)
 
 
 class QtlabError(Exception):

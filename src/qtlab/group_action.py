@@ -343,10 +343,18 @@ def orbit(a: GroupAction, x0: str, horizon: int) -> OrbitResult:
     """BFS orbit of x0 under all generators and inverses, up to word length
     `horizon`.  Expansion order is generator index ascending, +1 before -1,
     which makes witness words the lexicographically-first shortest ones."""
-    order, parent, letter, _, complete, exhausted = _orbit_walk(a, a.space.index(x0), horizon)
+    return _orbit_result(a, x0, horizon, _orbit_walk(a, a.space.index(x0), horizon))
+
+
+def _orbit_result(a: GroupAction, x0: str, horizon: int, walk) -> OrbitResult:
+    """The OrbitResult of a walk to horizon or, at horizon 0, to depth 1: at
+    horizon 0 the orbit is x0 alone, complete and not exhausted."""
+    order, parent, letter, _, complete, exhausted = walk
+    if horizon == 0:
+        order, complete, exhausted = order[:1], True, False
     letters = a.letters()
     words = [()]
-    for p, k in zip(parent[1:].tolist(), letter[1:].tolist()):
+    for p, k in zip(parent[1:len(order)].tolist(), letter[1:len(order)].tolist()):
         words.append(words[p] + (letters[k],))
     ids = [a.space.vertex_ids[i] for i in order.tolist()]
     return OrbitResult(x0, horizon, tuple(ids),
@@ -360,6 +368,7 @@ class LocalFinitenessReport:
     counts: tuple              # counts[rho] = orbit points within distance rho, full horizon
     counts_half_horizon: tuple
     growth_warning: bool
+    orbit: OrbitResult         # orbit(a, basepoint, horizon), from the same walk
 
     @property
     def verdict(self) -> str:
@@ -370,11 +379,13 @@ def check_locally_finite_orbit(a: GroupAction, x0: str, rho_max: int, horizon: i
     """Counts orbit points in balls around x0, at the full horizon and at half
     of it.  A count that is still growing with the horizon at fixed radius is
     evidence against a locally finite orbit and raises the warning flag.
-    One walk to the larger horizon serves both: a point is in the orbit at
-    horizon h exactly when its witness word has length at most h."""
+    One walk to the larger horizon serves both, and the orbit itself: a point
+    is in the orbit at horizon h exactly when its witness word has length at
+    most h."""
     half = max(1, horizon // 2)
     xi = a.space.index(x0)
-    order, _, _, depth, _, _ = _orbit_walk(a, xi, max(horizon, half))
+    walk = _orbit_walk(a, xi, max(horizon, half))
+    order, depth = walk[0], walk[3]
     dist = a.space.rows([xi])[0][order]
 
     def ball_counts(h):
@@ -385,7 +396,8 @@ def check_locally_finite_orbit(a: GroupAction, x0: str, rho_max: int, horizon: i
     cf = ball_counts(horizon)
     ch = ball_counts(half)
     warning = any(f > h for f, h in zip(cf, ch))
-    return LocalFinitenessReport(x0, horizon, cf, ch, warning)
+    return LocalFinitenessReport(x0, horizon, cf, ch, warning,
+                                 _orbit_result(a, x0, horizon, walk))
 
 
 @dataclass(frozen=True)
@@ -394,14 +406,12 @@ class RipsOrbitGraph:
     basepoint: str
     horizon: int
     graph: MetricGraph         # vertices = orbit points, edge iff 0 < d_X <= r
-    action: GroupAction        # generators restricted to the orbit
     orbit: OrbitResult
 
 
 def rips_orbit_graph(a: GroupAction, x0: str, r: int, horizon: int) -> RipsOrbitGraph:
     """Rips graph of the orbit: vertices are the orbit points, with an edge
-    between distinct points at ambient distance at most r.  The ambient
-    generators restrict to a (partial) action on it."""
+    between distinct points at ambient distance at most r."""
     if r < 0:
         raise FormatError("r must be >= 0")
     res = orbit(a, x0, horizon)
@@ -411,12 +421,7 @@ def rips_orbit_graph(a: GroupAction, x0: str, r: int, horizon: int) -> RipsOrbit
     vids = a.space.vertex_ids
     graph = MetricGraph([vids[i] for i in idx.tolist()], np.argwhere(close),
                         allow_disconnected=True)
-    # idx ascends, so orbit point idx[k] is graph index k = local[idx[k]];
-    # local is -1 off the orbit and at local[-1], where undefined images land
-    local = np.append(forward_map(a.space.n, idx, np.arange(len(idx))), -1)
-    action = GroupAction(graph, [(gm.name, local[gm.forward[idx]]) for gm in a.generators],
-                         mode="automorphism")
-    return RipsOrbitGraph(r, x0, horizon, graph, action, res)
+    return RipsOrbitGraph(r, x0, horizon, graph, res)
 
 
 def connectivity_radius(a: GroupAction, x0: str) -> int:
@@ -830,7 +835,7 @@ class PropernessReport:
     uniform: tuple             # ((r, N_r), ...)
     max_stabilizer: int
     stabilizer_growth_warning: bool
-    no_pair_flags: tuple       # R values with no vertex pair at distance >= R
+    no_pair_flags: tuple       # R values with no vertex pair at distance >= R, in radii order
 
 
 def properness_profiles(
@@ -859,20 +864,15 @@ def properness_profiles(
     BIG = 10 ** 6
     disp = np.where(S >= 0, D[np.arange(n), S], BIG)
 
+    masks = [D >= R for R in radii]
     acyl = []
-    no_pair = []
     for eps in epsilons:
         # float64 lets BLAS form the product; entries are counts <= len(S),
         # far below 2^53, so they stay exact
         ok = (disp <= eps).astype(np.float64)
         P = (ok.T @ ok).astype(np.int64)
-        for R in radii:
-            mask = D >= R
-            if not mask.any():
-                no_pair.append(R)
-                acyl.append((int(eps), int(R), 0))
-            else:
-                acyl.append((int(eps), int(R), int(P[mask].max())))
+        for R, mask in zip(radii, masks):
+            acyl.append((int(eps), int(R), int(P[mask].max()) if mask.any() else 0))
     uniform = []
     for r in rs:
         counts = (disp <= r).sum(axis=0)
@@ -885,7 +885,8 @@ def properness_profiles(
     half_stab = max_stab(S_half)
     return PropernessReport(
         horizon, len(S), tuple(acyl), tuple(uniform),
-        full_stab, full_stab > half_stab, tuple(sorted(set(no_pair))),
+        full_stab, full_stab > half_stab,
+        tuple(R for R, mask in zip(radii, masks) if not mask.any()),
     )
 
 

@@ -9,14 +9,13 @@ convenience approximations.
 """
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Dict, List, Optional, Tuple
 
 from .errors import (DegenerateSamples, DimensionMismatch, FormatError,
-                     NegativeExponent)
+                     NegativeExponent, as_int)
 
 
 def _frac(x) -> Fraction:
@@ -38,12 +37,10 @@ def _frac(x) -> Fraction:
 
 
 def _integer(x) -> int:
-    """A sample direction coordinate: an int or a string of one; floats and
-    bools are refused, as for tau and the integer --params."""
+    """A sample direction coordinate, read by the integer rule of the
+    integer --params; floats and bools are refused, as for tau."""
     try:
-        if isinstance(x, bool):
-            raise TypeError
-        return int(x) if isinstance(x, str) else operator.index(x)
+        return as_int(x)
     except (TypeError, ValueError):
         raise FormatError(f"direction entry {x!r} is not an integer") from None
 

@@ -17,7 +17,8 @@ from qtlab.constructions import (FiniteGroupTable, bass_serre_tree_bs12, c6_chai
                                  farey_graph, horoball, path_graph)
 from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
-from qtlab.io import action_to_dict, graph_to_dict
+from qtlab.cli import main
+from qtlab.io import action_to_dict, graph_to_dict, save_action
 
 from _oracles import (brute_orbit, brute_realized_elements, dense_mode_check,
                       index_distances, random_connected_graph)
@@ -271,9 +272,10 @@ def test_orbit_with_no_generators_or_no_horizon():
         assert orbit(a, x0, 0).vertices == (x0,)
 
 
-def test_local_finiteness_walks_the_orbit_once(monkeypatch):
-    """Both count tuples come from one walk and equal the counts of separate
-    orbits at the full and the half horizon."""
+def test_local_finiteness_walks_the_orbit_once(monkeypatch, tmp_path, capsys):
+    """Both count tuples and the orbit come from one walk and equal the
+    counts of separate orbits at the full and the half horizon and the orbit
+    at the full one; one `qtlab orbit` run walks the orbit once."""
     import qtlab.group_action as ga
 
     # the swap of two disjoint edges takes a into the other component, at
@@ -300,12 +302,22 @@ def test_local_finiteness_walks_the_orbit_once(monkeypatch):
                     ds = [int(drow[a.space.index(v)]) for v in orbit(a, x0, h).vertices]
                     expected.append(tuple(sum(1 for d in ds if 0 <= d <= rho)
                                           for rho in range(rho_max + 1)))
+                res = orbit(a, x0, horizon)
                 walks.clear()
                 fin = check_locally_finite_orbit(a, x0, rho_max, horizon)
                 assert len(walks) == 1
                 assert (fin.counts, fin.counts_half_horizon) == tuple(expected)
                 assert fin.growth_warning == any(
                     f > h for f, h in zip(*expected))
+                assert fin.orbit == res
+    path = tmp_path / "f2.action.json"
+    save_action(cayley_graph("F2", 3).action, str(path))
+    for horizon in (0, 1, 4):
+        walks.clear()
+        assert main(["orbit", "--action", str(path), "--basepoint", "e",
+                     "--horizon", str(horizon)]) == 0
+        assert len(walks) == 1
+    capsys.readouterr()
 
 
 def test_local_finiteness_flags():
@@ -490,6 +502,16 @@ def test_properness_trivial_stabilizers_on_free_group():
     assert not rep.stabilizer_growth_warning
     acyl = dict(((e, R), N) for e, R, N in rep.acylindricity)
     assert acyl[(0, 4)] == 1
+
+
+def test_properness_rows_and_flags_follow_the_radii():
+    # the rotation of a 6-cycle: diameter 3, so no pair is 4 or more apart
+    rep = properness_profiles(rotation_action(6), epsilons=(0, 1), radii=(8, 2, 4, 8),
+                              rs=(0,), horizon=3)
+    assert [row[:2] for row in rep.acylindricity] == [
+        (e, R) for e in (0, 1) for R in (8, 2, 4, 8)]
+    assert [N for _, R, N in rep.acylindricity if R != 2] == [0] * 6
+    assert rep.no_pair_flags == (8, 4, 8)
 
 
 def _fresh_max_stabilizer(a, horizon):

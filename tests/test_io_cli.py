@@ -1,14 +1,17 @@
 """Round trips for the JSON formats and end-to-end runs of the command line."""
 
+import importlib
 import json
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 from qtlab import DisconnectedGraph, FormatError
-from qtlab.cli import _build_fixture, main
+from qtlab.cli import FIXTURES, _build_fixture, main
 from qtlab.constructions import cayley_graph, grid_graph, path_graph
 from qtlab.group_action import Word, action_from_maps, evaluate_word
 from qtlab.io import (
@@ -584,6 +587,18 @@ def test_console_entry_reports_errors_on_stderr(tmp_path, child_env):
     assert r.returncode == 2
     assert r.stdout == ""
     assert json.loads(r.stderr)["error"]["type"] == "FileError"
+
+
+def test_console_script_target_lists_the_fixtures(capsys):
+    """The `qtlab` script of pyproject.toml calls qtlab.cli:main with the
+    command line; `fixtures list` through that target exits 0."""
+    pyproject = (pathlib.Path(__file__).parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^qtlab = "([\w.]+):(\w+)"$', pyproject, re.M).groups()
+    assert (module, name) == ("qtlab.cli", "main")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry(["fixtures", "list"]) == 0
+    out, err = capsys.readouterr()
+    assert (json.loads(out)["results"]["available"], err) == (list(FIXTURES), "")
 
 
 def test_bad_env_cap_is_a_format_error(tmp_path, capsys, monkeypatch):
