@@ -84,10 +84,7 @@ def _emit(text: str, out):
 
 
 def _emit_report(rep: dict, args, csv_rows=None):
-    fmt = getattr(args, "format", "json") or "json"
-    if fmt == "csv":
-        if csv_rows is None:
-            raise FormatError("csv output is only available for profile tables")
+    if args.format == "csv":
         buf = _stringio.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
@@ -672,8 +669,18 @@ def _fail(command, kind: str, exc: Exception, code: int) -> int:
     return code
 
 
+def _has_csv_table(args) -> bool:
+    """Whether the command's report comes with a csv table: properness and
+    product distortion."""
+    return args.func is cmd_properness or (args.func is cmd_product
+                                           and args.product_cmd == "distortion")
+
+
 def _dispatch(args) -> int:
     try:
+        # refused before the command runs, so a refused --format csv writes no file
+        if args.format == "csv" and not _has_csv_table(args):
+            raise FormatError("csv output is only available for profile tables")
         rep, csv_rows = args.func(args)
         _emit_report(rep, args, csv_rows)
     except SizeLimitExceeded as exc:

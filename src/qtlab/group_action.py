@@ -772,9 +772,8 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
     honest lower bounds.  Only fresh elements are expanded, so the walk is
     bounded by (elements) x (letters).
 
-    The images sit as rows of one (elements, n) stack.  A candidate merges
-    into the first row it does not contradict, and that row gains the
-    candidate's extra domain."""
+    A candidate merges into the first element it does not contradict, and
+    that element gains the candidate's extra domain."""
     for _, words, depths, rows in _realized_walk(a, horizon):
         pass
     return [RealizedElement(w, d, rows[k]) for k, (w, d) in enumerate(zip(words, depths))]
@@ -785,41 +784,208 @@ def _realized_walk(a: GroupAction, horizon: int):
     words, depths, rows) at depth 0 and after each further depth, up to
     horizon or until no fresh element turns up.  rows is a view of the
     stack, and deeper candidates still merge into it, so a caller that keeps
-    a shallower state must copy it before resuming the walk."""
+    a shallower state must copy it before resuming the walk.
+
+    The candidates of a depth are the frontier rows times the letters, in
+    that order, and _settle_batch takes them _BATCH at a time."""
     n = a.space.n
     letters = a.letters()
-    maps = [a.letter_map(name, sign) for name, sign in letters]
-    stack = np.empty((64, n), dtype=np.int64)
-    stack[0] = np.arange(n)
+    # maps[j][img] is letter j after the partial map img: column n sends -1 to -1
+    maps = np.full((len(letters), n + 1), -1, dtype=np.int64)
+    for j, (name, sign) in enumerate(letters):
+        maps[j, :n] = a.letter_map(name, sign)
+    stack = _Stack(n)
     words, depths = [Word()], [0]
     frontier = [0]
     depth = 0
-    yield depth, words, depths, stack[:1]
+    yield depth, words, depths, stack.rows()
     while frontier and depth < horizon:
         nxt = []
-        for e in frontier:
-            for letter, m in zip(letters, maps):
-                img = _compose(stack[e], m)
-                cols = np.nonzero(img >= 0)[0]
-                if not len(cols):
-                    continue
-                count = len(words)
-                seen = stack[:count, cols]
-                agree = ((seen == img[cols]) | (seen < 0)).all(axis=1)
-                k = int(np.argmax(agree))
-                if agree[k]:
-                    row = stack[k]
-                    stack[k] = np.where(row < 0, img, row)
-                    continue
-                if count == len(stack):
-                    stack = np.concatenate((stack, np.empty_like(stack)))
-                stack[count] = img
-                words.append(words[e] * Word([letter]))
+        cands = [(e, j) for e in frontier for j in range(len(letters))]
+        i = 0
+        while i < len(cands):
+            settled, added = _settle_batch(stack, maps, cands[i:i + _BATCH])
+            for e, j in added:
+                nxt.append(len(words))
+                words.append(words[e] * Word([letters[j]]))
                 depths.append(depth + 1)
-                nxt.append(count)
+            i += settled
         frontier = nxt
         depth += 1
-        yield depth, words, depths, stack[:len(words)]
+        yield depth, words, depths, stack.rows()
+
+
+_BATCH = 32       # candidates composed and screened together
+_SCREEN = 8       # columns each candidate is screened on
+
+
+class _Stack:
+    """The images of the realized elements found so far: column r of cols is
+    element r, -1 where undefined.  idle[v] counts the elements undefined at
+    v or fixing it, which are the ones a screen on column v cannot tell
+    apart from a candidate that fixes v."""
+
+    def __init__(self, n: int):
+        self.cols = np.empty((n, 64 + _BATCH), dtype=np.int64)
+        self.cols[:, 0] = np.arange(n)
+        self.count = 1
+        self.idle = np.ones(n, dtype=np.int64)
+
+    def reserve(self, count: int):
+        if self.cols.shape[1] < count:
+            self.cols = np.concatenate((self.cols, np.empty_like(self.cols)), axis=1)
+
+    def rows(self) -> np.ndarray:
+        return self.cols[:, :self.count].T
+
+
+def _settle_batch(stack: _Stack, maps: np.ndarray, batch):
+    """Settle the candidates of batch, (frontier row, letter index) pairs,
+    in order, as the word walk does one at a time: a candidate merges into
+    the first element it does not contradict, which gains the candidate's
+    extra domain, or else becomes a new element.  Returns how many were
+    settled and the pairs that became new elements, in order.  Fewer than
+    len(batch) are settled only when a merge filled the frontier row of a
+    later candidate, whose image is then stale.
+
+    Merges only fill -1 entries, so a row that contradicts a candidate at
+    the start of the batch contradicts it to the end.  The batch is screened
+    and checked against the elements before it and against its own earlier
+    candidates at the start (_screen_batch), and a row is checked again in
+    the loop only when a merge has filled it since."""
+    m = len(batch)
+    n, count0 = stack.cols.shape[0], stack.count
+    stack.reserve(count0 + m)
+    cols = stack.cols
+    es = [e for e, _ in batch]
+    imgs = maps[np.array([j for _, j in batch])[:, None], cols[:, es].T]
+    # candidate b stands at column count0 + b while the batch is screened;
+    # the candidates that become elements take these columns in order
+    cols[:, count0:count0 + m] = imgs.T
+    defined = imgs >= 0
+    dj, dcol = np.nonzero(defined)          # the domains, candidate by candidate
+    start = np.searchsorted(dj, np.arange(m + 1))
+    rr, bounds, status, fills = _screen_batch(stack, imgs, defined, dcol, start)
+    start = start.tolist()
+    ar = np.arange(n)
+    filled = set()
+    added = []
+    is_added = [False] * m
+    settled = m
+    for b in range(m):
+        if start[b] == start[b + 1]:
+            continue
+        k, fill = -1, False
+        for p in range(bounds[b], bounds[b + 1]):
+            r = rr[p]
+            if status[p] == 0 or (r >= count0 and not is_added[r - count0]):
+                continue
+            if status[p] < 0 or r in filled:
+                rest = [q for q, s in zip(rr[p:bounds[b + 1]], status[p:bounds[b + 1]]) if s]
+                k, fill = _first_agreeing(cols, imgs, count0, is_added,
+                                          dcol[start[b]:start[b + 1]], b, rest)
+            else:
+                k, fill = r, fills[p]
+            break
+        if k < 0:
+            is_added[b] = True
+            added.append(b)
+            continue
+        if not fill:
+            continue
+        img = imgs[b]
+        row = cols[:, k] if k < count0 else imgs[k - count0]
+        gain = (row < 0) & defined[b]
+        row[gain] = img[gain]
+        filled.add(k)
+        if k < count0:
+            stack.idle -= gain & (img != ar)
+            if k in es[b + 1:]:
+                settled = b + 1
+                break
+    if added:
+        new = imgs[added]
+        cols[:, count0:count0 + len(added)] = new.T
+        stack.idle += ((new < 0) | (new == ar)).sum(axis=0)
+        stack.count += len(added)
+    return settled, [batch[b] for b in added]
+
+
+def _screen_batch(stack: _Stack, imgs, defined, dcol, start):
+    """The pairs of a candidate b and a column r of the stack that pass the
+    screen, r running over the elements and then over the batch's earlier
+    candidates, which stand at columns count0 + b'.  Returns the columns rr
+    of the pairs, candidate by candidate and ascending, with rr[bounds[b]:
+    bounds[b + 1]] those of candidate b, and per pair whether it agrees on
+    the candidate's domain (1, 0, or -1 when unchecked) and whether a merge
+    would fill a -1 entry.  Each candidate's first pair is checked, and all
+    its pairs when the first one disagrees."""
+    m, n = imgs.shape
+    count0 = stack.count
+    # a row that disagrees with a candidate on any column where both are
+    # defined cannot agree on the whole domain: screen each candidate on its
+    # defined columns where the fewest rows are idle (count0 + n exceeds
+    # every idle count, so undefined columns come last)
+    width = min(_SCREEN, n)
+    screen = np.argpartition(np.where(defined, stack.idle, count0 + n), width - 1,
+                             axis=1)[:, :width]
+    vals = np.take_along_axis(imgs, screen, axis=1)[:, :, None]
+    seen = stack.cols[screen, :count0 + m]
+    passed = ((seen == vals) | (seen < 0) | (vals < 0)).all(axis=1)
+    # only earlier candidates can have become elements, and a candidate
+    # with an empty domain is skipped (_check_pairs needs a domain)
+    passed[:, count0:] &= np.tri(m, k=-1, dtype=bool)
+    passed &= (np.diff(start) > 0)[:, None]
+    jj, rr = np.nonzero(passed)
+    bounds = np.searchsorted(jj, np.arange(m + 1))
+    status = np.full(len(jj), -1, dtype=np.int8)
+    fills = np.zeros(len(jj), dtype=bool)
+    first = bounds[:-1][bounds[:-1] < bounds[1:]]
+    _check_pairs(stack.cols, imgs, start, dcol, jj, rr, first, status, fills)
+    failed = jj[first[status[first] == 0]].tolist()
+    if failed:
+        rest = np.concatenate([np.arange(bounds[b] + 1, bounds[b + 1]) for b in failed])
+        _check_pairs(stack.cols, imgs, start, dcol, jj, rr, rest, status, fills)
+    return rr.tolist(), bounds.tolist(), status.tolist(), fills.tolist()
+
+
+def _check_pairs(cols, imgs, start, dcol, jj, rr, sel, status, fills):
+    """status and fills of the (candidate jj, column rr) pairs at sel, on
+    the candidate's domain only: the domains of the pairs are laid end to
+    end, one entry per (pair, domain column)."""
+    if not len(sel):
+        return
+    cj = jj[sel]
+    lo, size = start[cj], start[cj + 1] - start[cj]
+    heads = np.cumsum(size) - size
+    at = dcol[np.arange(heads[-1] + size[-1]) + np.repeat(lo - heads, size)]
+    got = cols[at, np.repeat(rr[sel], size)]
+    want = imgs[np.repeat(cj, size), at]
+    status[sel] = ~np.logical_or.reduceat((got != want) & (got >= 0), heads)
+    fills[sel] = np.logical_or.reduceat(got < 0, heads)
+
+
+def _first_agreeing(cols, imgs, count0, is_added, dom, b, targets):
+    """The first of targets, ascending columns of the stack or count0 plus
+    an added candidate of the batch, that agrees with candidate b on dom as
+    things stand, and whether merging into it fills a -1 entry; -1 if none
+    does."""
+    want = imgs[b, dom]
+    own = [r for r in targets if r < count0]
+    if own:
+        got = cols[dom[:, None], own]
+        ok = ((got == want[:, None]) | (got < 0)).all(axis=0)
+        if ok.any():
+            i = int(ok.argmax())
+            return own[i], bool((got[:, i] < 0).any())
+    mates = [r - count0 for r in targets if r >= count0 and is_added[r - count0]]
+    if mates:
+        got = imgs[np.array(mates)[:, None], dom]
+        ok = ((got == want) | (got < 0)).all(axis=1)
+        if ok.any():
+            i = int(ok.argmax())
+            return mates[i] + count0, bool((got[i] < 0).any())
+    return -1, False
 
 
 # ---------------------------------------------------------------------------
@@ -864,15 +1030,25 @@ def properness_profiles(
     BIG = 10 ** 6
     disp = np.where(S >= 0, D[np.arange(n), S], BIG)
 
-    masks = [D >= R for R in radii]
     acyl = []
     for eps in epsilons:
+        ok = disp <= eps
+        classes, first = _equal_columns(ok)
+        # N(x, y) counts the elements with both columns ok, so it depends on
+        # the classes of x and y alone: take the product over classes, and
+        # let a pair of classes count for R when its farthest pair of
+        # vertices is R apart (the -1 of unreachable pairs never counts).
         # float64 lets BLAS form the product; entries are counts <= len(S),
         # far below 2^53, so they stay exact
-        ok = (disp <= eps).astype(np.float64)
-        P = (ok.T @ ok).astype(np.int64)
-        for R, mask in zip(radii, masks):
-            acyl.append((int(eps), int(R), int(P[mask].max()) if mask.any() else 0))
+        rep = ok[:, first].astype(np.float64)
+        P = (rep.T @ rep).astype(np.int64)
+        order = np.argsort(classes, kind="stable")
+        starts = np.searchsorted(classes[order], np.arange(len(first)))
+        far = np.maximum.reduceat(np.maximum.reduceat(D[order], starts, axis=0)[:, order],
+                                  starts, axis=1)
+        for R in radii:
+            reach = far >= R
+            acyl.append((int(eps), int(R), int(P[reach].max()) if reach.any() else 0))
     uniform = []
     for r in rs:
         counts = (disp <= r).sum(axis=0)
@@ -883,11 +1059,21 @@ def properness_profiles(
 
     full_stab = max_stab(S)
     half_stab = max_stab(S_half)
+    top = int(D.max(initial=-1))
     return PropernessReport(
         horizon, len(S), tuple(acyl), tuple(uniform),
         full_stab, full_stab > half_stab,
-        tuple(R for R, mask in zip(radii, masks) if not mask.any()),
+        tuple(R for R in radii if R > top),
     )
+
+
+def _equal_columns(ok: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(class of each column, first column of each class) for the columns of
+    a boolean matrix, two columns sharing a class when they are equal."""
+    packed = np.ascontiguousarray(np.packbits(ok, axis=0).T)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, classes = np.unique(keys, return_index=True, return_inverse=True)
+    return classes.ravel(), first
 
 
 # ---------------------------------------------------------------------------

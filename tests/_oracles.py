@@ -285,6 +285,24 @@ def brute_realized_elements(ids, gens, horizon):
     return elements
 
 
+def brute_acylindricity(S, D, epsilons, radii):
+    """(acylindricity table, R values with no pair at distance >= R) from
+    the element rows S (-1 undefined) and the distance matrix D (-1
+    unreachable), by the dense n x n product: N(eps, R) is the largest
+    count, over vertex pairs at distance >= R, of the elements moving both
+    ends by at most eps."""
+    n = D.shape[0]
+    disp = np.where(S >= 0, D[np.arange(n), S], 10 ** 6)
+    masks = [D >= R for R in radii]
+    acyl = []
+    for eps in epsilons:
+        ok = (disp <= eps).astype(np.int64)
+        P = ok.T @ ok
+        for R, mask in zip(radii, masks):
+            acyl.append((int(eps), int(R), int(P[mask].max()) if mask.any() else 0))
+    return tuple(acyl), tuple(R for R, mask in zip(radii, masks) if not mask.any())
+
+
 def brute_orbit(gens, x0, horizon):
     """The orbit BFS as a loop over frontier vertices, then letters, on id
     dicts.  gens is a list of (name, {source id: image id}); letters are

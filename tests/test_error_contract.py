@@ -1,6 +1,7 @@
 """Fuzzing the error contract of the command line at its input boundaries:
-graph and action files, `lm fit` sample files, `lm obstruction --matrix`
-and `product factor-check --map`, with pinned cases for product points and
+graph and action files, `lm fit` sample files, `lm obstruction --matrix`,
+`product factor-check --map` and the product points of `product distance`,
+`geodesics` and `distortion`, with pinned cases for product points and
 `construct --params`.  Whatever the input, a command exits 0,
 or exits 2 with exactly one JSON object on stderr and nothing on stdout; it
 never raises."""
@@ -118,11 +119,11 @@ def _run(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
-def _check_contract(argv):
-    """Run argv; on exit 2 return the error object of its one-line JSON
-    diagnostic, on exit 0 None."""
+def _check_contract(argv, codes=(0, 2)):
+    """Run argv; on a non-zero exit return the error object of its one-line
+    JSON diagnostic, on exit 0 None."""
     rc, out, err = _run(argv)
-    assert rc in (0, 2), (argv, rc, err)
+    assert rc in codes, (argv, rc, err)
     if rc == 0:
         assert err == ""
         return None
@@ -264,6 +265,32 @@ def test_product_basepoint_refuses_non_string_coordinates(z_ball):
     argv = ["product", "distortion", "--factors", a, a, "--basepoint", '[0, "0"]',
             "--horizon", "1"]
     assert _check_contract(argv)["type"] == "FormatError"
+
+
+# product points over the ids of the Z ball, "-1", "0" and "1": mostly
+# lists of strings, some of them unknown ids or of the wrong length, then
+# lists with an entry of the wrong type, JSON values of the wrong type and
+# text that is not JSON
+COORD = st.one_of(st.sampled_from(["-1", "0", "1", "zz", ""]), JUNK)
+POINT = st.one_of(
+    _tuple_ish(st.sampled_from(["-1", "0", "1"]), 2).map(json.dumps),
+    _tuple_ish(COORD, 2).map(json.dumps), JUNK.map(json.dumps),
+    st.sampled_from(["", "[", '["0", "1"', "['0', '1']", '["0" "1"]']))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["distance", "geodesics"]), POINT, POINT)
+def test_product_points_keep_the_contract(z_ball, sub, x, y):
+    g = z_ball[0]
+    _check_contract(["product", sub, "--factors", g, g, "--x", x, "--y", y], (0, 2, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINT)
+def test_product_basepoint_keeps_the_contract(z_ball, basepoint):
+    a = z_ball[1]
+    _check_contract(["product", "distortion", "--factors", a, a, "--basepoint", basepoint,
+                     "--horizon", "1"], (0, 2, 3))
 
 
 def _write(path, payload) -> str:

@@ -452,6 +452,20 @@ def test_action_report_bytes(action_dir, monkeypatch, capsys, name, argv):
     assert (sha256(out.encode()), err) == (ACTION_REPORTS[name], "")
 
 
+# the largest walk a report pins: `product distortion` over the 2704-vertex
+# product of coset-c30 with itself, taken from the walk that compared every
+# candidate with every element found so far over the candidate's whole domain
+C30_SQUARED_DISTORTION = "603af6ee42a2648d2fd38fae365d8bbfc1217496bc36ad955f6e0d57e85e6f17"
+
+
+def test_c30_squared_distortion_bytes(action_dir, monkeypatch, capsys):
+    monkeypatch.chdir(action_dir)
+    assert main(["product", "distortion", "--factors", "coset-c30.action.json",
+                 "coset-c30.action.json", "--horizon", "2"]) == 0
+    out, err = capsys.readouterr()
+    assert (sha256(out.encode()), err) == (C30_SQUARED_DISTORTION, "")
+
+
 def _library_results(directory):
     """name -> JSON data of the library results that reach no command:
     orbit witnesses, the d(g^n x0, x0)/n sequence, Serre's test and orbit

@@ -17,10 +17,11 @@ from qtlab.constructions import (FiniteGroupTable, bass_serre_tree_bs12, c6_chai
                                  farey_graph, horoball, path_graph)
 from qtlab.errors import (EndNotInvariant, FormatError, NotATree,
                           OutOfTruncation)
-from qtlab.cli import main
+import qtlab.group_action as group_action
+from qtlab.cli import FIXTURES, _build_fixture, main
 from qtlab.io import action_to_dict, graph_to_dict, save_action
 
-from _oracles import (brute_orbit, brute_realized_elements, dense_mode_check,
+from _oracles import (brute_acylindricity, brute_orbit, brute_realized_elements, dense_mode_check,
                       index_distances, random_connected_graph)
 
 
@@ -683,14 +684,129 @@ def test_realized_elements_match_the_dict_reference():
         (horoball(z.graph, z.action, depth=2).action, 3),
     ] + [(_partial_cycle_action(rng, rng.randrange(5, 10)), 4) for _ in range(6)]
     for a, horizon in cases:
-        ids = a.space.vertex_ids
-        gens = [(g["name"], dict(map(tuple, g["map"])))
-                for g in action_to_dict(a)["generators"]]
-        want = brute_realized_elements(ids, gens, horizon)
-        got = realized_elements(a, horizon)
-        assert [(el.word.letters, el.depth) for el in got] == [(w, d) for w, d, _ in want]
-        for el, (_, _, img) in zip(got, want):
-            assert {ids[i]: ids[t] for i, t in enumerate(el.image) if t >= 0} == img
+        _assert_matches_reference(a, horizon)
+
+
+def _assert_matches_reference(a, horizon):
+    ids = a.space.vertex_ids
+    gens = [(g["name"], dict(map(tuple, g["map"]))) for g in action_to_dict(a)["generators"]]
+    want = brute_realized_elements(ids, gens, horizon)
+    got = realized_elements(a, horizon)
+    assert [(el.word.letters, el.depth) for el in got] == [(w, d) for w, d, _ in want]
+    for el, (_, _, img) in zip(got, want):
+        assert {ids[i]: ids[t] for i, t in enumerate(el.image) if t >= 0} == img
+
+
+def _complete_graph(n):
+    ids = [str(i) for i in range(n)]
+    return graph_from_ids(ids, [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)])
+
+
+@st.composite
+def _partial_injections(draw):
+    """A complete graph on at most 9 vertices and up to three random partial
+    injections of it, every one of which preserves adjacency."""
+    n = draw(st.integers(1, 9))
+    gens = []
+    for q in range(draw(st.integers(1, 3))):
+        dom = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        img = draw(st.permutations(range(n)))[:len(dom)]
+        gens.append((f"g{q}", {str(v): str(t) for v, t in zip(dom, img)}))
+    return n, gens
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partial_injections())
+def test_realized_elements_match_the_reference_on_complete_graphs(case):
+    n, gens = case
+    _assert_matches_reference(action_from_maps(_complete_graph(n), gens), 4)
+
+
+def _spy(monkeypatch, name):
+    """Record (arguments, result) of every call of a group_action function."""
+    calls = []
+    real = getattr(group_action, name)
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(group_action, name, spy)
+    return calls
+
+
+def test_realized_elements_merge_into_their_own_frontier_row_mid_batch(monkeypatch):
+    # s is the identity, so the candidate of frontier row t and letter s is t
+    # again and merges into its own row, with the row's other letters still
+    # to come in the same batch
+    calls = _spy(monkeypatch, "_settle_batch")
+    gens = [("s", {"0": "0", "1": "1", "2": "2"}), ("t", {"0": "1", "1": "2"})]
+    _assert_matches_reference(action_from_maps(_complete_graph(3), gens), 3)
+    t_row = 1                   # depth 1 adds t (row 1) and t^-1 (row 2)
+    (batch, out), = [(args[2], out) for args, out in calls if (t_row, 0) in args[2]]
+    settled, added = out
+    assert batch.index((t_row, 0)) < min(settled, batch.index((t_row, 1)))
+    assert (t_row, 0) not in added
+    assert not any(name == "s" for el in realized_elements(action_from_maps(
+        _complete_graph(3), gens), 3) for name, _ in el.word.letters)
+
+
+def test_realized_elements_merge_that_fills_a_later_frontier_row(monkeypatch):
+    # g g = {2: 1} merges into the frontier row g^-1 = {0: 2, 1: 0} (row 2)
+    # and fills its entry at 2, so the batch stops there and the candidates
+    # of g^-1 are composed again from the filled row
+    calls = _spy(monkeypatch, "_settle_batch")
+    gens = [("g", {"0": "1", "2": "0"})]
+    _assert_matches_reference(action_from_maps(_complete_graph(3), gens), 4)
+    assert ([(1, 0), (1, 1), (2, 0), (2, 1)], (1, [])) in [(args[2], out)
+                                                            for args, out in calls]
+    els = realized_elements(action_from_maps(_complete_graph(3), gens), 2)
+    assert els[2].image.tolist() == [2, 0, 1]
+
+
+def test_realized_elements_recheck_a_row_filled_after_the_screen(monkeypatch):
+    # at depth 1, a = {1: 0} becomes a new element (column 1), a^-1 = {0: 1}
+    # merges into it and fills its entry at 0, and b = {0: 1}, candidate 2
+    # of the batch, had agreed with column 1 before the fill, so it is
+    # checked again on the filled row and merges into it
+    calls = _spy(monkeypatch, "_first_agreeing")
+    gens = [("a", {"1": "0"}), ("b", {"0": "1"})]
+    _assert_matches_reference(action_from_maps(_complete_graph(2), gens), 3)
+    args, out = calls[0]
+    assert (args[5], args[6][0], out) == (2, 1, (1, False))
+
+
+def _acylindricity_matches(a, horizon):
+    S = np.stack([el.image for el in realized_elements(a, horizon)])
+    epsilons, radii = (0, 1, 2, 3), (0, 1, 2, 4, 8, 100)
+    rep = properness_profiles(a, epsilons, radii, rs=(0,), horizon=horizon)
+    assert (rep.acylindricity, rep.no_pair_flags) == brute_acylindricity(
+        S, a.space.dist, epsilons, radii)
+
+
+@pytest.mark.parametrize("name", list(FIXTURES))
+def test_acylindricity_table_matches_the_dense_product_on_fixtures(name):
+    _acylindricity_matches(_build_fixture(name).action, 3)
+
+
+def test_acylindricity_table_matches_the_dense_product_on_partial_actions():
+    rng = random.Random(5)
+    for _ in range(8):
+        _acylindricity_matches(_partial_cycle_action(rng, rng.randrange(4, 12)), 4)
+
+
+def test_acylindricity_table_matches_the_dense_product_when_disconnected():
+    # two 5-cycles, rotated together where the rotation is defined: the -1
+    # of pairs in different components never counts, however small R
+    ids = [f"{c}{i}" for c in "pq" for i in range(5)]
+    edges = [(f"{c}{i}", f"{c}{(i + 1) % 5}") for c in "pq" for i in range(5)]
+    g = graph_from_ids(ids, edges, allow_disconnected=True)
+    rot = {f"{c}{i}": f"{c}{(i + 1) % 5}" for c in "pq" for i in range(5) if (c, i) != ("q", 4)}
+    flip = {f"p{i}": f"p{(-i) % 5}" for i in range(5)}
+    a = action_from_maps(g, [("r", rot), ("f", flip)])
+    for h in (1, 2, 4):
+        _acylindricity_matches(a, h)
 
 
 def test_busemann_refuses_non_string_ray_vertices():

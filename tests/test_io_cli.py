@@ -179,6 +179,22 @@ def test_csv_refused_for_non_tables(tmp_path, capsys):
     assert json.loads(stderr)["error"]["type"] == "FormatError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["construct", "path", "--params", '{"n": 3}', "--out", "g.json", "--format", "csv"],
+    ["fixtures", "f2-r5", "--out", "fx", "--format", "csv"],
+], ids=["construct", "fixtures"])
+def test_refused_csv_writes_nothing(tmp_path, capsys, monkeypatch, argv):
+    # the refusal comes before the command runs, so no file is written
+    monkeypatch.chdir(tmp_path)
+    rc, stdout, stderr = run_cli(capsys, argv)
+    assert (rc, stdout) == (2, "")
+    assert json.loads(stderr) == {
+        "command": argv[0],
+        "error": {"type": "FormatError",
+                  "message": "csv output is only available for profile tables"}}
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_file_is_a_clean_error(capsys):
     rc, _, stderr = run_cli(capsys, ["analyze", "--graph", "/no/such/file.json"])
     assert rc == 2
