@@ -1,14 +1,14 @@
 """Command line entry point.
 
-Every command prints a single JSON report to stdout (or --out) with the
-shape
+Every command returns its inputs and results; _dispatch alone builds the
+report, with the shape
 
     {"command": ..., "inputs": ..., "results": ...,
      "version": {"tool": ..., "graph_format": ..., "action_format": ...},
      "determinism_seed": ...}
 
-serialized with sorted keys and no float formatting surprises, so the same
-invocation yields byte-identical output.  Failures exit with code 2 and a
+encodes it with io.dumps, so the same invocation yields byte-identical
+output, and writes it to stdout or --out.  Failures exit with code 2 and a
 JSON diagnostic on stderr; size-cap refusals exit with code 3.
 """
 
@@ -16,7 +16,6 @@ import argparse
 import csv
 import functools
 import io as _stringio
-import json
 import os
 import sys
 from dataclasses import asdict, is_dataclass
@@ -26,8 +25,8 @@ import numpy as np
 
 from . import __version__
 from .errors import FormatError, QtlabError, SizeLimitExceeded, UnknownFixture, as_int
-from .io import (ACTION_FORMAT, GRAPH_FORMAT, load_action, load_graph,
-                 load_json, save_action, save_graph, save_json)
+from .io import (ACTION_FORMAT, GRAPH_FORMAT, dumps, load_action, load_graph,
+                 load_json, parse_json, save_action, save_graph, save_json)
 from .metric_graph import bottleneck_constant, hyperbolicity_delta
 from .group_action import (Word, check_locally_finite_orbit, classify_action_type,
                            classify_isometry, connectivity_radius,
@@ -64,46 +63,8 @@ def _plain(x):
     return x
 
 
-def _report(command: str, inputs: dict, results, seed: int) -> dict:
-    return {
-        "command": command,
-        "inputs": _plain(inputs),
-        "results": _plain(results),
-        "version": {"tool": __version__, "graph_format": GRAPH_FORMAT,
-                    "action_format": ACTION_FORMAT},
-        "determinism_seed": seed,
-    }
-
-
-def _emit(text: str, out):
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_report(rep: dict, args, csv_rows=None):
-    if args.format == "csv":
-        buf = _stringio.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        for row in csv_rows:
-            w.writerow(row)
-        _emit(buf.getvalue(), getattr(args, "out", None))
-        return
-    _emit(json.dumps(rep, sort_keys=True, separators=(",", ":")) + "\n",
-          getattr(args, "out", None))
-
-
-def _load_json_arg(text: str, what: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
-
-
 def _point_arg(text: str):
-    val = _load_json_arg(text, "point")
+    val = parse_json(text, "point")
     if not isinstance(val, list) or not all(isinstance(v, str) for v in val):
         raise FormatError(f"point must be a JSON array of vertex id strings, got {val!r}")
     return tuple(val)
@@ -129,7 +90,7 @@ def cmd_analyze(args):
         "bottleneck_constant": bot.constant,
         "bottleneck_witness": bot.witness,
     }
-    return _report("analyze", {"graph": args.graph}, results, args.seed), None
+    return {"graph": args.graph}, results
 
 
 def _int_tuple(value):
@@ -205,7 +166,7 @@ CONSTRUCTIONS = {
 
 
 def cmd_construct(args):
-    params = _load_json_arg(args.params or "{}", "--params")
+    params = parse_json(args.params or "{}", "--params")
     if not isinstance(params, dict):
         raise FormatError("--params must be a JSON object")
     name = args.family
@@ -242,14 +203,13 @@ def cmd_construct(args):
     graph, action = con.graph, con.action
 
     written = {}
-    if args.out:
-        save_graph(graph, args.out)
-        written["graph"] = args.out
+    if args.graph_out:
+        save_graph(graph, args.graph_out)
+        written["graph"] = args.graph_out
     if action is not None and args.action_out:
         save_action(action, args.action_out,
-                    graph_ref=os.path.basename(args.out) if args.out else None)
+                    graph_ref=os.path.basename(args.graph_out) if args.graph_out else None)
         written["action"] = args.action_out
-    args.out = None   # the report goes to stdout; --out named the graph file
     results = {
         "family": name,
         "n_vertices": graph.n,
@@ -259,9 +219,8 @@ def cmd_construct(args):
         "extras": con.extras,
         "written": written,
     }
-    return _report("construct", {"family": name, "params": params,
-                                 "graph": args.graph, "action": args.action},
-                   results, args.seed), None
+    return {"family": name, "params": params, "graph": args.graph,
+            "action": args.action}, results
 
 
 def _require_nonnegative(args, *names):
@@ -291,9 +250,8 @@ def cmd_orbit(args):
         "growth_warning": fin.growth_warning,
         "verdict": fin.verdict,
     }
-    return _report("orbit", {"action": args.action, "basepoint": args.basepoint,
-                             "horizon": horizon, "radius": rho_max},
-                   results, args.seed), None
+    return {"action": args.action, "basepoint": args.basepoint,
+            "horizon": horizon, "radius": rho_max}, results
 
 
 def cmd_rips_orbit(args):
@@ -309,13 +267,11 @@ def cmd_rips_orbit(args):
         "connected": rg.graph.connected,
         "connectivity_radius": connectivity_radius(a, args.basepoint),
     }
-    if args.out:
-        save_graph(rg.graph, args.out)
-        results["written"] = args.out
-        args.out = None   # report still goes to stdout
-    return _report("rips-orbit", {"action": args.action, "basepoint": args.basepoint,
-                                  "r": args.r, "horizon": args.horizon},
-                   results, args.seed), None
+    if args.graph_out:
+        save_graph(rg.graph, args.graph_out)
+        results["written"] = args.graph_out
+    return {"action": args.action, "basepoint": args.basepoint,
+            "r": args.r, "horizon": args.horizon}, results
 
 
 def cmd_classify(args):
@@ -327,9 +283,8 @@ def cmd_classify(args):
     else:
         rep = classify_action_type(a, args.basepoint, horizon=args.horizon)
         results = {"kind": "action", **_plain(rep)}
-    return _report("classify", {"action": args.action, "basepoint": args.basepoint,
-                                "word": args.word, "horizon": args.horizon},
-                   results, args.seed), None
+    return {"action": args.action, "basepoint": args.basepoint,
+            "word": args.word, "horizon": args.horizon}, results
 
 
 def cmd_properness(args):
@@ -342,8 +297,7 @@ def cmd_properness(args):
         rows.append(("acylindricity", eps, R, N))
     for r, N in rep.uniform:
         rows.append(("uniform", r, "", N))
-    return _report("properness", {"action": args.action, "horizon": args.horizon},
-                   rep, args.seed), rows
+    return {"action": args.action, "horizon": args.horizon}, rep, rows
 
 
 def _load_factors(paths):
@@ -407,15 +361,13 @@ def cmd_product(args):
         for k in range(prof.horizon):
             rows.append((k + 1, str(prof.raw[k]), str(prof.envelope[k]),
                          prof.witnesses[k] or ""))
-        return _report("product", {"sub": sub, "factors": args.factors,
-                                   "basepoint": args.basepoint,
-                                   "horizon": args.horizon},
-                       results, args.seed), rows
+        return {"sub": sub, "factors": args.factors, "basepoint": args.basepoint,
+                "horizon": args.horizon}, results, rows
     inputs = {"sub": sub, "factors": args.factors, "norm": args.norm}
     for key in ("x", "y", "map"):
         if getattr(args, key, None) is not None:
             inputs[key] = getattr(args, key)
-    return _report("product", inputs, results, args.seed), None
+    return inputs, results
 
 
 def cmd_lm(args):
@@ -436,7 +388,7 @@ def cmd_lm(args):
         kmax = args.k_max
         if kmax < 1:
             raise FormatError(f"--k-max must be >= 1, got {kmax}")
-        override = _load_json_arg(args.matrix, "--matrix") if args.matrix else None
+        override = parse_json(args.matrix, "--matrix") if args.matrix else None
         reports = [lm_obstruction_check(k, matrix_override=override)
                    for k in range(1, kmax + 1)]
         failures = [rep.k for rep in reports if not rep.obstructed]
@@ -452,7 +404,7 @@ def cmd_lm(args):
         results = {**_plain(fit_translation_homomorphism(samples)),
                    "audit": seminorm_audit(samples)}
         inputs = {"sub": sub, "samples": args.samples}
-    return _report("lm", inputs, results, args.seed), None
+    return inputs, results
 
 
 # ---------------------------------------------------------------------------
@@ -487,10 +439,9 @@ def _build_fixture(name: str):
 
 def cmd_fixtures(args):
     if args.name == "list":
-        return _report("fixtures", {"name": "list"},
-                       {"available": list(FIXTURES)}, args.seed), None
+        return {"name": "list"}, {"available": list(FIXTURES)}
     con = _build_fixture(args.name)
-    outdir = args.out or "."
+    outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     gpath = os.path.join(outdir, f"{args.name}.graph.json")
     apath = os.path.join(outdir, f"{args.name}.action.json")
@@ -515,9 +466,7 @@ def cmd_fixtures(args):
     files["manifest"] = mpath
     results = {"fixture": args.name, "files": files,
                "n_vertices": con.graph.n, "basepoint": con.basepoint}
-    rep = _report("fixtures", {"name": args.name, "out": outdir}, results, args.seed)
-    args.out = None   # files already written; report goes to stdout
-    return rep, None
+    return {"name": args.name, "out": outdir}, results
 
 
 # ---------------------------------------------------------------------------
@@ -548,8 +497,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="global size cap (sets QTLAB_MAX_VERTICES)")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="write output here instead of stdout")
+    def common(sp, dest="out", out_help="write output here instead of stdout"):
+        # _dispatch writes the report to args.out; a command whose --out names
+        # a file or directory of its own binds it to another dest
+        sp.add_argument("--out", dest=dest, metavar="OUT", default=None, help=out_help)
         sp.add_argument("--format", choices=("json", "csv"), default="json")
 
     s = sub.add_parser("analyze", help="hyperbolicity and bottleneck constants of a graph")
@@ -562,7 +513,8 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--params", default="{}", help="JSON object of family parameters")
     s.add_argument("--graph", default=None, help="base graph for rips/cone/horoball")
     s.add_argument("--action", default=None, help="base action for cone/horoball")
-    s.add_argument("--out", default=None, help="write the graph JSON here")
+    s.add_argument("--out", dest="graph_out", metavar="OUT", default=None,
+                   help="write the graph JSON here")
     s.add_argument("--action-out", default=None, help="write the action JSON here")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.set_defaults(func=cmd_construct)
@@ -580,7 +532,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--basepoint", required=True)
     s.add_argument("--r", type=int, required=True)
     s.add_argument("--horizon", type=int, default=8)
-    common(s)
+    common(s, "graph_out", "write the Rips graph JSON here")
     s.set_defaults(func=cmd_rips_orbit)
 
     s = sub.add_parser("classify", help="classify a word (with --word) or the whole action")
@@ -634,8 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("fixtures", help="write a named fixture (or 'list')")
     s.add_argument("name")
-    s.add_argument("--out", default=None, help="output directory")
-    s.add_argument("--format", choices=("json", "csv"), default="json")
+    common(s, "outdir", "output directory")
     s.set_defaults(func=cmd_fixtures)
 
     return p
@@ -663,9 +614,8 @@ def main(argv=None) -> int:
 
 def _fail(command, kind: str, exc: Exception, code: int) -> int:
     """Write the JSON diagnostic for a failed command (None: unparsed) to stderr."""
-    sys.stderr.write(json.dumps(
-        {"command": command, "error": {"type": kind, "message": str(exc)}},
-        sort_keys=True, separators=(",", ":")) + "\n")
+    sys.stderr.write(dumps({"command": command,
+                            "error": {"type": kind, "message": str(exc)}}))
     return code
 
 
@@ -677,12 +627,39 @@ def _has_csv_table(args) -> bool:
 
 
 def _dispatch(args) -> int:
+    """Run the command, then build, encode and write its report: to --out,
+    or to stdout."""
     try:
         # refused before the command runs, so a refused --format csv writes no file
         if args.format == "csv" and not _has_csv_table(args):
             raise FormatError("csv output is only available for profile tables")
-        rep, csv_rows = args.func(args)
-        _emit_report(rep, args, csv_rows)
+        inputs, results, *table = args.func(args)
+        # encoded in full before anything is written, so a refusal here
+        # leaves no partial stdout and no --out file
+        try:
+            if args.format == "csv":
+                buf = _stringio.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(*table)
+                text = buf.getvalue()
+            else:
+                text = dumps({
+                    "command": args.command,
+                    "inputs": _plain(inputs),
+                    "results": _plain(results),
+                    "version": {"tool": __version__, "graph_format": GRAPH_FORMAT,
+                                "action_format": ACTION_FORMAT},
+                    "determinism_seed": args.seed,
+                })
+        except ValueError:      # an integer longer than the interpreter's digit limit
+            limit = sys.get_int_max_str_digits()
+            raise SizeLimitExceeded(f"more than {limit}", limit, "report",
+                                    "digits in one integer") from None
+        out = getattr(args, "out", None)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except SizeLimitExceeded as exc:
         return _fail(args.command, "SizeLimitExceeded", exc, 3)
     except QtlabError as exc:

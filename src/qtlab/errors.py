@@ -38,13 +38,13 @@ class DisconnectedGraph(QtlabError):
 
 
 class SizeLimitExceeded(QtlabError):
-    """An operation refused to run because the input exceeds its vertex cap."""
+    """An operation refused: n exceeds the cap, in vertices unless unit says."""
 
-    def __init__(self, n, cap, op=""):
+    def __init__(self, n, cap, op="", unit="vertices"):
         self.n = n
         self.cap = cap
         self.op = op
-        super().__init__(f"{op or 'operation'}: {n} vertices exceeds cap {cap}")
+        super().__init__(f"{op or 'operation'}: {n} {unit} exceeds cap {cap}")
 
 
 class VertexNotFound(QtlabError):

@@ -42,6 +42,9 @@ from .metric_graph import (
 # words
 # ---------------------------------------------------------------------------
 
+# the most letters Word.parse expands a word to; exponents are summed first
+WORD_LETTERS_CAP = 10 ** 6
+
 
 class Word:
     """Sequence of signed generator letters, e.g. Word([("t", 1), ("a", -1)])."""
@@ -60,8 +63,9 @@ class Word:
 
     @classmethod
     def parse(cls, text: str) -> "Word":
-        """Parse 'a b^-1 c^2' (spaces or '*' between letters)."""
-        letters = []
+        """Parse 'a b^-1 c^2' (spaces or '*' between letters).  A word of more
+        than WORD_LETTERS_CAP letters is refused before it is expanded."""
+        powers, length = [], 0
         for tok in text.replace("*", " ").split():
             if "^" in tok:
                 name, exp = tok.split("^", 1)
@@ -73,9 +77,11 @@ class Word:
                 name, k = tok, 1
             if not name:
                 raise FormatError(f"bad token {tok!r}")
-            sign = 1 if k > 0 else -1
-            letters.extend([(name, sign)] * abs(k))
-        return cls(letters)
+            powers.append((name, k))
+            length += abs(k)
+        if length > WORD_LETTERS_CAP:
+            raise SizeLimitExceeded(length, WORD_LETTERS_CAP, "Word.parse", "letters")
+        return cls([(name, 1 if k > 0 else -1) for name, k in powers for _ in range(abs(k))])
 
     def inverse(self) -> "Word":
         return Word([(n, -s) for n, s in reversed(self.letters)])

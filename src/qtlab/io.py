@@ -1,6 +1,6 @@
-"""Reading and writing graphs and actions.
-
-Two JSON formats:
+"""Reading and writing JSON: parse_json turns JSON text into values and
+dumps turns values into canonical JSON text, for every document qtlab reads
+or writes.  Graphs and actions have two formats:
 
 qtlab-graph-v1
     {"format": "qtlab-graph-v1", "vertices": [...], "edges": [["a","b"], ...],
@@ -65,25 +65,37 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
                           allow_disconnected=allow_disconnected)
 
 
+def dumps(obj) -> str:
+    """The canonical JSON text of obj: sorted keys, no spaces and a final
+    newline.  Every report, diagnostic and written file is encoded here."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_json(obj, path: str) -> None:
-    """Write obj as compact JSON with sorted keys and a final newline.
-    json.dumps runs the C encoder; json.dump to a file handle runs the
-    pure-Python one, for the same bytes."""
+    """Write dumps(obj) to path.  json.dumps runs the C encoder; json.dump to
+    a file handle runs the pure-Python one, for the same bytes."""
     with open(path, "w") as fh:
-        fh.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+        fh.write(dumps(obj))
 
 
 def save_graph(g: MetricGraph, path: str) -> None:
     save_json(graph_to_dict(g), path)
 
 
+def parse_json(source, what: str):
+    """The value of the JSON text in source, a string or an open text file.
+    Text that is not JSON, bytes that are not UTF-8 and an integer longer
+    than the interpreter's digit limit each raise FormatError naming what."""
+    try:
+        return json.loads(source) if isinstance(source, str) else json.load(source)
+    except ValueError as exc:
+        raise FormatError(f"{what}: not valid JSON ({exc})") from exc
+
+
 def load_json(path: str):
-    """Parse a JSON file; malformed JSON raises FormatError naming the path."""
-    with open(path) as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    """Parse a UTF-8 JSON file; bad input raises FormatError naming the path."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_json(fh, path)
 
 
 def load_graph(path: str, allow_disconnected: bool = False) -> MetricGraph:

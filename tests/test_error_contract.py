@@ -1,19 +1,25 @@
 """Fuzzing the error contract of the command line at its input boundaries:
 graph and action files, `lm fit` sample files, `lm obstruction --matrix`,
-`product factor-check --map` and the product points of `product distance`,
-`geodesics` and `distortion`, with pinned cases for product points and
-`construct --params`.  Whatever the input, a command exits 0,
-or exits 2 with exactly one JSON object on stderr and nothing on stdout; it
-never raises."""
+`product factor-check --map`, the product points of `product distance`,
+`geodesics` and `distortion`, and the caps `--max-vertices` and
+`QTLAB_MAX_VERTICES`, with pinned cases for product points,
+`construct --params`, files that are not UTF-8, integers past the
+interpreter's digit limit, a report too large to encode and a word too long
+to expand.  Whatever the input, a command exits 0, or exits 2 (bad input) or
+3 (a refused size) with exactly one JSON object on stderr and nothing on
+stdout; it never raises."""
 
 import contextlib
 import io
 import json
+import os
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtlab.cli import main
+from qtlab.group_action import WORD_LETTERS_CAP, Word
 
 
 def _tuple_ish(item, size):
@@ -364,3 +370,139 @@ def test_cone_and_horoball_check_their_basepoint(tmp_path, family, basepoint, er
     found = _check_contract(["construct", family, "--graph", c5,
                              "--params", f'{{"basepoint": {basepoint}}}'])
     assert found is not None and found["type"] == error
+
+
+# -- the reader: bytes that are not UTF-8 and integers past the digit limit ----
+
+# the interpreter's limit on the digits of an integer read from or written as
+# text; 0 where it has none
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0,
+                                       reason="this interpreter has no integer digit limit")
+LATIN1_GRAPH = b'{"format": "qtlab-graph-v1", "vertices": ["caf\xe9"], "edges": []}'
+
+
+@pytest.mark.parametrize("argv_tail", [
+    ["analyze", "--graph"],
+    ["orbit", "--basepoint", "v0", "--action"],
+    ["lm", "fit", "--samples"],
+    ["product", "factor-check", "--factors", "P3", "P3", "--map"],
+])
+def test_files_that_are_not_utf8_exit_2(workdir, argv_tail):
+    path = workdir / "latin1.json"
+    path.write_bytes(LATIN1_GRAPH)
+    argv = [str(workdir / "p3.json") if a == "P3" else a for a in argv_tail] + [str(path)]
+    error = _check_contract(argv, codes=(2,))
+    assert error["type"] == "FormatError"
+    assert error["message"].startswith(f"{path}: not valid JSON (")
+
+
+def test_a_named_graph_file_that_is_not_utf8_exits_2(workdir):
+    (workdir / "latin1.graph.json").write_bytes(LATIN1_GRAPH)
+    action = _write(workdir / "names-latin1.action.json",
+                    {"format": "qtlab-action-v1", "graph": "latin1.graph.json",
+                     "mode": "automorphism", "generators": []})
+    error = _check_contract(["orbit", "--action", action, "--basepoint", "v0"], codes=(2,))
+    assert error["type"] == "FormatError"
+    assert error["message"].startswith(f"{workdir / 'latin1.graph.json'}: not valid JSON (")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, named", [
+    (["construct", "path", "--params", '{"n": LONG}'], "--params"),
+    (["lm", "obstruction", "--k-max", "1", "--matrix", "[[LONG, 0], [0, 1]]"], "--matrix"),
+    (["product", "distance", "--factors", "Z", "Z", "--x", "[LONG]", "--y", '["0", "0"]'],
+     "point"),
+    (["product", "distortion", "--factors", "ZA", "ZA", "--basepoint", "[LONG]"], "point"),
+    (["analyze", "--graph", "GRAPH"], "GRAPH"),
+])
+def test_integers_past_the_digit_limit_exit_2(z_ball, tmp_path, argv, named):
+    long = "7" * (DIGIT_LIMIT + 1)
+    graph = tmp_path / "long.graph.json"
+    graph.write_text('{"format": "qtlab-graph-v1", "vertices": ["a"], "edges": [], '
+                     f'"x": {long}}}')
+    names = {"Z": z_ball[0], "ZA": z_ball[1], "GRAPH": str(graph)}
+    argv = [names.get(a, a.replace("LONG", long)) for a in argv]
+    error = _check_contract(argv, codes=(2,))
+    assert error["type"] == "FormatError"
+    assert error["message"].startswith(f"{names.get(named, named)}: not valid JSON (")
+
+
+# -- refused sizes: a report too large to encode, a word too long to expand ----
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default digit limit of 4300, whatever the
+    environment set; restored afterwards."""
+    if DIGIT_LIMIT == 0:
+        pytest.skip("this interpreter has no integer digit limit")
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(DIGIT_LIMIT)
+
+
+def test_a_report_past_the_digit_limit_exits_3(default_digit_limit, tmp_path):
+    # alpha and beta have 4,194 digits at --n 6000 and 4,334 at --n 6200
+    assert _check_contract(["lm", "exponents", "--n", "6000"], codes=(0,)) is None
+    out = tmp_path / "report.json"
+    error = _check_contract(["lm", "exponents", "--n", "6200", "--out", str(out)], codes=(3,))
+    assert error == {"type": "SizeLimitExceeded",
+                     "message": "report: more than 4300 digits in one integer exceeds cap 4300"}
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def f2_action(tmp_path_factory):
+    d = tmp_path_factory.mktemp("f2")
+    assert _run(["fixtures", "f2-r5", "--out", str(d)])[0] == 0
+    return str(d / "f2-r5.action.json")
+
+
+@pytest.mark.parametrize("word, letters", [("x^99999999999999", 99999999999999),
+                                           ("x^100000000", 100000000),
+                                           ("a^999999 b^-2", 1000001)])
+def test_words_past_the_letter_cap_exit_3(f2_action, word, letters):
+    error = _check_contract(["classify", "--action", f2_action, "--basepoint", "e",
+                             "--word", word], codes=(3,))
+    assert error == {"type": "SizeLimitExceeded",
+                     "message": f"Word.parse: {letters} letters exceeds cap 1000000"}
+
+
+def test_a_word_at_the_letter_cap_is_expanded():
+    assert WORD_LETTERS_CAP == 10 ** 6
+    word = Word.parse(f"a^{WORD_LETTERS_CAP // 2} b^-{WORD_LETTERS_CAP // 2}")
+    assert len(word) == WORD_LETTERS_CAP and word.letters[-1] == ("b", -1)
+
+
+# -- the caps: --max-vertices and QTLAB_MAX_VERTICES ---------------------------
+
+# negative, huge, non-numeric, empty and whitespace values, underscores and
+# non-ASCII digits, then any short text an environment variable can hold
+CAP_TEXT = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6).map(str),
+    st.integers(10 ** 6, 10 ** 40).map(str),
+    st.sampled_from(["", " ", "\t", " 7 ", "7\n", "1_000", "_1", "1__0", "-0", "+3", "1e3",
+                     "0x10", "abc", "٣", "١٠", "１２", "²",
+                     "9" * 5000]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\0"),
+            max_size=6))
+CAP_COMMANDS = [["analyze", "--graph", "P3"],
+                ["product", "geodesics", "--factors", "P3", "P3",
+                 "--x", '["v0", "v0"]', "--y", '["v2", "v2"]']]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(CAP_COMMANDS), st.one_of(st.none(), CAP_TEXT),
+       st.one_of(st.none(), CAP_TEXT))
+def test_caps_keep_the_contract(workdir, command, flag, env):
+    argv = [str(workdir / "p3.json") if a == "P3" else a for a in command]
+    if flag is not None:
+        argv = [f"--max-vertices={flag}"] + argv
+    with pytest.MonkeyPatch.context() as mp:
+        if env is None:
+            mp.delenv("QTLAB_MAX_VERTICES", raising=False)
+        else:
+            mp.setenv("QTLAB_MAX_VERTICES", env)
+        _check_contract(argv, codes=(0, 2, 3))
+        assert os.environ.get("QTLAB_MAX_VERTICES") == env
