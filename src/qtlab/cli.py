@@ -18,7 +18,7 @@ import functools
 import io as _stringio
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -55,7 +55,7 @@ def _plain(x):
     if isinstance(x, np.ndarray):
         return [_plain(v) for v in x.tolist()]
     if is_dataclass(x) and not isinstance(x, type):
-        return {k: _plain(v) for k, v in asdict(x).items()}
+        return {f.name: _plain(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {str(k): _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple, set, frozenset)):

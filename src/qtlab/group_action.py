@@ -20,6 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -166,6 +167,7 @@ class GroupAction:
         self.space = space
         self.mode = mode
         n = space.n
+        ends = space.edge_array()
         gens: List[GeneratorMap] = []
         names = set()
         for name, forward in generators:
@@ -183,7 +185,8 @@ class GroupAction:
             bwd = forward_map(n, dst, src)
             if np.count_nonzero(bwd >= 0) != len(src):
                 raise FormatError(f"generator {name!r} is not injective")
-            self._check_mode(name, src, dst)
+            if mode == "isometry" or not _preserves_adjacency(space, ends, fwd, bwd):
+                self._check_mode(name, src, dst)
             fwd.setflags(write=False)
             bwd.setflags(write=False)
             gens.append(GeneratorMap(name, fwd, bwd))
@@ -236,6 +239,20 @@ def action_from_maps(space: MetricGraph, generators, mode: str = "automorphism")
         for name, m in generators], mode)
 
 
+def _preserves_adjacency(g: MetricGraph, ends: np.ndarray, fwd: np.ndarray,
+                         bwd: np.ndarray) -> bool:
+    """Whether the injective partial map fwd, with inverse bwd, sends every
+    edge of its domain to an edge and every edge of its image comes from
+    one.  ends is g.edge_array().  The images of the domain edges are
+    distinct edges inside the image, so they are all of them exactly when
+    the two edge counts agree."""
+    i, j = fwd[ends[:, 0]], fwd[ends[:, 1]]
+    inside = (i >= 0) & (j >= 0)
+    return bool(g.adjacent(i[inside], j[inside]).all()) and (
+        np.count_nonzero((bwd[ends[:, 0]] >= 0) & (bwd[ends[:, 1]] >= 0))
+        == np.count_nonzero(inside))
+
+
 def _adjacency_breaks(g: MetricGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """Position pairs (i, j), i < j, in lexicographic order, where exactly
     one of src[i] ~ src[j] and dst[i] ~ dst[j] holds: the domain edges whose
@@ -278,16 +295,21 @@ def evaluate_word(a: GroupAction, w: Word, v: str) -> str:
 
 
 def word_map(a: GroupAction, w: Word) -> np.ndarray:
-    """Composite partial map of w on all vertices; -1 marks undefined."""
-    img = np.arange(a.space.n, dtype=np.int64)
+    """Composite partial map of w on all vertices; -1 marks undefined.  Each
+    generator the word names is looked up first, so the first unknown one
+    is refused.  The walk then follows only the vertices where the map is
+    still defined, and stops once there are none: no later letter can define
+    it again."""
+    for name in dict.fromkeys(map(itemgetter(0), w.letters)):
+        a.gen(name)
+    src = cur = np.arange(a.space.n, dtype=np.int64)
     for name, sign in w.letters:
-        img = _compose(img, a.letter_map(name, sign))
-    return img
-
-
-def _compose(img: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """m after img, both partial maps with -1 for undefined."""
-    return np.where(img < 0, -1, m[img])
+        nxt = a.letter_map(name, sign)[cur]
+        live = nxt >= 0
+        src, cur = src[live], nxt[live]
+        if not len(src):
+            break
+    return forward_map(a.space.n, src, cur)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,14 @@ maps and duplicate edges are rejected.
 Vertex ids are strings; the loaders here turn them into vertex indices, and
 everything past them works on index arrays.  The savers turn index arrays
 back into ids with one gather each.
+
+A loader checks and translates a file in a few passes that run in C: the
+sets of the types of the vertices, edges and map pairs, the set of the
+edges' lengths, one dict() per generator map, and one dict lookup per id,
+mapped over the flattened pairs.  A failed lookup proves that an entry is
+not a vertex id string.  When a pass or a lookup fails, the entries are
+checked one by one, in order, which names the first fault; those loops
+also accept the str, list and dict subclasses that the passes turn away.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, VertexNotFound
 from .metric_graph import MetricGraph, graph_from_ids
 
 GRAPH_FORMAT = "qtlab-graph-v1"
@@ -54,6 +62,24 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
     for key, value in (("vertices", vertices), ("edges", edges), ("boundary", boundary)):
         if not isinstance(value, list):
             raise FormatError(f"graph {key!r} must be a list, got {value!r}")
+    # the ids must be str and the edges lists of two; an endpoint or boundary
+    # entry that is not an id string fails its lookup in graph_from_ids
+    if not (set(map(type, vertices)) <= {str} and set(map(type, edges)) <= {list}
+            and set(map(len, edges)) <= {2}):
+        _check_graph_entries(vertices, edges, boundary)
+    try:
+        return graph_from_ids(vertices, edges, boundary=boundary,
+                              allow_disconnected=allow_disconnected)
+    except (VertexNotFound, TypeError):
+        _check_graph_entries(vertices, edges, boundary)
+        raise
+
+
+def _check_graph_entries(vertices: list, edges: list, boundary: list) -> None:
+    """FormatError naming the first entry of the wrong type or shape, in the
+    order vertices, boundary, edges.  Runs only when a pass of
+    graph_from_dict fails: it names the fault, or passes str and list
+    subclasses, which those passes do not."""
     for key, value in (("vertices", vertices), ("boundary", boundary)):
         for v in value:
             if not isinstance(v, str):
@@ -61,8 +87,6 @@ def graph_from_dict(d: dict, allow_disconnected: bool = False) -> MetricGraph:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
             raise FormatError(f"edge entries must be pairs of vertex ids, got {e!r}")
-    return graph_from_ids(vertices, edges, boundary=boundary,
-                          allow_disconnected=allow_disconnected)
 
 
 def dumps(obj) -> str:
@@ -135,8 +159,45 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
         raise FormatError(f"unknown mode {d['mode']!r}")
     if not isinstance(d["generators"], list):
         raise FormatError("'generators' must be a list")
+    generators = d["generators"]
+    gens = _fast_maps(generators)
+    if gens is None:
+        gens = _checked_maps(generators)
+    try:
+        return action_from_maps(g, gens, mode=d["mode"])
+    except (VertexNotFound, TypeError):
+        # an id that is not a string fails its lookup; a fault of an earlier
+        # entry comes first
+        _checked_maps(generators)
+        raise
+
+
+def _fast_maps(generators: list):
+    """(name, {source: image}) per generator entry, each map built by one
+    dict() call once a pass over its pairs finds lists and tuples only; None
+    when an entry fails a check or a map repeats a source."""
     gens = []
-    for entry in d["generators"]:
+    for entry in generators:
+        if type(entry) is not dict or "name" not in entry or "map" not in entry:
+            return None
+        m = entry["map"]
+        if type(m) is not list or not set(map(type, m)) <= {list, tuple}:
+            return None
+        try:
+            pairs = dict(m)
+        except (TypeError, ValueError):   # an unhashable source, a pair not of two
+            return None
+        if len(pairs) != len(m):
+            return None
+        gens.append((entry["name"], pairs))
+    return gens
+
+
+def _checked_maps(generators: list) -> list:
+    """The generator entries checked one pair at a time: FormatError naming
+    the first fault, or the (name, {source: image}) maps."""
+    gens = []
+    for entry in generators:
         if not isinstance(entry, dict):
             raise FormatError(f"generator entries must be objects, got {entry!r}")
         if "name" not in entry or "map" not in entry:
@@ -152,7 +213,7 @@ def action_from_dict(d: dict, base_dir: str = ".", allow_disconnected: bool = Fa
                 raise FormatError(f"generator {entry['name']!r}: duplicate source {p[0]!r}")
             pairs[p[0]] = p[1]
         gens.append((entry["name"], pairs))
-    return action_from_maps(g, gens, mode=d["mode"])
+    return gens
 
 
 def save_action(action, path: str, graph_ref: Optional[str] = None) -> None:

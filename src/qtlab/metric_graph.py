@@ -23,6 +23,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -82,8 +83,7 @@ class MetricGraph:
         n = len(given)
         if not n:
             raise EmptyGraph("graph has no vertices")
-        order = sorted(range(n), key=given.__getitem__)
-        self.vertex_ids = ids = tuple(given[k] for k in order)
+        self.vertex_ids = ids = tuple(sorted(given))
         self._index = {v: i for i, v in enumerate(ids)}
         if len(self._index) != n:
             raise FormatError("duplicate vertex ids")
@@ -92,8 +92,8 @@ class MetricGraph:
         for pos in (ends, bpos):
             if pos.size and (pos.min() < 0 or pos.max() >= n):
                 raise VertexNotFound(f"edge or boundary position outside range({n})")
-        rank = np.empty(n, dtype=np.int64)     # rank[position] = index
-        rank[order] = np.arange(n)
+        # rank[position] = index
+        rank = np.fromiter(map(self._index.__getitem__, given), dtype=np.int64, count=n)
         a, b = rank[ends].T
         self.boundary = tuple(ids[i] for i in rank[bpos].tolist())
 
@@ -139,7 +139,7 @@ class MetricGraph:
         return len(self._indices) // 2
 
     def index(self, v: str) -> int:
-        return _lookup(self._index, (v,), "no vertex {!r}")[0]
+        return int(_lookup(self._index, (v,), "no vertex {!r}")[0])
 
     def checked_index(self, v, what: str) -> int:
         """index(v), and a FormatError naming what if v is not a string."""
@@ -149,7 +149,7 @@ class MetricGraph:
 
     def indices(self, ids) -> np.ndarray:
         """Index array of the given vertex ids."""
-        return np.array(_lookup(self._index, ids, "no vertex {!r}"), dtype=np.int64)
+        return _lookup(self._index, ids, "no vertex {!r}")
 
     def has_vertex(self, v: str) -> bool:
         return v in self._index
@@ -251,18 +251,20 @@ class MetricGraph:
 
 
 def graph_from_ids(vertex_ids, edges, boundary=(), allow_disconnected=False) -> MetricGraph:
-    """MetricGraph from edges (id pairs) and boundary given as vertex ids."""
+    """MetricGraph from edges (id pairs) and boundary given as vertex ids.
+    The endpoints are looked up in one pass over the flattened pairs."""
     ids = list(vertex_ids)
     pos = {v: k for k, v in enumerate(ids)}
-    ends = _lookup(pos, (v for a, b in edges for v in (a, b)), "edge endpoint {!r} is not a vertex")
+    ends = _lookup(pos, chain.from_iterable(edges), "edge endpoint {!r} is not a vertex")
     return MetricGraph(ids, ends, boundary=_lookup(pos, boundary, "boundary vertex {!r} is not a vertex"),
                        allow_disconnected=allow_disconnected)
 
 
-def _lookup(pos: dict, ids, message: str) -> list:
-    """pos[v] for each v in ids; VertexNotFound naming the first one missing."""
+def _lookup(pos: dict, ids, message: str) -> np.ndarray:
+    """pos[v] for each v in ids as an int64 array; VertexNotFound naming the
+    first one missing."""
     try:
-        return [pos[v] for v in ids]
+        return np.fromiter(map(pos.__getitem__, ids), dtype=np.int64)
     except KeyError as exc:
         raise VertexNotFound(message.format(exc.args[0])) from None
 

@@ -2,15 +2,20 @@
 
 Everything here works on plain vertex-id lists and edge lists with its own
 BFS, or on a distance matrix, so none of it shares code with the package
-under test.
+under test.  The brute loaders raise the package's own exception types, so
+that a fault can be compared by type and message.
 """
 
+import json
 import math
+import os
 from collections import deque
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
+
+from qtlab.errors import DisconnectedGraph, EmptyGraph, FormatError, VertexNotFound
 
 
 def adjacency(ids, edges):
@@ -521,3 +526,146 @@ def brute_factor_check(factors, mapping):
         maps.append({a: b.pop() for a, b in sorted(m.items())}
                     if all(len(b) == 1 for b in m.values()) else None)
     return True, out, None, maps
+
+
+# ---------------------------------------------------------------------------
+# the loaders, checking one entry at a time
+# ---------------------------------------------------------------------------
+
+def brute_graph_from_dict(d, allow_disconnected=False):
+    """The graph loader checking each entry in turn, in the order qtlab.io
+    checks them, ending in brute_graph_from_ids.  Returns (sorted vertex ids,
+    the list of edge index pairs [i, j], i < j, in lexicographic order,
+    boundary ids) or raises the first fault with the package's exception
+    types and messages."""
+    if not isinstance(d, dict) or d.get("format") != "qtlab-graph-v1":
+        raise FormatError(f"expected format {'qtlab-graph-v1'!r}, got {d.get('format') if isinstance(d, dict) else type(d)!r}")
+    for key in ("vertices", "edges"):
+        if key not in d:
+            raise FormatError(f"graph object missing {key!r}")
+    vertices, edges, boundary = d["vertices"], d["edges"], d.get("boundary", [])
+    for key, value in (("vertices", vertices), ("edges", edges), ("boundary", boundary)):
+        if not isinstance(value, list):
+            raise FormatError(f"graph {key!r} must be a list, got {value!r}")
+    for key, value in (("vertices", vertices), ("boundary", boundary)):
+        for v in value:
+            if not isinstance(v, str):
+                raise FormatError(f"graph {key!r} entries must be vertex id strings, got {v!r}")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], str) and isinstance(e[1], str)):
+            raise FormatError(f"edge entries must be pairs of vertex ids, got {e!r}")
+    return brute_graph_from_ids(vertices, edges, boundary=boundary,
+                                allow_disconnected=allow_disconnected)
+
+
+def _brute_lookup(pos, ids, message):
+    try:
+        return [pos[v] for v in ids]
+    except KeyError as exc:
+        raise VertexNotFound(message.format(exc.args[0])) from None
+
+
+def brute_graph_from_ids(vertex_ids, edges, boundary=(), allow_disconnected=False):
+    """The id lookups of graph_from_ids, then the checks of MetricGraph in
+    their order (no vertices, duplicate ids, the first self-loop listed, the
+    first edge listed again, the first id in sorted order that index 0 does
+    not reach) over id lists, with the BFS of this module."""
+    ids = list(vertex_ids)
+    pos = {v: k for k, v in enumerate(ids)}
+    ends = _brute_lookup(pos, (v for a, b in edges for v in (a, b)), "edge endpoint {!r} is not a vertex")
+    bpos = _brute_lookup(pos, boundary, "boundary vertex {!r} is not a vertex")
+    if not ids:
+        raise EmptyGraph("graph has no vertices")
+    if len(set(ids)) != len(ids):
+        raise FormatError("duplicate vertex ids")
+    pairs = [(ids[ends[k]], ids[ends[k + 1]]) for k in range(0, len(ends), 2)]
+    for a, b in pairs:
+        if a == b:
+            raise FormatError(f"self-loop at {a!r}")
+    seen = set()
+    for a, b in pairs:
+        if frozenset((a, b)) in seen:
+            raise FormatError(f"duplicate edge {a!r} - {b!r}")
+        seen.add(frozenset((a, b)))
+    order = sorted(ids)
+    reached = bfs_distances(adjacency(ids, pairs), order[0])
+    if len(reached) != len(ids) and not allow_disconnected:
+        raise DisconnectedGraph(order[0], next(v for v in order if v not in reached))
+    index = {v: i for i, v in enumerate(order)}
+    edge_list = sorted(sorted((index[a], index[b])) for a, b in pairs)
+    return tuple(order), edge_list, tuple(ids[k] for k in bpos)
+
+
+def brute_action_from_dict(d, base_dir=".", allow_disconnected=False):
+    """The action loader checking each map pair in turn, in the order
+    qtlab.io checks them, ending in brute_action_from_maps.  Returns (graph as
+    brute_graph_from_dict gives it, mode, [(name, forward index list)])."""
+    if not isinstance(d, dict) or d.get("format") != "qtlab-action-v1":
+        raise FormatError(f"expected format {'qtlab-action-v1'!r}")
+    for key in ("graph", "mode", "generators"):
+        if key not in d:
+            raise FormatError(f"action object missing {key!r}")
+    graph = d["graph"]
+    if isinstance(graph, str):
+        if "\0" in graph:
+            raise FormatError(f"graph reference {graph!r} is not a file path")
+        path = os.path.join(base_dir, graph)
+        with open(path, encoding="utf-8") as fh:
+            try:
+                graph = json.load(fh)
+            except ValueError as exc:
+                raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    g = brute_graph_from_dict(graph, allow_disconnected=allow_disconnected)
+    if d["mode"] not in ("automorphism", "isometry"):
+        raise FormatError(f"unknown mode {d['mode']!r}")
+    if not isinstance(d["generators"], list):
+        raise FormatError("'generators' must be a list")
+    gens = []
+    for entry in d["generators"]:
+        if not isinstance(entry, dict):
+            raise FormatError(f"generator entries must be objects, got {entry!r}")
+        if "name" not in entry or "map" not in entry:
+            raise FormatError("generator entries need 'name' and 'map'")
+        if not isinstance(entry["map"], list):
+            raise FormatError(f"generator {entry['name']!r}: 'map' must be a list")
+        pairs = {}
+        for p in entry["map"]:
+            if not isinstance(p, (list, tuple)) or len(p) != 2 \
+                    or not all(isinstance(v, str) for v in p):
+                raise FormatError(f"map entries must be pairs of vertex ids, got {p!r}")
+            if p[0] in pairs:
+                raise FormatError(f"generator {entry['name']!r}: duplicate source {p[0]!r}")
+            pairs[p[0]] = p[1]
+        gens.append((entry["name"], pairs))
+    return brute_action_from_maps(g, gens, d["mode"])
+
+
+def brute_action_from_maps(graph, generators, mode):
+    """The id lookups of action_from_maps for every generator, then the
+    checks of GroupAction one generator at a time (name a string, names
+    unique and nonempty, injective, the mode by dense_mode_check)."""
+    vertex_ids, edge_list, _ = graph
+    n = len(vertex_ids)
+    index = {v: i for i, v in enumerate(vertex_ids)}
+    maps = [(name, _brute_lookup(index, m.keys(), "no vertex {!r}"),
+             _brute_lookup(index, m.values(), "no vertex {!r}")) for name, m in generators]
+    D = index_distances(vertex_ids, [(vertex_ids[i], vertex_ids[j]) for i, j in edge_list])
+    names = set()
+    out = []
+    for name, sources, images in maps:
+        if not isinstance(name, str):
+            raise FormatError(f"generator names must be strings, got {name!r}")
+        if not name or name in names:
+            raise FormatError(f"generator names must be unique and nonempty, got {name!r}")
+        names.add(name)
+        fwd = [-1] * n
+        for s, t in zip(sources, images):
+            fwd[s] = t
+        src = [i for i in range(n) if fwd[i] >= 0]
+        if len({fwd[i] for i in src}) != len(src):
+            raise FormatError(f"generator {name!r} is not injective")
+        message = src and dense_mode_check(D, vertex_ids, name, mode, src, [fwd[i] for i in src])
+        if message:
+            raise FormatError(message)
+        out.append((name, fwd))
+    return graph, mode, out

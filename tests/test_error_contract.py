@@ -7,7 +7,9 @@ graph and action files, `lm fit` sample files, `lm obstruction --matrix`,
 interpreter's digit limit, a report too large to encode and a word too long
 to expand.  Whatever the input, a command exits 0, or exits 2 (bad input) or
 3 (a refused size) with exactly one JSON object on stderr and nothing on
-stdout; it never raises."""
+stdout; it never raises.  The graph and action loaders are also fuzzed
+against the entry-by-entry loaders of `_oracles`: the same fault, type and
+message, or the same graph and maps."""
 
 import contextlib
 import io
@@ -18,8 +20,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import brute_action_from_dict, brute_graph_from_dict
 from qtlab.cli import main
-from qtlab.group_action import WORD_LETTERS_CAP, Word
+from qtlab.group_action import WORD_LETTERS_CAP, GroupAction, Word
+from qtlab.io import action_from_dict, graph_from_dict
+from qtlab.metric_graph import MetricGraph
 
 
 def _tuple_ish(item, size):
@@ -179,6 +184,114 @@ def test_action_files_keep_the_contract(workdir, payload):
     path = workdir / "action.json"
     path.write_text(json.dumps(payload))
     _check_contract(["orbit", "--action", str(path), "--basepoint", "v0", "--horizon", "2"])
+
+
+def _plain_graph(g):
+    return g.vertex_ids, g.edge_array().tolist(), g.boundary
+
+
+def _loaded(load, obj, **kwargs):
+    """("ok", what the loader built, as the brute loaders give it) or
+    (exception type, message) for the fault it raised."""
+    try:
+        out = load(obj, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(out, MetricGraph):
+        return "ok", _plain_graph(out)
+    if isinstance(out, GroupAction):
+        return "ok", (_plain_graph(out.space), out.mode,
+                      [(gm.name, gm.forward.tolist()) for gm in out.generators])
+    return "ok", out
+
+
+@settings(max_examples=600, deadline=None)
+@given(graph_objects())
+def test_graph_loader_matches_the_entry_by_entry_loader(payload):
+    assert _loaded(graph_from_dict, payload) == _loaded(brute_graph_from_dict, payload)
+
+
+@settings(max_examples=600, deadline=None)
+@given(action_objects())
+def test_action_loader_matches_the_entry_by_entry_loader(tmp_path_factory, payload):
+    base = str(tmp_path_factory.getbasetemp() / "no-graph-files-here")
+    assert (_loaded(action_from_dict, payload, base_dir=base)
+            == _loaded(brute_action_from_dict, payload, base_dir=base))
+
+
+class _Id(str):
+    pass
+
+
+class _Edges(list):
+    pass
+
+
+def _graph(vertices, edges, **more):
+    return {"format": "qtlab-graph-v1", "vertices": vertices, "edges": edges, **more}
+
+
+PATH3 = _graph(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+
+
+def _action(*maps):
+    return {"format": "qtlab-action-v1", "graph": PATH3, "mode": "automorphism",
+            "generators": [{"name": name, "map": m} for name, m in maps]}
+
+
+@pytest.mark.parametrize("load, payload, outcome", [
+    # ids that a fixed-width string array would take as equal
+    (graph_from_dict, _graph(["a", "a\x00"], [["a", "a\x00"]]), "ok"),
+    # an edge whose iteration gives two ids
+    (graph_from_dict, _graph(["a", "b"], ["ab"]),
+     "edge entries must be pairs of vertex ids, got 'ab'"),
+    (graph_from_dict, _graph(["a", "b"], [{"a": 1, "b": 2}]),
+     "edge entries must be pairs of vertex ids, got {'a': 1, 'b': 2}"),
+    (graph_from_dict, _graph([_Id("a"), _Id("b")], _Edges([_Edges([_Id("a"), "b"])]),
+                             boundary=[_Id("b")]), "ok"),
+    # ids in lists of three and one, four in all
+    (graph_from_dict, _graph(["a", "b", "c"], [["a", "b", "c"], ["a"]]),
+     "edge entries must be pairs of vertex ids, got ['a', 'b', 'c']"),
+    (graph_from_dict, _graph(["a", "a", "b"], [["a", "zz"]]),
+     "edge endpoint 'zz' is not a vertex"),
+    (graph_from_dict, _graph(["a", "a", "b"], [["a", "b"]]), "duplicate vertex ids"),
+    # the boundary's types are checked before the edges', the edges' ids
+    # are looked up before the boundary's
+    (graph_from_dict, _graph(["a", "b"], [["a", 1]], boundary=[2]),
+     "graph 'boundary' entries must be vertex id strings, got 2"),
+    (graph_from_dict, _graph(["a", "b"], [["a", "zz"]], boundary=[None]),
+     "graph 'boundary' entries must be vertex id strings, got None"),
+    (graph_from_dict, _graph(["a", "b"], [["a", "zz"]], boundary=["yy"]),
+     "edge endpoint 'zz' is not a vertex"),
+    (graph_from_dict, _graph(["a", "b"], [["a", ["b"]]], boundary=["yy"]),
+     "edge entries must be pairs of vertex ids, got ['a', ['b']]"),
+    (action_from_dict, _action(("s", [("a", "c"), ("b", "b"), ("c", "a")])), "ok"),
+    (action_from_dict, _action(("s", [["a", "c"], ("b", "b"), ["c", "a"]]),
+                               ("t", _Edges([["a", "a"]]))), "ok"),
+    # the entries are checked before any id is looked up
+    (action_from_dict, _action(("s", [["a", "zz"], ["a", "b"]])),
+     "generator 's': duplicate source 'a'"),
+    (action_from_dict, _action(("s", [["zz", "a"]]), ("t", [["a", "b"], ["a", "c"]])),
+     "generator 't': duplicate source 'a'"),
+    (action_from_dict, _action(("s", [["a", "c"], [5, "b"]])),
+     "map entries must be pairs of vertex ids, got [5, 'b']"),
+    (action_from_dict, _action(("s", [["a", 5]]), ("t", 7)),
+     "map entries must be pairs of vertex ids, got ['a', 5]"),
+    (action_from_dict, _action(("s", [["a", "c"]]), ("t", [[["a"], "b"]])),
+     "map entries must be pairs of vertex ids, got [['a'], 'b']"),
+    (action_from_dict, _action(("s", [["a", "zz"]]), ("t", [["yy", "a"]])),
+     "no vertex 'zz'"),
+    # a domain edge sent to a non-edge, and an image edge that comes from one
+    (action_from_dict, _action(("s", [["a", "a"], ["b", "c"]])),
+     "generator 's' violates automorphism mode at pair ('a', 'b')"),
+    (action_from_dict, _action(("s", [["a", "a"], ["c", "b"]])),
+     "generator 's' violates automorphism mode at pair ('a', 'c')"),
+])
+def test_loaders_match_the_entry_by_entry_loaders_by_hand(load, payload, outcome):
+    brute = brute_graph_from_dict if load is graph_from_dict else brute_action_from_dict
+    got = _loaded(load, payload)
+    assert got == _loaded(brute, payload)
+    assert got[0] == "ok" if outcome == "ok" else got[1] == outcome
 
 
 GRAPH = {"format": "qtlab-graph-v1", "vertices": ["a", "b"], "edges": [["a", "b"]]}

@@ -199,6 +199,29 @@ def test_word_map_composition():
         assert m12[i] == m1[m2[i]]  # right-to-left application
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.just("s"), st.integers(-9, 9)), max_size=4))
+def test_word_map_matches_evaluate_word(powers):
+    # on the ball of radius 4 in Z a power past 8 leaves the truncation from
+    # every vertex, after which word_map stops walking
+    a = cayley_graph("Z", 4).action
+    w = Word.parse(" ".join(f"{name}^{k}" for name, k in powers))
+    ids = a.space.vertex_ids
+    for i, v in enumerate(ids):
+        try:
+            want = a.space.index(evaluate_word(a, w, v))
+        except OutOfTruncation:
+            want = -1
+        assert word_map(a, w)[i] == want
+
+
+def test_word_map_refuses_an_unknown_letter_past_the_truncation():
+    a = cayley_graph("Z", 4).action
+    assert (word_map(a, Word.parse("s^9 s^-9")) == -1).all()
+    with pytest.raises(FormatError, match="no generator named 'zz'"):
+        word_map(a, Word.parse("s^9 zz s yy"))
+
+
 # --- orbits ----------------------------------------------------------------
 
 
