@@ -11,9 +11,10 @@ truncations:
   until the level drops to the best value (defect2 <= min(d(x,y), d(z,w))),
   then a search over all quadruples for the lex-first witness in its
   canonical form x < y, x < z < w,
-* the bottleneck scan, per center a test-then-bisect over the levels
-  d(z, .) > c, each test comparing pairs on one sphere and labelling the
-  level set's components (level_components, min-label propagation).
+* the bottleneck scan: one packed-bit filter of the centers
+  (bottleneck_centers), then per center left a test-then-bisect over the
+  levels d(z, .) > c, each test comparing pairs on one sphere and labelling
+  the level set's components (level_components, min-label propagation).
 
 Each kernel has one numpy implementation, with no other dependency;
 backend() names it.  Scan order and tie-breaks are fixed and documented per
@@ -22,6 +23,8 @@ oracles.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -140,11 +143,12 @@ def _unpack(words, k):
 #
 # Phase 1 finds the value.  It visits the far-apart pairs i < j by
 # decreasing distance, one distance level at a time, and scores each pair
-# of a level against every far-apart pair at that distance or more.  Every
-# such quadruple whose smaller pair lies at level L is scored there, and it
-# cannot beat L; so the scan stops at the first level <= best.  Every pair
-# at the top level (the diameter) is far-apart, so the mask is built only
-# when the scan goes past that level; cycles and square grids stop there.
+# of a level against every far-apart pair at that distance or more (the
+# level's own pairs as a triangle, below).  Every such quadruple whose
+# smaller pair lies at level L is scored there, and it cannot beat L; so
+# the scan stops at the first level <= best.  Every pair at the top level
+# (the diameter) is far-apart, so the mask is built only when the scan goes
+# past that level; cycles and square grids stop there.
 #
 # Phase 2 finds the witness.  When the value v is 0, (0,0,0,0) is the
 # lex-first quadruple attaining it.  When v > 0 the four points are distinct
@@ -156,33 +160,57 @@ def _unpack(words, k):
 # and returns the first hit.  It scores all pairs, not only far-apart
 # ones: the lex-first witness need not be made of far-apart pairs.
 #
-# Both phases score in tiles of about BLOCK entries, so the extra memory of
-# a scan does not grow with n^4.
+# Phase 1 scores each level's own block as a triangle: row block [a, b) of
+# the level against the columns [0, b), the levels above and the level's
+# rows up to b.  A quadruple of two pairs of one level is scored once, from
+# its later pair, and the defect is symmetric under (x,y)<->(z,w), so the
+# maximum is the one of the full square.
+#
+# Both phases score in tiles.  A tile gathers the distance rows of its row
+# pairs, then takes their columns at the column pairs; rows x max(cols, n)
+# stays about BLOCK entries, so the extra memory of a scan does not grow
+# with n^4, and the row gathers count toward it.
 # ---------------------------------------------------------------------------
 
 BLOCK = 1 << 14
 
 
-def _tiles(rows, cols):
-    """(row slice, column slice) tiles of a rows x cols table, each of about
-    BLOCK entries; read one after another, each in row-major order, they
-    cover the table in row-major order.  Slices may run past the table."""
-    if cols >= BLOCK:
-        for r in range(rows):
-            for c in range(0, cols, BLOCK):
-                yield slice(r, r + 1), slice(c, c + BLOCK)
-    else:
-        step = BLOCK // cols
-        for r in range(0, rows, step):
-            yield slice(r, r + step), slice(0, cols)
+def _tiles(start, stop, n, cols=None):
+    """(row slice, column slice) tiles of the rows [start, stop) of a table,
+    each row block [a, b) against the columns [0, cols), or [0, b) when cols
+    is None (the triangle).  A tile holds about BLOCK entries of rows x
+    max(columns, n), and one row at least; a row of BLOCK columns or more
+    is split into column blocks.  Read one after another, each in row-major
+    order, the tiles cover the table in row-major order."""
+    a = start
+    while a < stop:
+        if cols is None:
+            # the most rows b - a with (b - a) * b <= BLOCK
+            step = (math.isqrt(a * a + 4 * BLOCK) - a) // 2
+        else:
+            step = BLOCK // cols
+        b = a + max(1, min(step, BLOCK // n, stop - a))
+        width = b if cols is None else cols
+        for c in range(0, width, BLOCK):
+            yield slice(a, b), slice(c, min(c + BLOCK, width))
+        a = b
 
 
 def _defects(D, xa, ya, da, xb, yb, db):
     """defect2 of (xa[i], ya[i], xb[j], yb[j]) for every i, j; da and db are
-    the pair distances."""
-    s2 = D[xa[:, None], xb] + D[ya[:, None], yb]
-    s3 = D[xa[:, None], yb] + D[ya[:, None], xb]
-    return da[:, None] + db - np.maximum(s2, s3)
+    the pair distances, and xa may hold one vertex for every row.  The rows
+    D[xa] and D[ya] are gathered once, then their columns at xb and yb."""
+    Rx, Ry = D[xa], D[ya]
+    s = np.take(Ry, yb, axis=1)
+    t = np.take(Ry, xb, axis=1)
+    u = np.take(Rx, xb, axis=1)
+    s += u
+    np.take(Rx, yb, axis=1, out=u)
+    t += u
+    np.maximum(s, t, out=s)
+    np.subtract(db, s, out=s)
+    s += da[:, None]
+    return s
 
 
 def delta_scan(D):
@@ -214,7 +242,8 @@ def _far_apart(D):
 def _delta_value(D):
     """Phase 1: the largest defect2, by levels of decreasing pair distance,
     over far-apart pairs only once the scan is past the top level."""
-    iu, ju = np.triu_indices(D.shape[0], 1)
+    n = D.shape[0]
+    iu, ju = np.triu_indices(n, 1)
     d = D[iu, ju]
     order = np.argsort(-d, kind="stable")
     px, py, pd = iu[order], ju[order], d[order]
@@ -229,9 +258,8 @@ def _delta_value(D):
             pruned = True
             continue
         end = int(np.searchsorted(-pd, -pd[start], side="right"))
-        for rs, cs in _tiles(end - start, end):
-            a = slice(start + rs.start, min(start + rs.stop, end))
-            best = max(best, int(_defects(D, px[a], py[a], pd[a],
+        for rs, cs in _tiles(start, end, n):
+            best = max(best, int(_defects(D, px[rs], py[rs], pd[rs],
                                           px[cs], py[cs], pd[cs]).max()))
         start = end
     return best
@@ -251,9 +279,10 @@ def _lex_first_witness(D, v):
         z, w, dc = zs[k:], ws[k:], dzw[k:]
         if not len(ys) or not len(z):
             continue
-        xs = np.full(len(ys), x)
-        for rs, cs in _tiles(len(ys), len(z)):
-            hit = _defects(D, xs[rs], ys[rs], D[x, ys[rs]], z[cs], w[cs], dc[cs]) >= v
+        xs = np.array([x])
+        dxy = D[x, ys]
+        for rs, cs in _tiles(0, len(ys), n, len(z)):
+            hit = _defects(D, xs, ys[rs], dxy[rs], z[cs], w[cs], dc[cs]) >= v
             if hit.any():
                 i, j = divmod(int(np.argmax(hit)), hit.shape[1])
                 return x, int(ys[rs][i]), int(z[cs][j]), int(w[cs][j])
@@ -313,7 +342,31 @@ def level_components(indptr, indices, keep):
 # distance c+1; they stay in their component, and the new pair is at
 # distance exactly 2(c+1).  So each test compares |S|^2 pairs, not k^2, and
 # takes the components only when some pair on S is at distance 2(c+1).
+#
+# Center filter: bottleneck_centers(D, centers, c) keeps, in order, the
+# centers whose sphere S(z, c+1) holds a pair at distance 2(c+1), for all
+# of them in one pass.  The spheres and the rows of D == 2(c+1) are packed
+# into bits, and a center survives when one of its sphere points x has
+# (row of x) AND (sphere of z) nonzero.  A center that fails is one whose
+# test at level c fails, so bottleneck_center(D, ..., z, c, c_hi) would
+# return (-1, -1, -1); the scan calls it only on the survivors, and filters
+# again whenever its running maximum rises.
 # ---------------------------------------------------------------------------
+
+def bottleneck_centers(D, centers, c):
+    centers = np.asarray(centers, dtype=np.int64)
+    n = D.shape[0]
+    far = np.packbits(D == 2 * (c + 1), axis=1)
+    keep = np.zeros(len(centers), dtype=bool)
+    # a block of k centers has at most k * n sphere points
+    step = max(1, ROW_BLOCK // (n * far.shape[1]))
+    for a in range(0, len(centers), step):
+        sphere = D[centers[a:a + step]] == c + 1
+        zi, xi = np.nonzero(sphere)
+        hit = (far[xi] & np.packbits(sphere, axis=1)[zi]).any(axis=1)
+        keep[a + zi[hit]] = True
+    return centers[keep]
+
 
 def _joined(D, indptr, indices, r, c):
     sphere = np.nonzero(r == c + 1)[0]

@@ -100,19 +100,19 @@ class MetricGraph:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         if (lo == hi).any():
             raise FormatError(f"self-loop at {ids[lo[np.argmax(lo == hi)]]!r}")
-        # one stable sort of the keys i * n + j finds the repeated edges; the
-        # first one listed is the first position not first among equal keys
-        keys = lo * n + hi
-        by_key = np.argsort(keys, kind="stable")
-        repeats = np.flatnonzero(np.diff(keys[by_key]) == 0)
-        if len(repeats):
-            k = by_key[repeats + 1].min()
-            raise FormatError(f"duplicate edge {ids[a[k]]!r} - {ids[b[k]]!r}")
-
         # CSR adjacency with each neighbor list sorted by index (= by id), so
         # BFS layers come out deterministic: the ordered adjacent pairs as
         # keys i * n + j, sorted, are the CSR entries in order
-        self._keys = np.sort(np.concatenate((keys, hi * n + lo)))
+        keys = lo * n + hi
+        sorted_keys = np.sort(np.concatenate((keys, hi * n + lo)))
+        # two equal sorted keys are a repeated edge; a stable sort of the
+        # edge keys names the first one listed, the first position not first
+        # among equal keys
+        if (sorted_keys[1:] == sorted_keys[:-1]).any():
+            by_key = np.argsort(keys, kind="stable")
+            k = by_key[np.flatnonzero(np.diff(keys[by_key]) == 0) + 1].min()
+            raise FormatError(f"duplicate edge {ids[a[k]]!r} - {ids[b[k]]!r}")
+        self._keys = sorted_keys
         src, dst = np.divmod(self._keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
@@ -364,17 +364,22 @@ def bottleneck_constant(g: MetricGraph, max_vertices: Optional[int] = None) -> B
         raise DisconnectedGraph(*_disconnected_pair(g))
     D, indptr, indices = g.dist, g._indptr, g._indices
     ecc = D.max(axis=1)
-    diam = int(ecc.max())
+    c_hi = np.minimum(ecc - 1, int(ecc.max()) // 2)
     best = 0
     wit = None
-    for z in range(n):
-        c_hi = min(int(ecc[z]) - 1, diam // 2)
-        if c_hi < best:
-            continue
-        t, x, y = _kernels.bottleneck_center(D, indptr, indices, z, best, c_hi)
-        if t > best:
-            best = int(t)
-            wit = (int(x), int(y), z)
+    # the centers after the last raise that can still raise C, filtered
+    # again at each raise; a center the filter drops would return -1
+    start = 0
+    while start < n:
+        centers = np.flatnonzero(c_hi[start:] >= best) + start
+        start = n
+        for z in _kernels.bottleneck_centers(D, centers, best).tolist():
+            t, x, y = _kernels.bottleneck_center(D, indptr, indices, z, best, int(c_hi[z]))
+            if t > best:
+                best = int(t)
+                wit = (int(x), int(y), z)
+                start = z + 1
+                break
     if best == 0:
         return BottleneckReport(0, None, n)
     x, y, z = wit

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,16 @@ import qtlab._kernels as kernels
 from qtlab import (DisconnectedGraph, graph_from_ids, bottleneck_constant, cycle_graph,
                    farey_graph, grid_graph, hyperbolicity_delta)
 from qtlab.errors import NotATree
-from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, delta_scan,
-                            level_components, rows)
+from qtlab._kernels import (_joined, apsp, backend, bottleneck_center, bottleneck_centers,
+                            delta_scan, level_components, rows)
 from qtlab.cli import _build_fixture
 from qtlab.io import graph_to_dict
 
-from _oracles import (adjacency, all_distances, brute_center_bottleneck, brute_delta_witness,
-                      brute_level_joined, connected_avoiding, exhaustive_delta_witness,
-                      far_apart, index_distances, induced_components, random_connected_graph,
-                      random_tree_edges)
+from _oracles import (adjacency, all_distances, brute_bottleneck_witness,
+                      brute_center_bottleneck, brute_delta_witness, brute_level_joined,
+                      connected_avoiding, cycle_ids_edges, exhaustive_delta_witness, far_apart,
+                      grid_ids_edges, index_distances, induced_components,
+                      random_connected_graph, random_tree_edges)
 
 
 def _csr(g):
@@ -306,6 +308,85 @@ def test_delta_value_scores_only_the_levels_the_stop_rule_allows(monkeypatch):
         assert {L for call in calls for L in call[2].tolist()} == want, g
 
 
+@pytest.mark.parametrize("block", [1, 7, 60, 1 << 14])
+def test_tiles_cover_the_table_in_row_major_order_within_the_block(monkeypatch, block):
+    # row blocks [a, b) that partition the rows, each against the columns
+    # [0, cols), or [0, b) for the triangle (cols None), which covers every
+    # column c <= r of row r; rows x max(columns, n) at most BLOCK, or one
+    # row of at most BLOCK columns; every cell once, in row-major order
+    monkeypatch.setattr(kernels, "BLOCK", block)
+    for start, stop, n, cols in [(0, 1, 2, None), (0, 50, 9, None), (13, 200, 40, None),
+                                 (7, 8, 300, None), (0, 30, 5, 3), (0, 12, 70, 200),
+                                 (0, 3, 4, 5000)]:
+        cells, blocks = [], []
+        for rs, cs in kernels._tiles(start, stop, n, cols):
+            rows = rs.stop - rs.start
+            assert rows >= 1 and 1 <= cs.stop - cs.start <= block
+            assert rows == 1 or rows * max(cs.stop, n) <= block
+            if not blocks or blocks[-1] != rs:
+                blocks.append(rs)
+            cells += [(r, c) for r in range(rs.start, rs.stop) for c in range(cs.start, cs.stop)]
+        assert [rs.start for rs in blocks] == [start] + [rs.stop for rs in blocks[:-1]]
+        assert blocks[-1].stop == stop
+        want = [(r, c) for rs in blocks for r in range(rs.start, rs.stop)
+                for c in range(rs.stop if cols is None else cols)]
+        assert cells == want
+
+
+def _recorded_tiles(monkeypatch):
+    """Monkeypatch _tiles to record, per call, (start, stop, n, cols) and
+    the list of its (row slice, column slice) tiles."""
+    calls = []
+    tiles = kernels._tiles
+
+    def recording(start, stop, n, cols=None):
+        out = list(tiles(start, stop, n, cols))
+        calls.append(((start, stop, n, cols), out))
+        return iter(out)
+
+    monkeypatch.setattr(kernels, "_tiles", recording)
+    return calls
+
+
+def test_delta_scan_matches_exhaustive_scan_with_small_tiles(monkeypatch):
+    # small blocks make multi-row tiles, one-row tiles and split columns in
+    # both phases, and the triangle of levels with fewer pairs than n
+    rng = random.Random(71)
+    graphs = [graph_from_ids(*random_connected_graph(rng, n, rng.randrange(1, n)))
+              for n in range(4, 41, 3)]
+    graphs += [grid_graph(3, 5), cycle_graph(20), farey_graph(3, 6).graph,
+               _build_fixture("doubleline-n16").graph]
+    calls = _recorded_tiles(monkeypatch)
+    for block in (7, 60, 400):
+        monkeypatch.setattr(kernels, "BLOCK", block)
+        _assert_delta_scan_matches_exhaustive(graphs)
+    tiles = [(args, rs, cs) for args, out in calls for rs, cs in out]
+    assert any(rs.stop - rs.start > 1 for _, rs, _ in tiles)
+    assert any(rs.stop - rs.start == 1 for _, rs, _ in tiles)
+    for phase1 in (True, False):
+        assert any(cs.start > 0 for args, _, cs in tiles if (args[3] is None) == phase1)
+    assert any(cols is None and stop - start < n for (start, stop, n, cols), _ in calls)
+
+
+@pytest.mark.parametrize("make, parent_peak", [
+    (lambda: farey_graph(8, 18).graph, 1_742_120),
+    (lambda: _build_fixture("doubleline-n16").graph, 405_765),
+])
+def test_delta_scan_memory_stays_within_the_parent_peak(make, parent_peak):
+    # tracemalloc peaks of the scan before the row-gathered tiles, numpy 2.4
+    # on Python 3.11: the 190-vertex Farey truncation, and a graph whose top
+    # level holds 4 pairs, fewer than its 66 vertices; 5 % allows for other
+    # numpy versions' set-up arrays
+    D = make().dist
+    tracemalloc.start()
+    try:
+        delta_scan(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * parent_peak, peak
+
+
 def test_bottleneck_center_matches_oracle():
     # every lower bound c_lo from 0 to c_hi + 1: the kernel reports the
     # center's value only when it exceeds c_lo
@@ -327,6 +408,76 @@ def test_bottleneck_center_matches_oracle():
                     assert (t, x, y) == (-1, -1, -1), (ids[z], c_lo)
                 else:
                     assert (t, (ids[x], ids[y])) == (value, pair), (ids[z], c_lo)
+
+
+def _glued(first, second):
+    """Two graphs (ids, edges) as one, first's last vertex glued to second's
+    first vertex; first's vertices come first in id order."""
+    (ia, ea), (ib, eb) = first, second
+    name = {("a", v): f"a{k:02d}" for k, v in enumerate(ia)}
+    name.update({("b", v): f"b{k:02d}" for k, v in enumerate(ib)})
+    name["b", ib[0]] = name["a", ia[-1]]
+    ids = sorted(set(name.values()))
+    edges = [(name["a", u], name["a", v]) for u, v in ea]
+    edges += [(name["b", u], name["b", v]) for u, v in eb]
+    return ids, edges
+
+
+def _rising_graphs():
+    """Cycles, ladders and grids glued so that C rises more than once as the
+    scan goes through the centers, and seeded random graphs."""
+    glued = [(cycle_ids_edges(5), cycle_ids_edges(12)),
+             (grid_ids_edges(2, 6), cycle_ids_edges(10)),
+             (grid_ids_edges(3, 3), grid_ids_edges(4, 4)),
+             (grid_ids_edges(2, 4), grid_ids_edges(4, 4)),
+             (cycle_ids_edges(4), _glued(cycle_ids_edges(8), cycle_ids_edges(12)))]
+    out = [graph_from_ids(*_glued(a, b)) for a, b in glued]
+    rng = random.Random(61)
+    out += [graph_from_ids(*random_connected_graph(rng, n, rng.randrange(1, 6)))
+            for n in [rng.randrange(6, 16) for _ in range(60)]]
+    return out, len(glued)
+
+
+def test_bottleneck_constant_matches_oracle_where_c_rises_twice(monkeypatch):
+    raises = []
+    center = kernels.bottleneck_center
+
+    def recording(D, indptr, indices, z, c_lo, c_hi):
+        out = center(D, indptr, indices, z, c_lo, c_hi)
+        if out[0] > c_lo:
+            raises[-1] += 1
+        return out
+
+    monkeypatch.setattr(kernels, "bottleneck_center", recording)
+    graphs, glued = _rising_graphs()
+    graphs += [cycle_graph(k) for k in range(3, 15)]
+    graphs += [grid_graph(2, k) for k in range(2, 10)] + [grid_graph(3, 4), grid_graph(4, 5)]
+    for g in graphs:
+        ids, edges = _ids_edges(g)
+        raises.append(0)
+        rep = bottleneck_constant(g)
+        w = rep.witness
+        assert (None if w is None else (w.x, w.y, w.z)) == brute_bottleneck_witness(ids, edges), g
+    assert min(raises[:glued]) >= 2
+    assert sum(k >= 2 for k in raises[glued:]) >= 2
+
+
+def test_center_filter_drops_only_centers_whose_test_fails():
+    # the filter keeps, in order, exactly the centers z with a pair on
+    # S(z, c+1) at distance 2(c+1); bottleneck_center returns -1 on the rest
+    graphs, _ = _rising_graphs()
+    graphs += [grid_graph(4, 4), cycle_graph(11), _build_fixture("doubleline-n16").graph]
+    for g in graphs:
+        D, indptr, indices = g.dist, g._indptr, g._indices
+        for c in range(int(D.max()) + 1):
+            sphere = D == c + 1
+            want = [z for z in range(g.n)
+                    if (D[np.ix_(sphere[z], sphere[z])] == 2 * (c + 1)).any()]
+            assert bottleneck_centers(D, np.arange(g.n), c).tolist() == want, (g, c)
+            odd = bottleneck_centers(D, np.arange(1, g.n, 2), c).tolist()
+            assert odd == [z for z in want if z % 2], (g, c)
+            for z in sorted(set(range(g.n)) - set(want)):
+                assert bottleneck_center(D, indptr, indices, z, c, c) == (-1, -1, -1), (g, z, c)
 
 
 def test_sphere_test_matches_full_level_set():
