@@ -315,6 +315,15 @@ def _action_argvs():
         out.append((f"classify-{name}", ["classify", *act, "--horizon", "8"]))
         out.append((f"properness-{name}", ["properness", "--action", f"{name}.action.json",
                                            "--horizon", "3"]))
+        # horizon 0 stops the power orbits before any fingerprint, 3 and 16
+        # bracket the default 8
+        for h in (0, 3, 16):
+            out.append((f"classify-{name}-h{h}", ["classify", *act, "--horizon", str(h)]))
+        # a full horizon below the half one (0), the two equal (1), and half
+        # horizons 1 and 2
+        for h in (0, 1, 2, 5):
+            out.append((f"properness-{name}-h{h}", ["properness", "--action",
+                                                    f"{name}.action.json", "--horizon", str(h)]))
     words = [("power-orbit-cycle", "bs12-r8", "a", 8),
              ("tree-axis", "bs12-r8", "t", 8),
              ("power-orbit-cycle-period-15", "coset-c30", "g0|g1|g1", 16),
@@ -331,6 +340,11 @@ def _action_argvs():
                                        "--horizon", str(h)]))
     out.append(("word-inverted-edge", ["classify", "--action", "p4-flip.action.json",
                                        "--basepoint", "v0", "--word", "r", "--horizon", "1"]))
+    # x^11 leaves the ball of radius 5 from every vertex: the tree method
+    # sees no defined vertex
+    out.append(("word-tree-no-defined-vertex", ["classify", "--action", "f2-r5.action.json",
+                                                "--basepoint", "e", "--word", "x^11",
+                                                "--horizon", "8"]))
     return out
 
 
@@ -441,6 +455,106 @@ ACTION_REPORTS = {
         "cfef6aa14d6e8213ebf24c3da075e59da5b6ed3aa32b67d7889363b989a0b522",
     "word-inverted-edge":
         "1f1fecd01a582c332796aea88d996bec646abe6d03f5fa818d6fb46b94e4d485",
+    "classify-bs12-r8-h0":
+        "0a37719894cff1f50fb116ce994c323efb7994c7cc3feb77d99f9935466bd703",
+    "classify-bs12-r8-h3":
+        "8c835a5799be4faf7fb42f6aa06284c5829fcde0c5f323b20d71eeeebe0696b6",
+    "classify-bs12-r8-h16":
+        "6c86b4c81e0a4bb42e78279340b4da65ef3dcd93c278e103ee2acfc8d09e1aea",
+    "properness-bs12-r8-h0":
+        "b7701068c93059d908e9aa43ec2ead6c368efeb7619d170f6063fba919fc534a",
+    "properness-bs12-r8-h1":
+        "c3d77c8daaf0ecbd8a97871906630a974f4290865f1dcdb084c5fd948839c292",
+    "properness-bs12-r8-h2":
+        "a3f883b63b4de21599902687e51f64a6016e676d6d3d443b3b310117eeea9584",
+    "properness-bs12-r8-h5":
+        "54a301e8c4004e3d05b8e6a7ae3a1c0c510998da2a485fbc61ceb42d4f9baa05",
+    "classify-cone-z-r10-h0":
+        "3614bd85918533cbd00ffb80c73783e9edbd9b55dc05129e7d35e44334e3cef2",
+    "classify-cone-z-r10-h3":
+        "4df51aee97d63b85fe09b5dbcaf6c2fac959cda4d9daf3409ae1fc2aa35fb120",
+    "classify-cone-z-r10-h16":
+        "641f64765430339e0114bd3b2f9cdd1cf7290f56d4e80b2d8b7fc120361558d2",
+    "properness-cone-z-r10-h0":
+        "23397a9c27615f5a52693de45fa11e47938962ca4719dc45ccd0a8013fa8c861",
+    "properness-cone-z-r10-h1":
+        "d08ac943bdbbba226bdfac7c8b52c4b5a82a52e1175cdb468d49915b2caffc2c",
+    "properness-cone-z-r10-h2":
+        "650a58d782dd18895241065e791b15116834e87a4675d04f283048b891502e7b",
+    "properness-cone-z-r10-h5":
+        "d6ab1488c6647ae6f889e28fab248ab299b0a56a976ada630817289b6c14362a",
+    "classify-coset-c30-h0":
+        "e68509b80619c3f8b6886131faab1cea0121983747917f8747a1966a2f44b7c9",
+    "classify-coset-c30-h3":
+        "2cc2a2168544c2d77c4b903af32c79d1a37bc24b04fe43f225d00427fce41e18",
+    "classify-coset-c30-h16":
+        "9b8032643daf8e695797eabfa319a6faca29a54d90bbf8a831509b8fb3f992eb",
+    "properness-coset-c30-h0":
+        "c507c6f886b3560e1aecaa7109773579433dd15ba93e479100911b5229f39aef",
+    "properness-coset-c30-h1":
+        "49ed00dae39c2afa490781cc4f7bc1fd39b7e45436c2641f7005458ffc1c29c4",
+    "properness-coset-c30-h2":
+        "3c83ca5545f4ba4946e97110ab13680100392d8fa3a291dc751c41f9119cf050",
+    "properness-coset-c30-h5":
+        "17734a183cc0066ce7494a9262ad015bf23192b8ce5c9bb4ab9985be7774ae47",
+    "classify-doubleline-n16-h0":
+        "95535b4012414650aa8ad58a40dfdddf49b48fbfbaeb8919bfe7b55e73ecd1e1",
+    "classify-doubleline-n16-h3":
+        "133f6a17176219295826a10d7f0e740195caee3b9420bdd1ab2079471f1765b2",
+    "classify-doubleline-n16-h16":
+        "38d401c11c56c18829aedcdb5c59f4e0a40fb50549b7d295f87c21c7e5937ebf",
+    "properness-doubleline-n16-h0":
+        "b2a9aa6967fc7c80c14fca1c0d784d67bbf0230c0c13e4178ae935caa1a1a12d",
+    "properness-doubleline-n16-h1":
+        "122f2c346b7b41c165e7cb4d6a64ac8f4c09be3a8e8b3620996a541ab849bdb4",
+    "properness-doubleline-n16-h2":
+        "acd3c983e2221478b7c927846be6cde49804b67f1c0ec9b1b2142897b0cd722e",
+    "properness-doubleline-n16-h5":
+        "12146a776e5a95e19dd928aff4ea816f1be857ecc7e509b184722a57aeafc740",
+    "classify-f2-r5-h0":
+        "2e5f5b7af9226304770ef8194361a07cf0233e88eb93141df90af474a637e9a7",
+    "classify-f2-r5-h3":
+        "239c06446bc501b1f300d26a395f46ef82b120d37d7913c0ffb3ae629dc9e559",
+    "classify-f2-r5-h16":
+        "aaadc3369501959cc982401dd2091f3e8f4bdec1dfe0b570b1f0904e051adc4d",
+    "properness-f2-r5-h0":
+        "f2b46362c5458326532000c13e9a1699cf4e20ca185d717c3cca9d959e637b3c",
+    "properness-f2-r5-h1":
+        "c7b415499fb483a033a0fd5ef7183808a90cf332a277f01e683b8ecfc16f1069",
+    "properness-f2-r5-h2":
+        "b373afad3d992814c57f547d9be7b4b943c30c796571664be0009fe1af26d2f0",
+    "properness-f2-r5-h5":
+        "828a0c09ede321cde9775a6a1b841163fc3cc9e103104e29f19806fcaebcd9eb",
+    "classify-farey-Q20-h0":
+        "b599aa1eb4073048743175c17d8c20df8ce6ffcbe2246ad56fb16085770ba01a",
+    "classify-farey-Q20-h3":
+        "c8e2d85e43f6274e2a5a1a75d1720d78931c57f7f34ae0c80ef941ecffbb289c",
+    "classify-farey-Q20-h16":
+        "b4d27169db38c4a9e6f9408f750c87f2fc812bc5316fba9b9d75606463df7c9f",
+    "properness-farey-Q20-h0":
+        "534fea77e29740d8f5a342c2a4c0f495e6336ddd091f4de7ccdd384259e06c35",
+    "properness-farey-Q20-h1":
+        "b59dd64091c3325fbb34780dacc107b34e59bfd1dbbaa8f7cd45f90583703b9c",
+    "properness-farey-Q20-h2":
+        "1fbbaae125cf4ae47ee19a7961f7e5f2eab18ac16df2583cea533dd7e16ff72f",
+    "properness-farey-Q20-h5":
+        "c62342ccd1d09bf3630cb34875a7e2243c093398e5162272dc1a0a4e3d2d2fbe",
+    "classify-horoball-line-d7-h0":
+        "0ce2aacf3eebfd1c0a110198bbf6a3256a0890216e30227990ceb74480d3c0a2",
+    "classify-horoball-line-d7-h3":
+        "35710916debc179d9a96e314f283b550b8910a5d23484989ea1e139d9c14dcf8",
+    "classify-horoball-line-d7-h16":
+        "d07a36e9cc317e4156b37f4c79d7cafd50b925f9bbb7a4abd1d914913922ec8a",
+    "properness-horoball-line-d7-h0":
+        "87006292114d68a20c6d8d1551bd3c2ed8b53255bf7bd5a2061018fe4d637089",
+    "properness-horoball-line-d7-h1":
+        "4c5c019642e5605d420f3e36e5e6aaa72e57805d5b58f4ce726c7022318cd513",
+    "properness-horoball-line-d7-h2":
+        "33d9388f7449589ea060db8211cee33330eae69180611c032e40bf80fe562bb2",
+    "properness-horoball-line-d7-h5":
+        "bf3483303344ef6e9cd7fadc06866dd6efcc827e0680ff23d0e6d2b4dd51bbbc",
+    "word-tree-no-defined-vertex":
+        "0bce60a09492b26469faf1da53c1273d80b12ea8300b3083d63cc4960d4cd55e",
 }
 
 
