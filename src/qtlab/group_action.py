@@ -5,6 +5,10 @@ stored as index arrays with -1 where a map is undefined.  Inside this
 module a vertex is its index: ids come in as basepoints, rays and x0
 arguments and leave only in result fields.  Orbits and power orbits are
 walked over index arrays, and fixed sets and ping-pong quadrants are masks.
+Each job is done once per call: classify_action_type maps and walks each
+classified word once, and the ambient slack 4*delta is computed at most
+once per classify call and never kept between calls; the realized walk
+returns the elements of one horizon.
 Everything downstream treats the truncation as a window onto an infinite
 action: orbit computations stay honest about frontier escapes, translation
 lengths come as upper bounds with certificates, and classification verdicts
@@ -16,6 +20,7 @@ left to right, so evaluating [s, t] at v yields t(s(v)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -521,15 +526,14 @@ def _require_tree(g: MetricGraph):
         raise NotATree("space is not a tree")
 
 
-def _tree_classify(a: GroupAction, w: Word):
-    """(tau, kind, vertex index) for a word acting on a tree truncation.
+def _tree_classify(a: GroupAction, w: Word, img: np.ndarray):
+    """(tau, kind, vertex index) for a word w, with map img, acting on a
+    tree truncation.
 
     kind is 'fixed-vertex', 'inverted-edge' or 'axis'; vertex attains the
     minimal displacement.  Exact for trees: min displacement is tau except
     for edge inversions, which translate by 0.
     """
-    _require_tree(a.space)
-    img = word_map(a, w)
     defined = np.nonzero(img >= 0)[0]
     if len(defined) == 0:
         raise OutOfTruncation(0, a.space.vertex_ids[0], w.display())
@@ -553,8 +557,8 @@ def _tree_classify(a: GroupAction, w: Word):
 def tree_translation_length(a: GroupAction, w: Word) -> int:
     """Exact translation length on a tree: minimum vertex displacement, and 0
     for elliptic words (fixed vertex or inverted edge)."""
-    tau, kind, _ = _tree_classify(a, w)
-    return tau
+    _require_tree(a.space)
+    return _tree_classify(a, w, word_map(a, w))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -578,15 +582,10 @@ class IsometryReport:
 def _ambient_slack(g: MetricGraph) -> Tuple[Fraction, Optional[str]]:
     """4 * delta when the hyperbolicity scan is within its size cap, else a
     documented default of 4 with a note."""
-    cached = getattr(g, "_delta4_cache", None)
-    if cached is not None:
-        return cached, None
     try:
-        val = 4 * hyperbolicity_delta(g).delta
+        return 4 * hyperbolicity_delta(g).delta, None
     except SizeLimitExceeded:
         return Fraction(4), "ambient delta not computed (graph over cap); using slack 4"
-    g._delta4_cache = val
-    return val, None
 
 
 def classify_isometry(
@@ -607,10 +606,21 @@ def classify_isometry(
     Parabolic candidates are demoted to Unknown when the ambient space is
     known to be a quasitree (finitely generated groups acting on quasitrees
     have no parabolic isometries)."""
-    notes: List[str] = []
     xi = a.space.index(x0)
+    img = word_map(a, w)
+    quasitree = a.space.is_tree() if space_is_quasitree is None else space_is_quasitree
+    return _classify(a, w, xi, a.space.rows([xi])[0], img, _power_orbit(img, xi, horizon),
+                     horizon, quasitree, functools.partial(_ambient_slack, a.space))
+
+
+def _classify(a: GroupAction, w: Word, xi: int, drow: np.ndarray, img: np.ndarray,
+              pts: np.ndarray, horizon: int, quasitree, slack) -> IsometryReport:
+    """classify_isometry of w from vertex index xi, whose distance row is
+    drow, given the map img of w and its power orbit pts from xi to
+    horizon.  slack() returns _ambient_slack(a.space), and is called only
+    when the doubling test runs."""
+    notes: List[str] = []
     ids = a.space.vertex_ids
-    pts = _power_orbit(word_map(a, w), xi, horizon)
     if len(pts) and pts[-1] == xi:
         return IsometryReport(
             w, "Elliptic", "certified", "power-orbit-cycle", Fraction(0), Fraction(0),
@@ -619,21 +629,19 @@ def classify_isometry(
 
     if a.space.is_tree():
         try:
-            tau, kind, vertex = _tree_classify(a, w)
-            vertex = ids[vertex]
+            tau, kind, vertex = _tree_classify(a, w, img)
         except OutOfTruncation:
-            tau, kind, vertex = None, None, None
             notes.append("tree method saw no defined vertex")
-        if kind is not None:
+        else:
             if tau > 0:
                 return IsometryReport(
                     w, "Loxodromic", "certified", "tree-min-displacement",
                     Fraction(tau), Fraction(tau),
-                    {"kind": kind, "vertex": vertex, "tau": tau}, truncated, tuple(notes))
+                    {"kind": kind, "vertex": ids[vertex], "tau": tau}, truncated, tuple(notes))
             return IsometryReport(
                 w, "Elliptic", "certified", "tree-min-displacement",
                 Fraction(0), Fraction(0),
-                {"kind": kind, "vertex": vertex}, truncated, tuple(notes))
+                {"kind": kind, "vertex": ids[vertex]}, truncated, tuple(notes))
 
     n_reached = len(pts)
     if n_reached < 2:
@@ -641,20 +649,17 @@ def classify_isometry(
         return IsometryReport(w, "Unknown", "heuristic", "insufficient-data",
                               None, None, {}, truncated, tuple(notes))
 
-    drow = a.space.rows([xi])[0]
     dists = [0] + drow[pts].tolist()
     tau_upper = min(Fraction(dists[k], k) for k in range(1, n_reached + 1))
 
-    slack, note = _ambient_slack(a.space)
+    slack, note = slack()
     if note:
         notes.append(note)
     doubling_ok = all(
         dists[2 * k] >= 2 * dists[k] - slack
         for k in range(1, n_reached // 2 + 1)
     )
-    tau_lower = max(
-        (Fraction(dists[k]) - slack) / k for k in range(1, n_reached + 1)
-    ) if n_reached else Fraction(0)
+    tau_lower = max((Fraction(dists[k]) - slack) / k for k in range(1, n_reached + 1))
     if doubling_ok and tau_lower > 0:
         return IsometryReport(
             w, "Loxodromic", "heuristic", "displacement-doubling",
@@ -666,9 +671,6 @@ def classify_isometry(
     decay_bound = Fraction(2 * (1 + math.ceil(math.log2(n_reached))), n_reached)
     decays = tau_upper <= decay_bound
     if escape and decays:
-        quasitree = space_is_quasitree
-        if quasitree is None:
-            quasitree = a.space.is_tree()
         if quasitree:
             notes.append("parabolic candidate demoted: ambient space is a quasitree")
             return IsometryReport(w, "Unknown", "heuristic", "decay-gate-demoted",
@@ -714,13 +716,14 @@ def serre_elliptic_test(a: GroupAction, words: Optional[Sequence[Word]] = None) 
         for j in range(i + 1, len(words)):
             to_check.append(words[i] * words[j])
     notes = []
+    imgs = []
     for w in to_check:
-        tau, kind, vertex = _tree_classify(a, w)
-        if tau > 0:
+        imgs.append(word_map(a, w))
+        if _tree_classify(a, w, imgs[-1])[0] > 0:
             return SerreResult(False, None, w, tuple(v.display() for v in to_check), ())
     common = np.ones(a.space.n, dtype=bool)
-    for w in words:
-        common &= word_map(a, w) == np.arange(a.space.n)
+    for img in imgs[:len(words)]:
+        common &= img == np.arange(a.space.n)
     if not words or not common.any():
         notes.append("all words elliptic but no common fixed vertex inside the truncation")
         return SerreResult(True, None, None, tuple(v.display() for v in to_check), tuple(notes))
@@ -802,17 +805,14 @@ def realized_elements(a: GroupAction, horizon: int) -> List[RealizedElement]:
 
     A candidate merges into the first element it does not contradict, and
     that element gains the candidate's extra domain."""
-    for _, words, depths, rows in _realized_walk(a, horizon):
-        pass
+    words, depths, rows = _realized_walk(a, horizon)
     return [RealizedElement(w, d, rows[k]) for k, (w, d) in enumerate(zip(words, depths))]
 
 
 def _realized_walk(a: GroupAction, horizon: int):
-    """The walk of realized_elements, one depth at a time: yields (depth,
-    words, depths, rows) at depth 0 and after each further depth, up to
-    horizon or until no fresh element turns up.  rows is a view of the
-    stack, and deeper candidates still merge into it, so a caller that keeps
-    a shallower state must copy it before resuming the walk.
+    """The walk of realized_elements, depth by depth up to horizon or until
+    no fresh element turns up: (words, depths, rows), with rows[k] the
+    image of element k.
 
     The candidates of a depth are the frontier rows times the letters, in
     that order, and _settle_batch takes them _BATCH at a time."""
@@ -826,7 +826,6 @@ def _realized_walk(a: GroupAction, horizon: int):
     words, depths = [Word()], [0]
     frontier = [0]
     depth = 0
-    yield depth, words, depths, stack.rows()
     while frontier and depth < horizon:
         nxt = []
         cands = [(e, j) for e in frontier for j in range(len(letters))]
@@ -840,7 +839,7 @@ def _realized_walk(a: GroupAction, horizon: int):
             i += settled
         frontier = nxt
         depth += 1
-        yield depth, words, depths, stack.rows()
+    return words, depths, stack.rows()
 
 
 _BATCH = 32       # candidates composed and screened together
@@ -1043,18 +1042,16 @@ def properness_profiles(
     ends of a distant pair by at most epsilon), uniform-properness counts
     N_r, and a stabilizer summary with a growth warning when the maximal
     realized stabilizer count still grows from horizon/2 to horizon."""
-    # one walk serves both horizons: the rows at the end of the half depth
-    # are realized_elements(a, half), copied before deeper merges change them
-    full, half = max(horizon, 0), max(1, horizon // 2)
-    last = max(full, half)
-    kept = {}
-    for depth, _, _, rows in _realized_walk(a, last):
-        if depth in (full, half):
-            kept[depth] = rows if depth == last else rows.copy()
-    S = kept.get(full, rows)
-    S_half = kept.get(half, rows)
-    D = a.space.dist
     n = a.space.n
+
+    def max_stab(rows):
+        return int((rows == np.arange(n)).sum(axis=0).max())
+
+    # the half walk runs first and keeps only its count, so its stack is
+    # freed before the full walk builds its own
+    half_stab = max_stab(_realized_walk(a, max(1, horizon // 2))[2])
+    S = _realized_walk(a, horizon)[2]
+    D = a.space.dist
     BIG = 10 ** 6
     disp = np.where(S >= 0, D[np.arange(n), S], BIG)
 
@@ -1082,11 +1079,7 @@ def properness_profiles(
         counts = (disp <= r).sum(axis=0)
         uniform.append((int(r), int(counts.max())))
 
-    def max_stab(rows):
-        return int((rows == np.arange(n)).sum(axis=0).max())
-
     full_stab = max_stab(S)
-    half_stab = max_stab(S_half)
     top = int(D.max(initial=-1))
     return PropernessReport(
         horizon, len(S), tuple(acyl), tuple(uniform),
@@ -1173,35 +1166,6 @@ class ActionTypeReport:
     loxodromics: tuple         # display strings of loxodromic words found
 
 
-def _reduced_words(letters: Sequence[Tuple[str, int]], max_len: int) -> List[Word]:
-    """All nonempty freely reduced words up to max_len, extending each word
-    by the letters in the given order."""
-    out: List[Word] = []
-    frontier: List[Word] = [Word()]
-    for _ in range(max_len):
-        nxt = []
-        for w in frontier:
-            for (n, s) in letters:
-                if w.letters and w.letters[-1] == (n, -s):
-                    continue
-                w2 = w * Word([(n, s)])
-                nxt.append(w2)
-        out.extend(nxt)
-        frontier = nxt
-    return out
-
-
-def _direction_fingerprint(a: GroupAction, w: Word, x0i: int, x0row, horizon: int) -> Optional[int]:
-    """Farthest vertex reached along the power orbit of w from x0; the
-    lex-first id among the points attaining the maximum.  None when the
-    orbit never leaves x0.  x0row is the distance row of x0."""
-    pts = _power_orbit(word_map(a, w), x0i, horizon)
-    d = x0row[pts]
-    if not len(pts) or d.max() == 0:
-        return None
-    return int(pts[d == d.max()].min())
-
-
 def _pingpong_certificate(a: GroupAction, x0i: int, w1: Word, w2: Word,
                           in_orbit: np.ndarray, gromov2: np.ndarray) -> Optional[dict]:
     """Checks a ping-pong schedule for w1^2, w2^2 on the orbit.
@@ -1257,45 +1221,53 @@ def classify_action_type(
         return ActionTypeReport("Bounded", "certified",
                                 {"orbit_size": len(orbit_idx), "horizon": max(horizon, 4)}, ())
 
-    words = _reduced_words(a.letters(), 2)
-    quasitree = space_is_quasitree
-    if quasitree is None:
-        quasitree = a.space.is_tree()
-    lox: List[Tuple[Word, IsometryReport]] = []
+    # the nonempty freely reduced words of length at most 2, each extended
+    # by the letters in order; the list is closed under inversion
+    letters = a.letters()
+    ones = [Word([l]) for l in letters]
+    words = ones + [w * Word([(n, s)]) for w in ones for n, s in letters
+                    if w.letters[-1] != (n, -s)]
+    quasitree = a.space.is_tree() if space_is_quasitree is None else space_is_quasitree
+    x0row = a.space.rows([x0i])[0]
+    slack = functools.cache(functools.partial(_ambient_slack, a.space))
+    orbits = {}     # word -> its power orbit from x0
+    lox: List[Word] = []
     parabolic_flag = False
     for w in words:
-        rep = classify_isometry(a, w, x0, horizon=horizon,
-                                space_is_quasitree=quasitree)
+        img = word_map(a, w)
+        orbits[w] = _power_orbit(img, x0i, horizon)
+        rep = _classify(a, w, x0i, x0row, img, orbits[w], horizon, quasitree, slack)
         if rep.verdict == "Loxodromic":
-            lox.append((w, rep))
+            lox.append(w)
         elif rep.verdict == "ParabolicCandidate":
             parabolic_flag = True
 
     if not lox:
-        if not exhausted or not complete:
-            verdict = "ParabolicCandidate"
-            if quasitree and not parabolic_flag:
-                verdict = "Undetermined"
-            return ActionTypeReport(
-                verdict, "heuristic",
-                {"words_scanned": len(words), "orbit_exhausted": exhausted,
-                 "orbit_complete": complete}, ())
-        return ActionTypeReport("Undetermined", "heuristic",
-                                {"words_scanned": len(words)}, ())
+        # an orbit both exhausted and complete has already returned Bounded
+        return ActionTypeReport(
+            "Undetermined" if quasitree and not parabolic_flag else "ParabolicCandidate",
+            "heuristic",
+            {"words_scanned": len(words), "orbit_exhausted": exhausted,
+             "orbit_complete": complete}, ())
+
+    def fingerprint(w):
+        # the direction of w: the lex-first farthest point of its power orbit
+        # from x0, None when the orbit never leaves x0
+        pts = orbits[w]
+        d = x0row[pts]
+        return None if not len(pts) or d.max() == 0 else int(pts[d == d.max()].min())
 
     # direction fingerprints for each loxodromic, then clustering
     dirs = []   # (word, plus_rep, minus_rep)
-    x0row = a.space.rows([x0i])[0]
-    for w, _rep in lox:
-        p = _direction_fingerprint(a, w, x0i, x0row, horizon)
-        m = _direction_fingerprint(a, w.inverse(), x0i, x0row, horizon)
+    for w in lox:
+        p, m = fingerprint(w), fingerprint(w.inverse())
         if p is None or m is None:
             continue
         dirs.append((w, p, m))
     if not dirs:
         return ActionTypeReport("Undetermined", "heuristic",
                                 {"reason": "loxodromics without usable fingerprints"},
-                                tuple(w.display() for w, _ in lox))
+                                tuple(w.display() for w in lox))
 
     reps = sorted({p for _, p, m in dirs} | {m for _, p, m in dirs})
     # gromov2[k, v] is twice the Gromov product (v . reps[k]) at x0

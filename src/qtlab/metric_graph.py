@@ -45,11 +45,9 @@ BOTTLENECK_DEFAULT_CAP = 500
 GEODESIC_DEFAULT_CAP = 10000
 
 
-def resolve_cap(cap: Optional[int], default: int) -> int:
-    """Explicit argument beats QTLAB_MAX_VERTICES beats the built-in default.
+def resolve_cap(default: int) -> int:
+    """QTLAB_MAX_VERTICES, read at each call, beats the built-in default.
     A QTLAB_MAX_VERTICES that is not a non-negative integer is a FormatError."""
-    if cap is not None:
-        return int(cap)
     env = os.environ.get("QTLAB_MAX_VERTICES")
     if env:
         try:
@@ -294,10 +292,10 @@ class HyperbolicityReport:
         return Fraction(self.two_delta, 2)
 
 
-def hyperbolicity_delta(g: MetricGraph, max_vertices: Optional[int] = None) -> HyperbolicityReport:
+def hyperbolicity_delta(g: MetricGraph) -> HyperbolicityReport:
     """Trees (2*delta = 0, witness (ids[0],) * 4) are answered without a
     scan, so the size cap applies to other graphs only."""
-    cap = resolve_cap(max_vertices, DELTA_DEFAULT_CAP)
+    cap = resolve_cap(DELTA_DEFAULT_CAP)
     ids = g.vertex_ids
     if g.is_tree():
         return HyperbolicityReport(0, (ids[0],) * 4, g.n)
@@ -351,10 +349,10 @@ class BottleneckReport:
     n_vertices: int
 
 
-def bottleneck_constant(g: MetricGraph, max_vertices: Optional[int] = None) -> BottleneckReport:
+def bottleneck_constant(g: MetricGraph) -> BottleneckReport:
     """Trees (C = 0) are answered without a scan, so the size cap applies
     to other graphs only."""
-    cap = resolve_cap(max_vertices, BOTTLENECK_DEFAULT_CAP)
+    cap = resolve_cap(BOTTLENECK_DEFAULT_CAP)
     n = g.n
     if g.is_tree():
         return BottleneckReport(0, None, n)
@@ -426,9 +424,9 @@ class QuasitreeResult:
     report: BottleneckReport
 
 
-def is_quasitree(g: MetricGraph, c_max: int, max_vertices: Optional[int] = None) -> QuasitreeResult:
+def is_quasitree(g: MetricGraph, c_max: int) -> QuasitreeResult:
     """Bottleneck test: passes iff the exact constant is <= c_max."""
-    report = bottleneck_constant(g, max_vertices=max_vertices)
+    report = bottleneck_constant(g)
     return QuasitreeResult(report.constant <= c_max, c_max, report)
 
 

@@ -123,7 +123,7 @@ def _point_at(p: ProductSpace, pos) -> Tuple[str, ...]:
 
 
 def _check_size(p: ProductSpace, default: int, what: str):
-    cap = resolve_cap(None, default)
+    cap = resolve_cap(default)
     if p.n_points > cap:
         raise SizeLimitExceeded(p.n_points, cap, what)
 

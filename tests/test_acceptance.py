@@ -154,7 +154,7 @@ def test_criterion_05_orbit_quasiconvexity_bound(farey20):
           "K-quasiconvex with the minimal K from 2K - 2C >= M")
 
 
-def test_criterion_06_translation_length_discipline(bs12):
+def test_criterion_06_translation_length_discipline(bs12, monkeypatch):
     # exact values on the tree
     for text, want in [("t", 1), ("a", 0), ("t t", 2), ("a t a^-1", 1)]:
         assert tree_translation_length(bs12.action, Word.parse(text)) == want
@@ -175,7 +175,12 @@ def test_criterion_06_translation_length_discipline(bs12):
         fx = _build_fixture(name)
         if fx.action is None:
             continue
-        if not is_quasitree(fx.graph, c_max=3, max_vertices=2000).passed:
+        # the raised cap holds for the bottleneck test alone, not for the
+        # four-point scan of classify_isometry's slack below
+        with monkeypatch.context() as mp:
+            mp.setenv("QTLAB_MAX_VERTICES", "2000")
+            passed = is_quasitree(fx.graph, c_max=3).passed
+        if not passed:
             continue
         quasitree_names.append(name)
         gen_names = [gm.name for gm in fx.action.generators]

@@ -303,9 +303,10 @@ def test_farey_s_is_an_involution_where_defined():
 
 
 @pytest.mark.parametrize("Q", [5, 12])
-def test_farey_bottleneck_constant(Q):
+def test_farey_bottleneck_constant(monkeypatch, Q):
     con = farey_graph(Q)
-    rep = bottleneck_constant(con.graph, max_vertices=2000)
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "2000")
+    rep = bottleneck_constant(con.graph)
     assert rep.constant == 1
 
 

@@ -433,6 +433,22 @@ def test_classify_horoball_shift_parabolic_candidate():
     assert demoted.verdict == "Unknown"
 
 
+def test_classify_reads_the_cap_in_force_at_each_call(monkeypatch):
+    """The ball of radius 10 in Z^2 has 221 vertices, over the four-point
+    cap of 200.  A call under a raised cap scans delta; a later call under
+    the default cap must not reuse that scan, and reads as a fresh one."""
+    a = cayley_graph("Z2", 10).action
+    assert a.space.n == 221
+    sx = Word.parse("sx")
+    fresh = classify_isometry(cayley_graph("Z2", 10).action, sx, "0,0", horizon=8)
+    assert (fresh.verdict, fresh.certificate["slack"]) == ("Loxodromic", "4")
+    assert fresh.notes == ("ambient delta not computed (graph over cap); using slack 4",)
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "300")
+    classify_isometry(a, sx, "0,0", horizon=8)
+    monkeypatch.delenv("QTLAB_MAX_VERTICES")
+    assert classify_isometry(a, sx, "0,0", horizon=8) == fresh
+
+
 # --- serre test ------------------------------------------------------------
 
 

@@ -113,9 +113,10 @@ PINNED_WITNESSES = [
 
 
 @pytest.mark.parametrize("name,constant,witness", PINNED_WITNESSES)
-def test_pinned_bottleneck_witnesses(name, constant, witness):
+def test_pinned_bottleneck_witnesses(monkeypatch, name, constant, witness):
     g = grid_graph(15, 15) if name == "grid15x15" else _build_fixture(name).graph
-    rep = bottleneck_constant(g, max_vertices=2000)
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "2000")
+    rep = bottleneck_constant(g)
     w = rep.witness
     assert (rep.constant, (w.x, w.y, w.z)) == (constant, witness)
     path = w.avoiding_path
@@ -148,12 +149,13 @@ def test_pinned_delta_witnesses(name, two_delta, witness):
 
 
 @pytest.mark.parametrize("name", ["f2-r5", "bs12-r8"])
-def test_trees_are_answered_before_the_size_cap(name):
+def test_trees_are_answered_before_the_size_cap(monkeypatch, name):
     g = _build_fixture(name).graph
     assert g.is_tree() and g.n > DELTA_DEFAULT_CAP
     rep = hyperbolicity_delta(g)
     assert (rep.two_delta, rep.witness) == (0, (g.vertex_ids[0],) * 4)
-    rep = bottleneck_constant(g, max_vertices=10)
+    monkeypatch.setenv("QTLAB_MAX_VERTICES", "10")
+    rep = bottleneck_constant(g)
     assert (rep.constant, rep.witness) == (0, None)
 
 
@@ -316,9 +318,9 @@ def test_ends_profile_center_missing():
 
 def test_size_cap_param_and_env(monkeypatch):
     g = grid_graph(4, 4)
-    with pytest.raises(SizeLimitExceeded):
-        hyperbolicity_delta(g, max_vertices=8)
     monkeypatch.setenv("QTLAB_MAX_VERTICES", "8")
+    with pytest.raises(SizeLimitExceeded):
+        hyperbolicity_delta(g)
     with pytest.raises(SizeLimitExceeded):
         bottleneck_constant(g)
     monkeypatch.delenv("QTLAB_MAX_VERTICES")
