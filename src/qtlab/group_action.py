@@ -609,16 +609,17 @@ def classify_isometry(
     xi = a.space.index(x0)
     img = word_map(a, w)
     quasitree = a.space.is_tree() if space_is_quasitree is None else space_is_quasitree
-    return _classify(a, w, xi, a.space.rows([xi])[0], img, _power_orbit(img, xi, horizon),
-                     horizon, quasitree, functools.partial(_ambient_slack, a.space))
+    return _classify(a, w, xi, None, img, _power_orbit(img, xi, horizon), horizon, quasitree,
+                     functools.partial(_ambient_slack, a.space))
 
 
-def _classify(a: GroupAction, w: Word, xi: int, drow: np.ndarray, img: np.ndarray,
+def _classify(a: GroupAction, w: Word, xi: int, drow: Optional[np.ndarray], img: np.ndarray,
               pts: np.ndarray, horizon: int, quasitree, slack) -> IsometryReport:
-    """classify_isometry of w from vertex index xi, whose distance row is
-    drow, given the map img of w and its power orbit pts from xi to
-    horizon.  slack() returns _ambient_slack(a.space), and is called only
-    when the doubling test runs."""
+    """classify_isometry of w from vertex index xi, given the map img of w
+    and its power orbit pts from xi to horizon.  drow is the distance row
+    of xi, or None to compute it once the heuristics need it; slack()
+    returns _ambient_slack(a.space), and is called only when the doubling
+    test runs."""
     notes: List[str] = []
     ids = a.space.vertex_ids
     if len(pts) and pts[-1] == xi:
@@ -649,6 +650,8 @@ def _classify(a: GroupAction, w: Word, xi: int, drow: np.ndarray, img: np.ndarra
         return IsometryReport(w, "Unknown", "heuristic", "insufficient-data",
                               None, None, {}, truncated, tuple(notes))
 
+    if drow is None:
+        drow = a.space.rows([xi])[0]
     dists = [0] + drow[pts].tolist()
     tau_upper = min(Fraction(dists[k], k) for k in range(1, n_reached + 1))
 
